@@ -184,7 +184,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_grid.add_argument("--ny", type=int)
     p_grid.add_argument("--out", required=True)
     p_grid.add_argument("--format", choices=("ppm", "csv"), default="ppm")
-    p_grid.add_argument("--threads", type=int, default=1)
+    p_grid.add_argument("--threads", type=int, default=1, help="at least 1; rows run on one thread")
     p_grid.add_argument("--order", type=int)
     p_grid.set_defaults(func=_cmd_grid)
 

@@ -1,10 +1,10 @@
 """Fundamental constants: K, gamma, the period lattice, poles and zeros.
 
 K (the first positive zero of cm, 1.76663875...) is located with the
-library's own machinery: series evaluation inside the safe disc plus two
-argument halvings cover the bracket (1.5, 2.0). The defining singular
-integral over (0, 1) is computed independently as a cross-check only.
-Everything is computed once and frozen.
+library's own machinery: halving into the series disc of the order, series
+evaluation and duplication back out cover the bracket (1.5, 2.0). The
+defining singular integral over (0, 1) is computed independently as a
+cross-check only. Everything is computed once and frozen.
 """
 
 from __future__ import annotations
@@ -45,10 +45,11 @@ class DixonConstants:
 
 
 def _pair_small(t: float, pair: series.SeriesPair) -> FunctionPair:
-    # valid for |t| <= 2.0: two halvings land inside the series disc
-    s, c = series.eval_series(pair, t / 4.0)
-    p = identities.duplicate(FunctionPair(s, c))
-    return identities.duplicate(p)
+    # halve into the pair's series disc, then duplicate back out (two
+    # halvings for 1.5 <= t <= 2.0 at the default order)
+    k = pair.halvings(abs(t))
+    s, c = series.eval_series(pair, t / (1 << k))
+    return FunctionPair(*identities.duplicate_values(s, c, k))
 
 
 def compute_K_root(tol: float = 1e-14, order: int = series.DEFAULT_ORDER) -> float:

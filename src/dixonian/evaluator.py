@@ -3,9 +3,10 @@
 Pipeline: reduce the argument modulo the period lattice to the cell centered
 at 0; report a pole if the reduced point sits on one; rescue near-pole
 arguments through the 2K translation identity (full relative accuracy where
-direct duplication would cancel); otherwise halve into the series disc and
-duplicate back out. A vanishing duplication denominator triggers one retry
-at K - z with the outputs swapped.
+direct duplication would cancel); otherwise halve into the series disc of
+the order and duplicate back out. A vanishing duplication denominator
+triggers one retry at K - z with the outputs swapped. Values stay plain
+complex numbers until the result is returned.
 """
 
 from __future__ import annotations
@@ -23,10 +24,11 @@ from .identities import FunctionPair
 POLE_TOL = 1e-12
 #: Closer than this to a pole: evaluate through the 2K translation.
 NEAR_TOL = 0.05
-#: The centered cell never needs more than 4 halvings; the cap is a defect guard.
-MAX_HALVINGS = 6
-
-_SERIES_TOL = 1e-13
+#: The centered cell lies within 3K*sqrt(3)/2 < 4.6 of 0, but from |z| of
+#: about 1e16 the reduction leaves rounding errors of several units in the
+#: reduced argument. Beyond this bound (|z| past about 1e17) the argument is
+#: lost altogether, and the evaluator raises rather than halving it.
+MAX_REDUCED = 32.0
 
 
 @dataclass(frozen=True)
@@ -124,9 +126,10 @@ def sm_cm(z: complex, *, order: int | None = None) -> tuple[EllipticValue, Ellip
         return marker, marker
     if dist <= NEAR_TOL:
         pair = _near_pole_pair(ctx, j, w)
+        s, c = pair.s, pair.c
     else:
-        pair = _cell_pair(ctx, zr)
-    return EllipticValue.finite(pair.s), EllipticValue.finite(pair.c)
+        s, c = _duplication_values(ctx, zr)
+    return EllipticValue(s), EllipticValue(c)
 
 
 def sm(z: complex, *, order: int | None = None) -> EllipticValue:
@@ -181,37 +184,39 @@ def _nearest_pole_frame(ctx: _Context, zr: complex) -> tuple[int, complex]:
 def _near_pole_pair(ctx: _Context, j: int, w: complex) -> FunctionPair:
     # zr = gamma**j * (2K + w) modulo the lattice, with |w| < NEAR_TOL, so
     # s(zr) = gamma**j * (-c(w)/s(w)) and c(zr) = 1/s(w); s(w) ~ w carries
-    # full relative accuracy this close to 0.
-    s, c = series.eval_series(ctx.pair, w, tol=_SERIES_TOL)
+    # full relative accuracy this close to 0. (Only orders whose series disc
+    # is smaller than NEAR_TOL halve w.)
+    s, c = _halve_and_duplicate(ctx, w)
     return FunctionPair(ctx.gamma_powers[j] * (-c / s), 1.0 / s)
 
 
-def _duplication_path(ctx: _Context, zr: complex) -> FunctionPair:
-    k = 0
-    a = abs(zr)
-    while a > series.SERIES_EVAL_RADIUS and k < MAX_HALVINGS:
-        a *= 0.5
-        k += 1
-    s, c = series.eval_series(ctx.pair, zr / (1 << k), tol=_SERIES_TOL)
-    p = FunctionPair(s, c)
-    for _ in range(k):
-        p = identities.duplicate(p)
-    return p
+def _duplication_values(ctx: _Context, zr: complex) -> tuple[complex, complex]:
+    """(sm, cm) at zr away from the poles.
+
+    When a duplication denominator vanishes short of the pole guard, the
+    same path runs at K - zr instead and swaps its outputs, since
+    sm(K - y) = cm(y) and cm(K - y) = sm(y).
+    """
+    consts = ctx.constants
+    for mirrored in (False, True):
+        y = reduce_to_fundamental(consts.K - zr, consts).z_reduced if mirrored else zr
+        try:
+            s, c = _halve_and_duplicate(ctx, y)
+        except DegenerateDenominatorError as exc:
+            failure = exc
+            continue
+        return (c, s) if mirrored else (s, c)
+    raise EvaluationError(
+        f"both the direct path and the K - z fallback degenerated at "
+        f"z_reduced = {zr}; argument is believed off the pole set"
+    ) from failure
 
 
-def _cell_pair(ctx: _Context, zr: complex) -> FunctionPair:
-    try:
-        return _duplication_path(ctx, zr)
-    except DegenerateDenominatorError:
-        pass
-    # a duplication denominator vanished short of the pole guard: evaluate at
-    # K - z instead and swap, since sm(K - y) = cm(y) and cm(K - y) = sm(y)
-    mirrored = reduce_to_fundamental(ctx.constants.K - zr, ctx.constants).z_reduced
-    try:
-        q = _duplication_path(ctx, mirrored)
-    except DegenerateDenominatorError as exc:
-        raise EvaluationError(
-            f"both the direct path and the K - z fallback degenerated at "
-            f"z_reduced = {zr}; argument is believed off the pole set"
-        ) from exc
-    return FunctionPair(q.c, q.s)
+def _halve_and_duplicate(ctx: _Context, y: complex) -> tuple[complex, complex]:
+    """(sm, cm) at y: halve into the series disc, evaluate, duplicate back out."""
+    a = abs(y)
+    if a > MAX_REDUCED:
+        raise ValueError(f"reduced argument {y} lies outside the fundamental cell")
+    k = ctx.pair.halvings(a)
+    s, c = series.eval_series(ctx.pair, y / (1 << k))
+    return identities.duplicate_values(s, c, k)

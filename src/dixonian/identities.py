@@ -55,10 +55,18 @@ def duplicate(p: FunctionPair) -> FunctionPair:
 
     s(2z) = s (1 + c^3) / (c (1 + s^3)),  c(2z) = (c^3 - s^3) / (c (1 + s^3)).
     """
-    s3 = p.s * p.s * p.s
-    c3 = p.c * p.c * p.c
-    den = _require(p.c * (1.0 + s3), "duplication")
-    return FunctionPair(p.s * (1.0 + c3) / den, (c3 - s3) / den)
+    return FunctionPair(*duplicate_values(p.s, p.c, 1))
+
+
+def duplicate_values(s: complex, c: complex, times: int) -> tuple[complex, complex]:
+    """(sm, cm) at 2**times the argument of (s, c), by ``duplicate``'s formula
+    on plain complex values."""
+    for _ in range(times):
+        s3 = s * s * s
+        c3 = c * c * c
+        den = _require(c * (1.0 + s3), "duplication")
+        s, c = s * (1.0 + c3) / den, (c3 - s3) / den
+    return s, c
 
 
 def triplicate(p: FunctionPair) -> FunctionPair:

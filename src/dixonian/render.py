@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import colorsys
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .evaluator import EllipticValue, sm_cm, wp
@@ -65,13 +64,16 @@ class ValueGrid:
 
 
 def sample_grid(region: Region, selector: str, workers: int = 1) -> ValueGrid:
-    """Evaluate the selected function over the region.
+    """Evaluate the selected function over the region, row by row.
 
-    Rows are independent; with workers > 1 they are computed on a thread
-    pool and reassembled in order, so the result never depends on schedule.
+    ``workers`` must be at least 1. Whatever its value, rows run in order on
+    the calling thread: evaluation is pure Python and holds the interpreter
+    lock, so a thread pool only slowed it down.
     """
     if selector not in SELECTORS:
         raise ValueError(f"selector must be one of {SELECTORS}, got {selector!r}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     if selector == "wp":
         fn = wp
     elif selector == "sm":
@@ -79,16 +81,7 @@ def sample_grid(region: Region, selector: str, workers: int = 1) -> ValueGrid:
     else:
         fn = lambda z: sm_cm(z)[1]
     xs = region.xs()
-
-    def row(y: float) -> list[EllipticValue]:
-        return [fn(complex(x, y)) for x in xs]
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(row, region.ys()))
-    else:
-        rows = [row(y) for y in region.ys()]
-    return ValueGrid(region, tuple(v for r in rows for v in r))
+    return ValueGrid(region, tuple(fn(complex(x, y)) for y in region.ys() for x in xs))
 
 
 def _pixel(v: EllipticValue) -> tuple[int, int, int]:

@@ -18,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import ConvergenceError
 
@@ -29,6 +29,10 @@ MAX_ORDER = 64
 #: inside the guaranteed-existence radius 2**(-2/3) = 0.62996..., leaving
 #: ample tail margin at the default order.
 SERIES_EVAL_RADIUS = 0.5
+
+#: Default bound on the truncation error of eval_series; the evaluator and
+#: the root-finder for K evaluate at this tolerance.
+SERIES_TOL = 1e-13
 
 #: Conservative lower bound on the convergence radius (the nearest poles sit
 #: at distance K = 1.7666... from 0); used only when a measured coefficient
@@ -42,7 +46,8 @@ class SeriesPair:
 
     ``s_coeffs[n]`` is the exact rational coefficient of z**n; both tuples
     run from index 0 through ``order`` inclusive. Instances are immutable by
-    convention once constructed.
+    convention once constructed, so everything evaluation needs that depends
+    only on the coefficients is derived once, on first use.
     """
 
     s_coeffs: tuple[Fraction, ...]
@@ -59,15 +64,63 @@ class SeriesPair:
         # cm(z) = Q(z^3)
         return tuple(float(a) for a in self.c_coeffs[0::3])
 
+    @cached_property
+    def _horner_steps(self) -> tuple[float | None, tuple[tuple[float, float], ...]]:
+        """Coefficients of P and Q from the top down, paired for one loop.
+
+        Q has as many coefficients as P or one more; that extra top
+        coefficient of Q comes first, on its own (None when there is none).
+        """
+        s_rev = self._s_packed[::-1]
+        c_rev = self._c_packed[::-1]
+        extra = len(c_rev) - len(s_rev)
+        return (c_rev[0] if extra else None), tuple(zip(s_rev, c_rev[extra:]))
+
+    @cached_property
+    def _tail_fits(self) -> tuple[tuple[float, int, float], ...]:
+        """(|a|, power of z, decay step per power of z**3) of the last nonzero
+        retained term, for sm and then cm."""
+        return _tail_fit(self._s_packed, 1), _tail_fit(self._c_packed, 0)
+
+    @cached_property
+    def eval_radius(self) -> float:
+        """Largest radius <= SERIES_EVAL_RADIUS at which the tail bound meets
+        SERIES_TOL: evaluation at this tolerance works anywhere inside it."""
+        if _tail_bound(self, SERIES_EVAL_RADIUS) <= SERIES_TOL:
+            return SERIES_EVAL_RADIUS
+        # the bound grows with r: bisect down to adjacent doubles
+        lo, hi = 0.0, SERIES_EVAL_RADIUS
+        while True:
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                return lo
+            if _tail_bound(self, mid) <= SERIES_TOL:
+                lo = mid
+            else:
+                hi = mid
+
+    def halvings(self, r: float) -> int:
+        """How many halvings bring the radius r inside eval_radius."""
+        k = 0
+        while r > self.eval_radius:
+            r *= 0.5
+            k += 1
+        return k
+
 
 def generate_series(order: int = DEFAULT_ORDER) -> SeriesPair:
-    """Generate exact coefficients 0..order from the defining recurrence.
+    """Exact coefficients 0..order from the defining recurrence.
 
-    Deterministic and idempotent; ``order`` outside 1..MAX_ORDER is a usage
-    error.
+    Each order is generated once per process; later calls return the same
+    pair. ``order`` outside 1..MAX_ORDER is a usage error.
     """
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(f"series order must be in 1..{MAX_ORDER}, got {order}")
+    return _generate(order)
+
+
+@lru_cache(maxsize=None, typed=True)
+def _generate(order: int) -> SeriesPair:
     s = [Fraction(0)] * (order + 1)
     c = [Fraction(0)] * (order + 1)
     c[0] = Fraction(1)
@@ -79,7 +132,7 @@ def generate_series(order: int = DEFAULT_ORDER) -> SeriesPair:
     return SeriesPair(tuple(s), tuple(c), order)
 
 
-def eval_series(pair: SeriesPair, z: complex, tol: float = 1e-13) -> tuple[complex, complex]:
+def eval_series(pair: SeriesPair, z: complex, tol: float = SERIES_TOL) -> tuple[complex, complex]:
     """Evaluate the truncated series at z, for |z| <= SERIES_EVAL_RADIUS.
 
     Horner evaluation in u = z**3 (two of every three coefficients vanish).
@@ -93,10 +146,7 @@ def eval_series(pair: SeriesPair, z: complex, tol: float = 1e-13) -> tuple[compl
         raise ValueError(
             f"|z| = {r:.6g} exceeds the series evaluation radius {SERIES_EVAL_RADIUS}"
         )
-    tail = max(
-        _tail_estimate(pair._s_packed, 1, r),
-        _tail_estimate(pair._c_packed, 0, r),
-    )
+    tail = _tail_bound(pair, r)
     if tail > tol:
         raise ConvergenceError(
             f"series order {pair.order} cannot meet tol {tol:.1e} at |z| = {r:.3g} "
@@ -104,7 +154,14 @@ def eval_series(pair: SeriesPair, z: complex, tol: float = 1e-13) -> tuple[compl
             residual=tail,
         )
     u = z * z * z
-    return _horner(pair._s_packed, u) * z, _horner(pair._c_packed, u)
+    c_top, steps = pair._horner_steps
+    s = c = 0j
+    if c_top is not None:
+        c = c * u + c_top
+    for a, b in steps:
+        s = s * u + a
+        c = c * u + b
+    return s * z, c
 
 
 def export_json(pair: SeriesPair) -> str:
@@ -126,26 +183,25 @@ def export_json(pair: SeriesPair) -> str:
     return json.dumps(rows)
 
 
-def _horner(coeffs: tuple[float, ...], u: complex) -> complex:
-    acc = complex(0.0)
-    for a in reversed(coeffs):
-        acc = acc * u + a
-    return acc
-
-
-def _tail_estimate(packed: tuple[float, ...], offset: int, r: float) -> float:
-    """Bound on the dropped terms at radius r, from measured coefficient decay."""
+def _tail_fit(packed: tuple[float, ...], offset: int) -> tuple[float, int, float]:
+    # packed[0] is 1 for both sm and cm, so a nonzero term always exists
     nonzero = [i for i, a in enumerate(packed) if a != 0.0]
-    if not nonzero:
-        return 0.0
     last = nonzero[-1]
-    term = abs(packed[last]) * r ** (3 * last + offset)
     if len(nonzero) >= 2:
         prev = nonzero[-2]
         step = abs(packed[last] / packed[prev]) ** (1.0 / (last - prev))
     else:
         step = _FALLBACK_STEP
-    x = step * r ** 3
-    if x >= 1.0:
-        return math.inf
-    return 2.0 * term * x / (1.0 - x)
+    return abs(packed[last]), 3 * last + offset, step
+
+
+def _tail_bound(pair: SeriesPair, r: float) -> float:
+    """Bound on the dropped terms of sm and cm at radius r: each last term
+    times the geometric sum x + x^2 + ... of its decay, with a 2x guard."""
+    bound = 0.0
+    for coeff, power, step in pair._tail_fits:
+        x = step * r ** 3
+        if x >= 1.0:
+            return math.inf
+        bound = max(bound, 2.0 * (coeff * r ** power) * x / (1.0 - x))
+    return bound

@@ -159,6 +159,13 @@ def test_grid_preset_cell(tmp_path, capsys):
     assert out.read_bytes().startswith(b"P6\n181 61\n255\n")
 
 
+def test_grid_threads_validated(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "grid", "--fn", "sm", "--preset", "cell", "--threads", "0",
+                           "--out", str(tmp_path / "x.ppm"))
+    assert code == 2
+    assert "workers" in err
+
+
 def test_grid_missing_flags(capsys):
     code, _, err = run_cli(capsys, "grid", "--fn", "sm", "--out", "/tmp/x.ppm")
     assert code == 2
@@ -207,10 +214,12 @@ def test_order_env(capsys, monkeypatch):
     assert run_cli(capsys, "eval", "--fn", "sm", "--z", "0.3")[0] == 2
 
 
-def test_order_too_small_for_tail(capsys):
-    code, _, err = run_cli(capsys, "eval", "--fn", "sm", "--z", "0.45", "--order", "10")
-    assert code == 1
-    assert "order" in err
+def test_small_order_usable(capsys):
+    # order 10 halves into its own, smaller series disc
+    code, out, _ = run_cli(capsys, "eval", "--fn", "sm", "--z", "0.45", "--order", "10")
+    assert code == 0
+    _, ref, _ = run_cli(capsys, "eval", "--fn", "sm", "--z", "0.45")
+    assert abs(json.loads(out)["re"] - json.loads(ref)["re"]) <= 1e-11
 
 
 def test_entry_point_subprocess():

@@ -125,11 +125,11 @@ def test_near_path_matches_translation():
 def test_duplication_fallback_swaps_through_mirror():
     # -2K halves through -K/2, whose duplication denominator vanishes, so
     # this forces the retry at K - z with swapped outputs
-    from dixonian.evaluator import _cell_pair, _context
+    from dixonian.evaluator import _context, _duplication_values
 
-    p = _cell_pair(_context(48), complex(-2.0 * K, 0.0))
-    assert abs(p.s - 1.0) <= 1e-10
-    assert abs(p.c) <= 1e-10
+    s, c = _duplication_values(_context(48), complex(-2.0 * K, 0.0))
+    assert abs(s - 1.0) <= 1e-10
+    assert abs(c) <= 1e-10
 
 
 def test_elliptic_value_api():

@@ -1,0 +1,212 @@
+"""The sm/cm kernel: bit-identity with the identity layer, every order usable,
+and the module attributes the benchmark's tracer wraps."""
+
+import cmath
+import importlib.util
+import math
+import pathlib
+import random
+
+import pytest
+
+from dixonian import (
+    DENOM_TOL,
+    DegenerateDenominatorError,
+    FunctionPair,
+    cli,
+    constants,
+    dixon_constants,
+    duplicate,
+    eval_series,
+    evaluator,
+    identities,
+    inverse,
+    reduce_to_fundamental,
+    render,
+    selftest,
+    series,
+    sm_cm,
+    translate_2K,
+)
+from dixonian.evaluator import NEAR_TOL, POLE_TOL, _context, _nearest_pole_frame
+from dixonian.identities import duplicate_values
+from dixonian.series import MAX_ORDER, SERIES_EVAL_RADIUS
+from conftest import CONSTS, K, W1, W2, cell_points
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _duplicate_formula(p):
+    # the duplication formula with its operations in the kernel's order,
+    # written out so the reference shares no code with the kernel's loop
+    s3 = p.s * p.s * p.s
+    c3 = p.c * p.c * p.c
+    den = p.c * (1.0 + s3)
+    if abs(den) < DENOM_TOL:
+        raise DegenerateDenominatorError("duplication")
+    return FunctionPair(p.s * (1.0 + c3) / den, (c3 - s3) / den)
+
+
+def _identity_duplication(zr):
+    """(sm, cm) at a reduced argument away from the poles, at order 48, from
+    eval_series on the 0.5 disc and one duplication per halving, with the
+    K - z mirror when a duplication degenerates."""
+    pair = _context(48).pair
+
+    def doubled(y):
+        k, a = 0, abs(y)
+        while a > SERIES_EVAL_RADIUS:
+            a *= 0.5
+            k += 1
+        p = FunctionPair(*eval_series(pair, y / (1 << k)))
+        for _ in range(k):
+            p = _duplicate_formula(p)
+        return p
+
+    try:
+        p = doubled(zr)
+        return p.s, p.c
+    except DegenerateDenominatorError:
+        q = doubled(reduce_to_fundamental(K - zr, CONSTS).z_reduced)
+        return q.c, q.s
+
+
+def _identity_layer(z):
+    """(sm, cm) at z at order 48 from the identity layer, ``translate_2K``
+    near a pole; None at a pole."""
+    ctx = _context(48)
+    zr = reduce_to_fundamental(z, CONSTS).z_reduced
+    j, w = _nearest_pole_frame(ctx, zr)
+    if abs(w) <= POLE_TOL:
+        return None
+    if abs(w) <= NEAR_TOL:
+        p = translate_2K(FunctionPair(*eval_series(ctx.pair, w)))
+        return ctx.gamma_powers[j] * p.s, p.c
+    return _identity_duplication(zr)
+
+
+def _kernel_points():
+    rng = random.Random(404)
+    pts = cell_points(rng, 400, pole_margin=0.0)
+    # near-pole rescue, far enough out that translate_2K's guard passes
+    def log_uniform(lo, hi):
+        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+    pts += [
+        rep + cmath.rect(log_uniform(1e-7, NEAR_TOL), rng.uniform(0, 2 * math.pi))
+        for rep in CONSTS.pole_reps
+        for _ in range(40)
+    ]
+    # far points, reduced by whole periods
+    pts += [cmath.rect(log_uniform(1.0, 1e6), rng.uniform(0, 2 * math.pi)) for _ in range(200)]
+    pts += [z + 7 * W1 - 3 * W2 for z in pts[:50]]
+    # signed zeros, the origin, the series-disc edge, cardinal points
+    pts += [0j, complex(-0.0, -0.0), complex(-0.3, -0.0), complex(-0.0, 0.3), complex(-1.8, -0.0),
+            0.5, -0.5, 0.5j, -K / 2.0, K / 2.0, complex(-2.0 * K, 0.0), complex(-2.0 * K, -0.0)]
+    return pts
+
+
+def test_kernel_bit_identical_to_identity_layer():
+    for z in _kernel_points():
+        want = _identity_layer(z)
+        sv, cv = sm_cm(z)
+        if want is None:
+            assert sv.is_pole and cv.is_pole, z
+        else:
+            assert repr((sv.value, cv.value)) == repr(want), z
+
+
+def test_kernel_mirror_matches_identity_layer():
+    # -2K (outside the cell, so only the private kernel sees it) halves
+    # through -K/2, where duplication degenerates
+    zr = complex(-2.0 * K, 0.0)
+    with pytest.raises(DegenerateDenominatorError):
+        duplicate_values(*eval_series(_context(48).pair, zr / 8), 3)
+    assert repr(evaluator._duplication_values(_context(48), zr)) == repr(_identity_duplication(zr))
+
+
+def test_duplicate_values_is_duplicate():
+    rng = random.Random(3)
+    for z in cell_points(rng, 50):
+        s, c = sm_cm(z / 4)
+        p = _duplicate_formula(_duplicate_formula(FunctionPair(s.value, c.value)))
+        assert repr(duplicate_values(s.value, c.value, 2)) == repr((p.s, p.c))
+        q = duplicate(FunctionPair(s.value, c.value))
+        assert repr(duplicate_values(s.value, c.value, 1)) == repr((q.s, q.c))
+    assert duplicate_values(0.25j, 1.0, 0) == (0.25j, 1.0)
+
+
+def test_reduction_beyond_cell_raises():
+    # from about |z| = 1e17 the double-precision reduction loses the argument
+    with pytest.raises(ValueError):
+        sm_cm(1.7e308)
+
+
+@pytest.mark.parametrize("order", range(1, MAX_ORDER + 1))
+def test_every_order_usable(order):
+    consts = dixon_constants(order)
+    assert abs(consts.K - K) <= 1e-9
+    for z in (0.1, 0.45 + 0.2j, 1.0, -K + 0.03, 2.5 - 1.5j, 40.0 + 3.0j):
+        s, c = sm_cm(z, order=order)
+        s48, c48 = sm_cm(z)
+        tol = 1e-5 if order <= 3 else 1e-8 if order < 27 else 1e-12
+        assert abs(s.value - s48.value) <= tol * max(1.0, abs(s48.value))
+        assert abs(c.value - c48.value) <= tol * max(1.0, abs(c48.value))
+
+
+# --- what benchmarks/run.py and benchmarks/tracer.py read -----------------------
+
+def _tracer_module():
+    path = ROOT / "benchmarks" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+LIB = {
+    "cli": cli,
+    "constants": constants,
+    "evaluator": evaluator,
+    "identities": identities,
+    "inverse": inverse,
+    "render": render,
+    "selftest": selftest,
+    "series": series,
+}
+
+
+def test_traced_attributes_exist():
+    for mod_name, attr, _ in _tracer_module().WRAPPED:
+        assert callable(getattr(LIB[mod_name], attr)), (mod_name, attr)
+    ctx = evaluator._context(48)
+    assert ctx.constants is dixon_constants(48)
+    j, w = evaluator._nearest_pole_frame(ctx, -K + 0.01)
+    p = evaluator._near_pole_pair(ctx, j, w)
+    assert (p.s, p.c) == tuple(v.value for v in sm_cm(-K + 0.01))
+    assert evaluator.POLE_TOL < evaluator.NEAR_TOL
+
+
+def test_sm_cm_calls_through_module_attributes(monkeypatch):
+    calls = {"eval_series": 0, "reduce_to_fundamental": 0}
+
+    def counting(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(series, "eval_series")
+    counting(evaluator, "reduce_to_fundamental")
+    for z in (0.7 + 0.2j, -K + 0.01):
+        calls.update(eval_series=0, reduce_to_fundamental=0)
+        sm_cm(z)
+        assert calls == {"eval_series": 1, "reduce_to_fundamental": 1}, z
+    # the mirror reduces K - z once more and evaluates the series again
+    calls.update(eval_series=0, reduce_to_fundamental=0)
+    evaluator._duplication_values(_context(48), complex(-2.0 * K, 0.0))
+    assert calls == {"eval_series": 2, "reduce_to_fundamental": 1}
+

@@ -86,6 +86,12 @@ def test_determinism_across_runs_and_workers():
     assert ppm1 == ppm2 == ppm4
 
 
+def test_workers_validated():
+    region = Region(0j, 1.0, 1.0, 3, 2)
+    with pytest.raises(ValueError):
+        sample_grid(region, "sm", workers=0)
+
+
 def test_csv_dump():
     grid = sample_grid(Region(0j, 2.0 * K, 1.0, 3, 1), "sm")
     lines = grid_to_csv(grid).splitlines()

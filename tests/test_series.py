@@ -8,7 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from dixonian import ConvergenceError, eval_series, export_json, generate_series
+from dixonian import ConvergenceError, eval_series, export_json, generate_series, series
+from dixonian.series import DEFAULT_ORDER, MAX_ORDER, SERIES_EVAL_RADIUS, SERIES_TOL
 from oracles import picard_coefficients
 
 
@@ -131,3 +132,87 @@ def test_export_json():
     assert rows[4] == {"n": 4, "s_num": "-1", "s_den": "6", "c_num": "0", "c_den": "1"}
     assert rows[3]["c_num"] == "-1" and rows[3]["c_den"] == "3"
     assert all(isinstance(r["s_num"], str) for r in rows)
+
+
+# --- cached tail fit and series disc ----------------------------------------
+
+def _per_call_tail(packed, offset, r):
+    """The tail bound as eval_series computed it on every call before the fit
+    was cached: refit from the packed coefficients each time."""
+    nonzero = [i for i, a in enumerate(packed) if a != 0.0]
+    if not nonzero:
+        return 0.0
+    last = nonzero[-1]
+    term = abs(packed[last]) * r ** (3 * last + offset)
+    if len(nonzero) >= 2:
+        prev = nonzero[-2]
+        step = abs(packed[last] / packed[prev]) ** (1.0 / (last - prev))
+    else:
+        step = (1.0 / 1.7) ** 3
+    x = step * r ** 3
+    if x >= 1.0:
+        return math.inf
+    return 2.0 * term * x / (1.0 - x)
+
+
+TAIL_RADII = (0.0, 1e-5, 6.26e-5, 1e-3, 0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.45, 0.5)
+
+
+@pytest.mark.parametrize("order", range(1, MAX_ORDER + 1))
+def test_cached_tail_bound_matches_per_call_fit(order):
+    pair = generate_series(order)
+    for r in TAIL_RADII:
+        want = max(_per_call_tail(pair._s_packed, 1, r), _per_call_tail(pair._c_packed, 0, r))
+        assert series._tail_bound(pair, r) == want
+        if want > SERIES_TOL:
+            with pytest.raises(ConvergenceError) as exc:
+                eval_series(pair, r)
+            assert exc.value.residual == want
+            assert f"(tail bound {want:.1e})" in str(exc.value)
+        else:
+            eval_series(pair, r)
+
+
+@pytest.mark.parametrize("order", range(1, MAX_ORDER + 1))
+def test_eval_radius_is_largest_that_meets_tol(order):
+    pair = generate_series(order)
+    r = pair.eval_radius
+    assert 0.0 < r <= SERIES_EVAL_RADIUS
+    assert series._tail_bound(pair, r) <= SERIES_TOL
+    if r < SERIES_EVAL_RADIUS:
+        assert series._tail_bound(pair, math.nextafter(r, 1.0)) > SERIES_TOL
+    eval_series(pair, cmath.rect(r, 0.7))
+    assert abs(4.6 / 2 ** pair.halvings(4.6)) <= r
+
+
+def test_default_order_keeps_half_disc():
+    pair = generate_series()
+    assert pair.eval_radius == SERIES_EVAL_RADIUS
+    # the K root-finder's bracket (1.5, 2.0) still takes exactly two halvings
+    assert pair.halvings(1.5) == pair.halvings(2.0) == 2
+    assert pair.halvings(0.5) == 0 and pair.halvings(0.0) == 0
+
+
+def test_generated_once_per_order():
+    assert generate_series(30) is generate_series(30)
+    assert generate_series() is generate_series(DEFAULT_ORDER)
+
+
+def test_fused_horner_matches_separate_recurrences():
+    # each recurrence keeps its own operation order, from a complex zero start
+    def horner(coeffs, u):
+        acc = complex(0.0)
+        for a in reversed(coeffs):
+            acc = acc * u + a
+        return acc
+
+    rng = random.Random(9)
+    for order in (1, 2, 3, 7, 47, 48, 49, 64):
+        pair = generate_series(order)
+        r = pair.eval_radius
+        pts = [cmath.rect(rng.uniform(0, r), rng.uniform(0, 2 * math.pi)) for _ in range(50)]
+        pts += [complex(-r / 2, -0.0), complex(-0.0, r / 3), complex(-0.0, -0.0), 0j]
+        for z in pts:
+            u = z * z * z
+            want = (horner(pair._s_packed, u) * z, horner(pair._c_packed, u))
+            assert repr(eval_series(pair, z)) == repr(want)
