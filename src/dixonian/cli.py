@@ -93,8 +93,8 @@ def _cmd_invert(args) -> int:
     return 0
 
 
-def _cell_preset() -> dict:
-    k = dixon_constants()
+def _cell_preset(order: int) -> dict:
+    k = dixon_constants(order)
     return {
         "center": complex(0.0),
         "width": 4.5 * k.K,
@@ -105,8 +105,8 @@ def _cell_preset() -> dict:
 
 
 def _cmd_grid(args) -> int:
-    _resolve_order(args)
-    preset = _cell_preset() if args.preset == "cell" else {}
+    order = _resolve_order(args)
+    preset = _cell_preset(order) if args.preset == "cell" else {}
 
     def pick(name):
         value = getattr(args, name)
@@ -123,7 +123,7 @@ def _cmd_grid(args) -> int:
         nx=pick("nx"),
         ny=pick("ny"),
     )
-    grid = render.sample_grid(region, args.fn, workers=args.threads)
+    grid = render.sample_grid(region, args.fn, workers=args.threads, order=order)
     if args.format == "ppm":
         with open(args.out, "wb") as fh:
             fh.write(render.domain_color(grid))

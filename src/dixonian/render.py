@@ -63,8 +63,11 @@ class ValueGrid:
     values: tuple[EllipticValue, ...]
 
 
-def sample_grid(region: Region, selector: str, workers: int = 1) -> ValueGrid:
-    """Evaluate the selected function over the region, row by row.
+def sample_grid(
+    region: Region, selector: str, workers: int = 1, *, order: int | None = None
+) -> ValueGrid:
+    """Evaluate the selected function over the region, row by row, at the
+    series ``order`` (None: the default order).
 
     ``workers`` must be at least 1. Whatever its value, rows run in order on
     the calling thread: evaluation is pure Python and holds the interpreter
@@ -75,11 +78,11 @@ def sample_grid(region: Region, selector: str, workers: int = 1) -> ValueGrid:
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     if selector == "wp":
-        fn = wp
+        fn = lambda z: wp(z, order=order)
     elif selector == "sm":
-        fn = lambda z: sm_cm(z)[0]
+        fn = lambda z: sm_cm(z, order=order)[0]
     else:
-        fn = lambda z: sm_cm(z)[1]
+        fn = lambda z: sm_cm(z, order=order)[1]
     xs = region.xs()
     return ValueGrid(region, tuple(fn(complex(x, y)) for y in region.ys() for x in xs))
 

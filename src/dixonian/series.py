@@ -124,11 +124,14 @@ def _generate(order: int) -> SeriesPair:
     s = [Fraction(0)] * (order + 1)
     c = [Fraction(0)] * (order + 1)
     c[0] = Fraction(1)
+    # only c[3j] and s[3j+1] are nonzero, so the sum of c[k]*c[n-k] vanishes
+    # unless n = 0 (mod 3), that of s[k]*s[n-k] unless n = 2 (mod 3), and in
+    # each only every third k contributes
     for n in range(order):
-        cc = sum(c[k] * c[n - k] for k in range(n + 1))
-        ss = sum(s[k] * s[n - k] for k in range(n + 1))
-        s[n + 1] = cc / (n + 1)
-        c[n + 1] = -ss / (n + 1)
+        if n % 3 == 0:
+            s[n + 1] = sum(c[k] * c[n - k] for k in range(0, n + 1, 3)) / (n + 1)
+        elif n % 3 == 2:
+            c[n + 1] = -sum(s[k] * s[n - k] for k in range(1, n + 1, 3)) / (n + 1)
     return SeriesPair(tuple(s), tuple(c), order)
 
 

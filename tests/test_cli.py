@@ -159,6 +159,29 @@ def test_grid_preset_cell(tmp_path, capsys):
     assert out.read_bytes().startswith(b"P6\n181 61\n255\n")
 
 
+def test_grid_honours_order(tmp_path, capsys):
+    from dixonian import dixon_constants, sm
+
+    base = ["grid", "--fn", "sm", "--center", "0.5+0.3i", "--width", "1", "--height", "1",
+            "--nx", "3", "--ny", "3", "--format", "csv"]
+    out2, out48 = tmp_path / "o2.csv", tmp_path / "o48.csv"
+    assert run_cli(capsys, *base, "--order", "2", "--out", str(out2))[0] == 0
+    assert run_cli(capsys, *base, "--out", str(out48))[0] == 0
+    text = out2.read_text()
+    assert text != out48.read_text()
+    for line in text.splitlines()[1:]:
+        re_, im, s_re, s_im, pole = line.split(",")
+        v = sm(complex(float(re_), float(im)), order=2).value
+        assert (s_re, s_im, pole) == (f"{v.real:.17g}", f"{v.imag:.17g}", "0")
+
+    # the cell preset is framed with the order's own K
+    out = tmp_path / "cell2.csv"
+    assert run_cli(capsys, "grid", "--fn", "sm", "--preset", "cell", "--nx", "2", "--ny", "2",
+                   "--format", "csv", "--order", "2", "--out", str(out))[0] == 0
+    first = out.read_text().splitlines()[1].split(",")
+    assert float(first[0]) == -4.5 * dixon_constants(2).K / 2.0
+
+
 def test_grid_threads_validated(tmp_path, capsys):
     code, _, err = run_cli(capsys, "grid", "--fn", "sm", "--preset", "cell", "--threads", "0",
                            "--out", str(tmp_path / "x.ppm"))

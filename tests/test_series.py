@@ -216,3 +216,21 @@ def test_fused_horner_matches_separate_recurrences():
             u = z * z * z
             want = (horner(pair._s_packed, u) * z, horner(pair._c_packed, u))
             assert repr(eval_series(pair, z)) == repr(want)
+
+
+def test_sparse_recurrence_matches_dense():
+    # the full convolutions, zero products included; each order's
+    # coefficients are a prefix of the next order's
+    s = [Fraction(0)] * (MAX_ORDER + 1)
+    c = [Fraction(0)] * (MAX_ORDER + 1)
+    c[0] = Fraction(1)
+    for n in range(MAX_ORDER):
+        cc = sum(c[k] * c[n - k] for k in range(n + 1))
+        ss = sum(s[k] * s[n - k] for k in range(n + 1))
+        s[n + 1] = cc / (n + 1)
+        c[n + 1] = -ss / (n + 1)
+    for order in range(1, MAX_ORDER + 1):
+        pair = generate_series(order)
+        assert pair.s_coeffs == tuple(s[: order + 1])
+        assert pair.c_coeffs == tuple(c[: order + 1])
+        assert all(type(a) is Fraction for a in pair.s_coeffs + pair.c_coeffs)
