@@ -19,7 +19,6 @@ from .errors import (
     ConvergenceError,
     DegenerateDenominatorError,
     DixonError,
-    EvaluationError,
     PoleError,
 )
 from .evaluator import (
@@ -61,7 +60,6 @@ __all__ = [
     "DixonConstants",
     "DixonError",
     "EllipticValue",
-    "EvaluationError",
     "FunctionPair",
     "FundamentalCell",
     "InverseResult",

@@ -37,20 +37,20 @@ def parse_complex(text: str) -> complex:
 
 
 def _resolve_order(args) -> int:
-    if getattr(args, "order", None) is not None:
-        order = args.order
-    else:
-        env = os.environ.get("DIXON_SERIES_ORDER")
-        if env is not None:
-            try:
-                order = int(env)
-            except ValueError:
-                raise ValueError(f"DIXON_SERIES_ORDER is not an integer: {env!r}")
-        else:
-            order = series.DEFAULT_ORDER
-    if not 1 <= order <= series.MAX_ORDER:
-        raise ValueError(f"series order must be in 1..{series.MAX_ORDER}, got {order}")
-    return order
+    """--order, else DIXON_SERIES_ORDER, else the default order.
+
+    The range is checked where the order is first used, by
+    ``series.generate_series``.
+    """
+    if args.order is not None:
+        return args.order
+    env = os.environ.get("DIXON_SERIES_ORDER")
+    if env is None:
+        return series.DEFAULT_ORDER
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"DIXON_SERIES_ORDER is not an integer: {env!r}")
 
 
 def _check_tol(tol: float) -> float:

@@ -15,7 +15,6 @@ from functools import lru_cache
 
 from . import identities, series
 from .errors import ConvergenceError
-from .identities import FunctionPair
 from .quadrature import tanh_sinh
 
 #: gamma = exp(2*pi*i/3) = (-1 + i*sqrt(3))/2, the primitive cube root of unity.
@@ -24,6 +23,12 @@ GAMMA = complex(-0.5, math.sqrt(3.0) / 2.0)
 #: Radius of guaranteed local existence for the defining initial value
 #: problem, 2**(-2/3) = 0.62996...
 R_LOCAL = 2.0 ** (-2.0 / 3.0)
+
+#: The centered cell lies within 3K*sqrt(3)/2 < 4.6 of 0, but from |z| of
+#: about 1e16 the reduction leaves rounding errors of several units in the
+#: reduced argument. Beyond this bound (|z| past about 1e17) the argument is
+#: lost altogether, and evaluation raises rather than halving it.
+MAX_REDUCED = 32.0
 
 
 @dataclass(frozen=True)
@@ -44,12 +49,19 @@ class DixonConstants:
     g3: float
 
 
-def _pair_small(t: float, pair: series.SeriesPair) -> FunctionPair:
-    # halve into the pair's series disc, then duplicate back out (two
-    # halvings for 1.5 <= t <= 2.0 at the default order)
-    k = pair.halvings(abs(t))
-    s, c = series.eval_series(pair, t / (1 << k))
-    return FunctionPair(*identities.duplicate_values(s, c, k))
+def halve_and_duplicate(pair: series.SeriesPair, y: complex) -> tuple[complex, complex]:
+    """(sm, cm) at y: halve into the pair's series disc, evaluate the series
+    there and duplicate back out.
+
+    The evaluator's kernel and K's root-finder (two halvings for
+    1.5 <= t <= 2.0 at the default order) both run through here.
+    """
+    a = abs(y)
+    if a > MAX_REDUCED:
+        raise ValueError(f"reduced argument {y} lies outside the fundamental cell")
+    k = pair.halvings(a)
+    s, c = series.eval_series(pair, y / (1 << k))
+    return identities.duplicate_values(s, c, k)
 
 
 def compute_K_root(tol: float = 1e-14, order: int = series.DEFAULT_ORDER) -> float:
@@ -61,25 +73,25 @@ def compute_K_root(tol: float = 1e-14, order: int = series.DEFAULT_ORDER) -> flo
         raise ValueError("tol must be at least 1e-14")
     pair = series.generate_series(order)
     a, b = 1.5, 2.0
-    fa = _pair_small(a, pair).c.real
-    fb = _pair_small(b, pair).c.real
+    fa = halve_and_duplicate(pair, a)[1].real
+    fb = halve_and_duplicate(pair, b)[1].real
     if not (fa > 0.0 > fb):
         raise ConvergenceError(
             f"no sign change of cm on [{a}, {b}]: cm({a}) = {fa:.3g}, cm({b}) = {fb:.3g}"
         )
     for _ in range(20):
         mid = 0.5 * (a + b)
-        if _pair_small(mid, pair).c.real > 0.0:
+        if halve_and_duplicate(pair, mid)[1].real > 0.0:
             a = mid
         else:
             b = mid
     t = 0.5 * (a + b)
     for _ in range(20):
-        p = _pair_small(t, pair)
-        c = p.c.real
+        s, c = halve_and_duplicate(pair, t)
+        c = c.real
         if abs(c) <= tol:
             return t
-        t += c / (p.s.real * p.s.real)
+        t += c / (s.real * s.real)
     raise ConvergenceError(f"Newton stalled at |cm(t)| = {abs(c):.3e}", residual=abs(c))
 
 

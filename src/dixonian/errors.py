@@ -26,7 +26,3 @@ class ConvergenceError(DixonError):
     def __init__(self, message: str, residual: float | None = None):
         super().__init__(message)
         self.residual = residual
-
-
-class EvaluationError(DixonError):
-    """Internal defect: the primary path and its fallback both degenerated."""

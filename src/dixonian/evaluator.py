@@ -4,9 +4,10 @@ Pipeline: reduce the argument modulo the period lattice to the cell centered
 at 0; report a pole if the reduced point sits on one; rescue near-pole
 arguments through the 2K translation identity (full relative accuracy where
 direct duplication would cancel); otherwise halve into the series disc of
-the order and duplicate back out. A vanishing duplication denominator
-triggers one retry at K - z with the outputs swapped. Values stay plain
-complex numbers until the result is returned.
+the order and duplicate back out. Outside the near-pole discs no
+duplication denominator comes near zero: one would vanish only where the
+doubled point is a pole, and the doubles of the poles lie outside the cell.
+Values stay plain complex numbers until the result is returned.
 """
 
 from __future__ import annotations
@@ -16,19 +17,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import identities, series
-from .constants import DixonConstants, dixon_constants
-from .errors import DegenerateDenominatorError, EvaluationError, PoleError
+from .constants import DixonConstants, dixon_constants, halve_and_duplicate
+from .errors import PoleError
 from .identities import FunctionPair
 
 #: Closer than this to a pole: report the pole itself.
 POLE_TOL = 1e-12
 #: Closer than this to a pole: evaluate through the 2K translation.
 NEAR_TOL = 0.05
-#: The centered cell lies within 3K*sqrt(3)/2 < 4.6 of 0, but from |z| of
-#: about 1e16 the reduction leaves rounding errors of several units in the
-#: reduced argument. Beyond this bound (|z| past about 1e17) the argument is
-#: lost altogether, and the evaluator raises rather than halving it.
-MAX_REDUCED = 32.0
 
 
 @dataclass(frozen=True)
@@ -128,7 +124,7 @@ def sm_cm(z: complex, *, order: int | None = None) -> tuple[EllipticValue, Ellip
         pair = _near_pole_pair(ctx, j, w)
         s, c = pair.s, pair.c
     else:
-        s, c = _duplication_values(ctx, zr)
+        s, c = halve_and_duplicate(ctx.pair, zr)
     return EllipticValue(s), EllipticValue(c)
 
 
@@ -186,37 +182,5 @@ def _near_pole_pair(ctx: _Context, j: int, w: complex) -> FunctionPair:
     # s(zr) = gamma**j * (-c(w)/s(w)) and c(zr) = 1/s(w); s(w) ~ w carries
     # full relative accuracy this close to 0. (Only orders whose series disc
     # is smaller than NEAR_TOL halve w.)
-    s, c = _halve_and_duplicate(ctx, w)
+    s, c = halve_and_duplicate(ctx.pair, w)
     return FunctionPair(ctx.gamma_powers[j] * (-c / s), 1.0 / s)
-
-
-def _duplication_values(ctx: _Context, zr: complex) -> tuple[complex, complex]:
-    """(sm, cm) at zr away from the poles.
-
-    When a duplication denominator vanishes short of the pole guard, the
-    same path runs at K - zr instead and swaps its outputs, since
-    sm(K - y) = cm(y) and cm(K - y) = sm(y).
-    """
-    consts = ctx.constants
-    for mirrored in (False, True):
-        y = reduce_to_fundamental(consts.K - zr, consts).z_reduced if mirrored else zr
-        try:
-            s, c = _halve_and_duplicate(ctx, y)
-        except DegenerateDenominatorError as exc:
-            failure = exc
-            continue
-        return (c, s) if mirrored else (s, c)
-    raise EvaluationError(
-        f"both the direct path and the K - z fallback degenerated at "
-        f"z_reduced = {zr}; argument is believed off the pole set"
-    ) from failure
-
-
-def _halve_and_duplicate(ctx: _Context, y: complex) -> tuple[complex, complex]:
-    """(sm, cm) at y: halve into the series disc, evaluate, duplicate back out."""
-    a = abs(y)
-    if a > MAX_REDUCED:
-        raise ValueError(f"reduced argument {y} lies outside the fundamental cell")
-    k = ctx.pair.halvings(a)
-    s, c = series.eval_series(ctx.pair, y / (1 << k))
-    return identities.duplicate_values(s, c, k)

@@ -1,9 +1,12 @@
-"""Built-in verification suite.
+"""Built-in verification suite: the registry of analytic facts.
 
-Every analytic fact the library promises, packaged as named checks that
-report a measured residual against a default tolerance. The CLI ``selftest``
-subcommand runs the lot and renders a pass/fail table; ``run_selftest`` is
-the programmatic entry.
+Every analytic fact the library promises is stated here once, as a named
+check that reports a measured residual against a default tolerance. A
+sampled fact is a residual at one sample (a point of the centered cell, a
+pair of them, or a point of a disc), kept in ``_FACTS``: the selftest reduces
+it over a small seeded sample, and the test suite over larger ones. The CLI
+``selftest`` subcommand runs every check and renders a pass/fail table;
+``run_selftest`` is the programmatic entry.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Sequence
 
 from . import identities, series
 from .constants import compute_K_quadrature, compute_K_root, dixon_constants
@@ -40,7 +43,41 @@ class CheckResult:
     tol: float
 
 
+class Fact:
+    """An analytic fact as a residual at one sample.
+
+    ``draw(rng)`` returns the arguments of one sample. ``residual`` returns
+    None for a sample outside the fact's domain (too near a zero of one of
+    its denominators), and another sample is drawn in its place.
+    """
+
+    # a plain class: building a dataclass would add about 1 ms to the import
+    __slots__ = ("residual", "draw")
+
+    def __init__(
+        self,
+        residual: Callable[..., float | None],
+        draw: Callable[[random.Random], Sequence[complex]],
+    ) -> None:
+        self.residual = residual
+        self.draw = draw
+
+    def worst(self, rng: random.Random, count: int) -> float:
+        """Largest residual over ``count`` samples from the domain."""
+        worst = 0.0
+        done = 0
+        while done < count:
+            r = self.residual(*self.draw(rng))
+            if r is not None:
+                worst = max(worst, r)
+                done += 1
+        return worst
+
+
 _CHECKS: list[Check] = []
+
+#: The sampled facts, by the name of the check that samples them.
+_FACTS: dict[str, Fact] = {}
 
 
 def _register(name: str, tol: float):
@@ -74,13 +111,12 @@ def _values(z: complex) -> tuple[complex, complex]:
     return sm_cm_values(z)
 
 
-def _cell_points(
-    rng: random.Random,
-    count: int,
-    pole_margin: float = 0.05,
-    avoid: tuple[complex, ...] = (),
-    avoid_margin: float = 0.05,
-) -> list[complex]:
+def _pair_at(z: complex) -> FunctionPair:
+    return FunctionPair(*_values(z))
+
+
+def _cell_points(rng: random.Random, count: int, pole_margin: float = 0.05) -> list[complex]:
+    """Uniform points of the centered cell, at least ``pole_margin`` from the poles."""
     k = dixon_constants()
     w1, w2 = k.periods
     pts: list[complex] = []
@@ -88,15 +124,55 @@ def _cell_points(
         z = rng.uniform(-0.5, 0.5) * w1 + rng.uniform(-0.5, 0.5) * w2
         if min(abs(z - p) for p in k.pole_reps) < pole_margin:
             continue
-        if avoid and min(abs(z - q) for q in avoid) < avoid_margin:
-            continue
         pts.append(z)
     return pts
+
+
+def _cell_point(rng: random.Random) -> list[complex]:
+    return _cell_points(rng, 1)
+
+
+def _cell_pair(rng: random.Random) -> list[complex]:
+    return _cell_points(rng, 2)
+
+
+def _disc(radius: float) -> Callable[[random.Random], tuple[complex]]:
+    def draw(rng: random.Random) -> tuple[complex]:
+        return (cmath.rect(rng.uniform(0.0, radius), rng.uniform(0.0, 2.0 * math.pi)),)
+
+    return draw
+
+
+def _near(z: complex, loci: Sequence[complex]) -> bool:
+    return min(abs(z - q) for q in loci) < 0.05
+
+
+def _sampled(
+    name: str,
+    tol: float,
+    seed: int,
+    count: int,
+    draw: Callable[[random.Random], Sequence[complex]] = _cell_point,
+):
+    """Register a residual as a fact, and as a check reducing it over
+    ``count`` samples drawn from ``random.Random(seed)``."""
+
+    def deco(residual):
+        fact = _FACTS[name] = Fact(residual, draw)
+        _CHECKS.append(Check(name, tol, lambda: fact.worst(random.Random(seed), count)))
+        return residual
+
+    return deco
 
 
 def _c_zero_reps() -> tuple[complex, complex, complex]:
     k = dixon_constants()
     return (complex(k.K), k.K * k.gamma, k.K * k.gamma.conjugate())
+
+
+#: (1 - cm) ~ z^3/3 cancels near the lattice points, so the Weierstrass
+#: facts keep this far from 0.
+_LATTICE_MARGIN = 0.35
 
 
 # ---------------------------------------------------------------------------
@@ -144,16 +220,10 @@ def _check_series_landmarks() -> float:
     return 0.0
 
 
-@_register("series_cube_identity", 1e-12)
-def _check_series_cube() -> float:
-    pair = series.generate_series()
-    rng = random.Random(101)
-    worst = 0.0
-    for _ in range(300):
-        z = cmath.rect(rng.uniform(0.0, 0.5), rng.uniform(0.0, 2.0 * math.pi))
-        s, c = series.eval_series(pair, z)
-        worst = max(worst, abs(s * s * s + c * c * c - 1.0))
-    return worst
+@_sampled("series_cube_identity", 1e-12, 101, 300, _disc(0.5))
+def _series_cube(z: complex) -> float:
+    s, c = series.eval_series(series.generate_series(), z)
+    return abs(s * s * s + c * c * c - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -191,122 +261,99 @@ def _check_cardinals() -> float:
     )
 
 
+def _pole_probes() -> list[complex]:
+    """One point 1e-9 from each pole representative, in a seeded direction."""
+    rng = random.Random(202)
+    return [rep + cmath.rect(1e-9, rng.uniform(0.0, 2.0 * math.pi)) for rep in dixon_constants().pole_reps]
+
+
 @_register("pole_probe", 1e-8)
 def _check_pole_probe() -> float:
-    k = dixon_constants()
-    rng = random.Random(202)
-    worst = 0.0
-    for rep in k.pole_reps:
-        z = rep + cmath.rect(1e-9, rng.uniform(0.0, 2.0 * math.pi))
-        s, _ = _values(z)
-        worst = max(worst, 1.0 / abs(s))
-    return worst
+    return max(1.0 / abs(_values(z)[0]) for z in _pole_probes())
 
 
 # ---------------------------------------------------------------------------
 # global evaluator
 
-@_register("cube_identity_cell", 1e-10)
-def _check_cube_cell() -> float:
-    rng = random.Random(303)
-    worst = 0.0
-    for z in _cell_points(rng, 400):
-        s, c = _values(z)
-        worst = max(worst, abs(s * s * s + c * c * c - 1.0))
-    return worst
+@_sampled("cube_identity_cell", 1e-10, 303, 400)
+def _cube(z: complex) -> float:
+    s, c = _values(z)
+    return abs(s * s * s + c * c * c - 1.0)
 
 
-@_register("ivp_derivatives", 1e-6)
-def _check_derivatives() -> float:
-    # central differences at h = 1e-5; tolerance scales with the derivative
-    # magnitude, which grows like d^-2 toward the poles
-    rng = random.Random(404)
+def _ivp_errors(z: complex) -> tuple[tuple[float, complex], tuple[float, complex]]:
+    """Central differences at h = 1e-5 against sm' = cm^2 and cm' = -sm^2:
+    the absolute error of each, with the derivative it tests."""
     h = 1e-5
+    s0, c0 = _values(z)
+    sp, cp = _values(z + h)
+    sn, cn = _values(z - h)
+    ds = (sp - sn) / (2.0 * h)
+    dc = (cp - cn) / (2.0 * h)
+    return (abs(ds - c0 * c0), c0 * c0), (abs(dc + s0 * s0), s0 * s0)
+
+
+@_sampled("ivp_derivatives", 1e-6, 404, 150)
+def _ivp(z: complex) -> float:
+    # relative to the derivative where it exceeds 1: it grows like d^-2
+    # toward the poles, and the h^2 truncation error with it
+    return max(err / max(1.0, abs(d)) for err, d in _ivp_errors(z))
+
+
+#: The lattice shifts (m, n) of the periodicity check.
+_SHIFTS = ((1, 0), (0, 1), (-1, -1), (2, -1), (-2, 2))
+
+
+@_sampled("periodicity", 1e-9, 505, 100)
+def _periodicity(z: complex, shifts: Sequence[tuple[int, int]] = _SHIFTS) -> float:
+    w1, w2 = dixon_constants().periods
+    s, c = _values(z)
     worst = 0.0
-    for z in _cell_points(rng, 150):
-        s0, c0 = _values(z)
-        sp, cp = _values(z + h)
-        sn, cn = _values(z - h)
-        ds = (sp - sn) / (2.0 * h)
-        dc = (cp - cn) / (2.0 * h)
-        worst = max(
-            worst,
-            abs(ds - c0 * c0) / max(1.0, abs(c0 * c0)),
-            abs(dc + s0 * s0) / max(1.0, abs(s0 * s0)),
-        )
+    for m, n in shifts:
+        s2, c2 = _values(z + m * w1 + n * w2)
+        worst = max(worst, abs(s2 - s), abs(c2 - c))
     return worst
 
 
-@_register("periodicity", 1e-9)
-def _check_periodicity() -> float:
-    k = dixon_constants()
-    w1, w2 = k.periods
-    rng = random.Random(505)
-    worst = 0.0
-    for z in _cell_points(rng, 100):
-        s, c = _values(z)
-        for m, n in ((1, 0), (0, 1), (-1, -1), (2, -1), (-2, 2)):
-            s2, c2 = _values(z + m * w1 + n * w2)
-            worst = max(worst, abs(s2 - s), abs(c2 - c))
-    return worst
+@_sampled("conjugation_symmetry", 1e-10, 606, 150)
+def _conjugation(z: complex) -> float:
+    s, c = _values(z)
+    sb, cb = _values(z.conjugate())
+    return max(abs(sb - s.conjugate()), abs(cb - c.conjugate()))
 
 
-@_register("conjugation_symmetry", 1e-10)
-def _check_conjugation() -> float:
-    rng = random.Random(606)
-    worst = 0.0
-    for z in _cell_points(rng, 150):
-        s, c = _values(z)
-        sb, cb = _values(z.conjugate())
-        worst = max(worst, abs(sb - s.conjugate()), abs(cb - c.conjugate()))
-    return worst
+@_sampled("negation_symmetry", 1e-10, 707, 150)
+def _negation(z: complex) -> float | None:
+    if _near(z, _c_zero_reps()):
+        return None
+    s, c = _values(z)
+    sn, cn = _values(-z)
+    return max(abs(cn - 1.0 / c), abs(sn + s / c))
 
 
-@_register("negation_symmetry", 1e-10)
-def _check_negation() -> float:
-    rng = random.Random(707)
-    worst = 0.0
-    for z in _cell_points(rng, 150, avoid=_c_zero_reps()):
-        s, c = _values(z)
-        sn, cn = _values(-z)
-        worst = max(worst, abs(cn - 1.0 / c), abs(sn + s / c))
-    return worst
-
-
-@_register("rotation_symmetry", 1e-10)
-def _check_rotation() -> float:
+@_sampled("rotation_symmetry", 1e-10, 808, 150)
+def _rotation(z: complex) -> float:
     g = dixon_constants().gamma
-    rng = random.Random(808)
-    worst = 0.0
-    for z in _cell_points(rng, 150):
-        s, c = _values(z)
-        sg, cg = _values(g * z)
-        worst = max(worst, abs(sg - g * s), abs(cg - c))
-    return worst
+    s, c = _values(z)
+    sg, cg = _values(g * z)
+    return max(abs(sg - g * s), abs(cg - c))
 
 
-@_register("reflection_identity", 1e-10)
-def _check_reflection() -> float:
+@_sampled("reflection_identity", 1e-10, 909, 150)
+def _reflection(z: complex) -> float:
+    s, c = _values(z)
+    sr, cr = _values(dixon_constants().K - z)
+    return max(abs(sr - c), abs(cr - s))
+
+
+@_sampled("translation_2k", 1e-10, 1010, 150)
+def _translation(z: complex) -> float | None:
     k = dixon_constants()
-    rng = random.Random(909)
-    worst = 0.0
-    for z in _cell_points(rng, 150):
-        s, c = _values(z)
-        sr, cr = _values(k.K - z)
-        worst = max(worst, abs(sr - c), abs(cr - s))
-    return worst
-
-
-@_register("translation_2k", 1e-10)
-def _check_translation() -> float:
-    k = dixon_constants()
-    rng = random.Random(1010)
-    worst = 0.0
-    for z in _cell_points(rng, 150, avoid=k.zero_reps):
-        s, c = _values(z)
-        st, ct = _values(2.0 * k.K + z)
-        worst = max(worst, abs(ct - 1.0 / s), abs(st + c / s))
-    return worst
+    if _near(z, k.zero_reps):
+        return None
+    s, c = _values(z)
+    st, ct = _values(2.0 * k.K + z)
+    return max(abs(ct - 1.0 / s), abs(st + c / s))
 
 
 @_register("zeros", 1e-9)
@@ -391,16 +438,24 @@ def _check_hexagon_edge() -> float:
     return worst
 
 
+def _ray_points(per_sextant: int) -> list[complex]:
+    """Points from 0.05 to 0.59 along each ray arg z = j*pi/3."""
+    return [
+        (0.05 + 0.54 * i / (per_sextant - 1)) * cmath.rect(1.0, sextant * math.pi / 3.0)
+        for sextant in range(6)
+        for i in range(per_sextant)
+    ]
+
+
+def _reality(z: complex) -> float:
+    # sm(z)/z is real and positive along the rays
+    ratio = _values(z)[0] / z
+    return max(abs(ratio.imag), 0.0 if ratio.real > 0.0 else math.inf)
+
+
 @_register("reality_rays", 1e-9)
 def _check_reality_rays() -> float:
-    worst = 0.0
-    for sextant in range(6):
-        direction = cmath.rect(1.0, sextant * math.pi / 3.0)
-        for i in range(10):
-            z = (0.05 + 0.54 * i / 9.0) * direction
-            ratio = _values(z)[0] / z
-            worst = max(worst, abs(ratio.imag), max(0.0, -ratio.real))
-    return worst
+    return max(map(_reality, _ray_points(10)))
 
 
 @_register("quartic_root", 1e-6)
@@ -417,113 +472,72 @@ def _check_quartic_root() -> float:
 # ---------------------------------------------------------------------------
 # identity layer
 
-def _pair_at(z: complex) -> FunctionPair:
-    return FunctionPair(*_values(z))
+@_sampled("addition_formula", 1e-9, 1111, 150, _cell_pair)
+def _addition(a: complex, z: complex) -> float | None:
+    pa, pz = _pair_at(a), _pair_at(z)
+    if abs(pa.s * pa.c * pz.s * pz.s + pz.c) < 0.05:
+        return None
+    got = identities.add(pa, pz)
+    s, c = _values(a + z)
+    return max(abs(got.s - s), abs(got.c - c))
 
 
-@_register("addition_formula", 1e-9)
-def _check_addition() -> float:
-    rng = random.Random(1111)
-    worst = 0.0
-    count = 0
-    while count < 150:
-        a, z = _cell_points(rng, 2)
-        pa, pz = _pair_at(a), _pair_at(z)
-        if abs(pa.s * pa.c * pz.s * pz.s + pz.c) < 0.05:
-            continue
-        got = identities.add(pa, pz)
-        s, c = _values(a + z)
-        worst = max(worst, abs(got.s - s), abs(got.c - c))
-        count += 1
-    return worst
+@_sampled("duplication_consistency", 1e-11, 1212, 150)
+def _duplication(z: complex) -> float | None:
+    p = _pair_at(z)
+    if abs(p.c * (1.0 + p.s ** 3)) < 0.05:
+        return None
+    d = identities.duplicate(p)
+    via_add = identities.add(p, p)
+    return max(abs(d.s - via_add.s), abs(d.c - via_add.c))
 
 
-@_register("duplication_consistency", 1e-11)
-def _check_duplication() -> float:
-    rng = random.Random(1212)
-    worst = 0.0
-    count = 0
-    while count < 150:
-        (z,) = _cell_points(rng, 1)
-        p = _pair_at(z)
-        if abs(p.c * (1.0 + p.s ** 3)) < 0.05:
-            continue
-        d = identities.duplicate(p)
-        via_add = identities.add(p, p)
-        worst = max(worst, abs(d.s - via_add.s), abs(d.c - via_add.c))
-        count += 1
-    return worst
+@_sampled("triplication_consistency", 1e-10, 1313, 150)
+def _triplication(z: complex) -> float | None:
+    p = _pair_at(z)
+    s3, c3 = p.s ** 3, p.c ** 3
+    trip_den = c3 - s3 * s3 + 3.0 * s3 * c3 + s3 * c3 * c3
+    dup_den = p.c * (1.0 + s3)
+    if abs(trip_den) < 0.05 or abs(dup_den) < 0.05:
+        return None
+    d = identities.duplicate(p)
+    if abs(d.s * d.c * p.s * p.s + p.c) < 0.05:
+        return None
+    t = identities.triplicate(p)
+    via = identities.add(d, p)
+    return max(abs(t.s - via.s), abs(t.c - via.c))
 
 
-@_register("triplication_consistency", 1e-10)
-def _check_triplication() -> float:
-    rng = random.Random(1313)
-    worst = 0.0
-    count = 0
-    while count < 150:
-        (z,) = _cell_points(rng, 1)
-        p = _pair_at(z)
-        s3, c3 = p.s ** 3, p.c ** 3
-        trip_den = c3 - s3 * s3 + 3.0 * s3 * c3 + s3 * c3 * c3
-        dup_den = p.c * (1.0 + s3)
-        if abs(trip_den) < 0.05 or abs(dup_den) < 0.05:
-            continue
-        d = identities.duplicate(p)
-        if abs(d.s * d.c * p.s * p.s + p.c) < 0.05:
-            continue
-        t = identities.triplicate(p)
-        via = identities.add(d, p)
-        worst = max(worst, abs(t.s - via.s), abs(t.c - via.c))
-        count += 1
-    return worst
+@_sampled("weierstrass_bridge", 1e-10, 1414, 150)
+def _weierstrass(z: complex) -> float | None:
+    if abs(z) < _LATTICE_MARGIN:
+        return None
+    p = _pair_at(z)
+    if abs(1.0 - p.c) < 0.05:
+        return None
+    w = identities.to_weierstrass(p)
+    if abs(3.0 * w.p_prime - 1.0) < 0.05:
+        return None
+    ode = w.p_prime ** 2 - 4.0 * w.p ** 3 + 1.0 / 27.0
+    back = identities.from_weierstrass(w)
+    return max(abs(ode), abs(back.s - p.s), abs(back.c - p.c))
 
 
-@_register("weierstrass_bridge", 1e-10)
-def _check_weierstrass() -> float:
-    # (1 - cm) ~ z^3/3 cancels near the lattice points; stay clear of them
-    rng = random.Random(1414)
-    worst = 0.0
-    count = 0
-    while count < 150:
-        (z,) = _cell_points(rng, 1, avoid=(complex(0.0),), avoid_margin=0.35)
-        p = _pair_at(z)
-        if abs(1.0 - p.c) < 0.05:
-            continue
-        w = identities.to_weierstrass(p)
-        if abs(3.0 * w.p_prime - 1.0) < 0.05:
-            continue
-        ode = w.p_prime ** 2 - 4.0 * w.p ** 3 + 1.0 / 27.0
-        back = identities.from_weierstrass(w)
-        worst = max(worst, abs(ode), abs(back.s - p.s), abs(back.c - p.c))
-        count += 1
-    return worst
-
-
-@_register("wp_periodicity", 1e-9)
-def _check_wp_periodicity() -> float:
-    k = dixon_constants()
-    w1, w2 = k.periods
-    rng = random.Random(1515)
-    worst = 0.0
-    for z in _cell_points(rng, 80, avoid=(complex(0.0),), avoid_margin=0.35):
-        base = wp(z).value
-        for shift in (w1, w2, w1 + w2):
-            worst = max(worst, abs(wp(z + shift).value - base))
-    return worst
+@_sampled("wp_periodicity", 1e-9, 1515, 80)
+def _wp_periodicity(z: complex) -> float | None:
+    if abs(z) < _LATTICE_MARGIN:
+        return None
+    w1, w2 = dixon_constants().periods
+    base = wp(z).value
+    return max(abs(wp(z + shift).value - base) for shift in (w1, w2, w1 + w2))
 
 
 # ---------------------------------------------------------------------------
 # inverse layer
 
-@_register("inverse_roundtrip", 1e-9)
-def _check_inverse_roundtrip() -> float:
-    rng = random.Random(1616)
-    worst = 0.0
-    for _ in range(60):
-        w = cmath.rect(rng.uniform(0.0, 0.9), rng.uniform(0.0, 2.0 * math.pi))
-        z = sm_inverse(w).z
-        worst = max(worst, abs(_values(z)[0] - w))
-    return worst
+@_sampled("inverse_roundtrip", 1e-9, 1616, 60, _disc(0.9))
+def _inverse_roundtrip(w: complex) -> float:
+    return abs(_values(sm_inverse(w).z)[0] - w)
 
 
 @_register("inverse_landmarks", 1e-7)

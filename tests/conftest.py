@@ -1,8 +1,13 @@
-"""Shared sampling helpers and constants for the test suite."""
+"""Shared constants for the test suite, and access to the selftest registry.
 
-import pytest
+The analytic facts are stated once, in ``dixonian.selftest``; the tests
+sample its residuals (``worst``) and run its fixed checks (``assert_checks``)
+instead of restating them.
+"""
 
-from dixonian import dixon_constants
+import random
+
+from dixonian import dixon_constants, run_selftest, selftest
 from dixonian.evaluator import sm_cm_values
 
 CONSTS = dixon_constants()
@@ -10,8 +15,11 @@ K = CONSTS.K
 GAMMA = CONSTS.gamma
 W1, W2 = CONSTS.periods
 
-#: representatives of the zeros of cm inside the centered cell
-C_ZERO_REPS = (complex(K), K * GAMMA, K * GAMMA.conjugate())
+#: default tolerance of each selftest check, by name
+TOL = {check.name: check.tol for check in selftest._CHECKS}
+
+#: every lattice shift (m, n) with |m|, |n| <= 2
+ALL_SHIFTS = tuple((m, n) for m in range(-2, 3) for n in range(-2, 3))
 
 
 def values(z):
@@ -19,20 +27,20 @@ def values(z):
     return sm_cm_values(z)
 
 
-def cell_points(rng, count, pole_margin=0.05, avoid=(), avoid_margin=0.05):
-    """Uniform points of the centered fundamental cell, away from the poles
-    and optionally from extra loci (zero sets of denominators)."""
-    pts = []
-    while len(pts) < count:
-        z = rng.uniform(-0.5, 0.5) * W1 + rng.uniform(-0.5, 0.5) * W2
-        if min(abs(z - p) for p in CONSTS.pole_reps) < pole_margin:
-            continue
-        if avoid and min(abs(z - q) for q in avoid) < avoid_margin:
-            continue
-        pts.append(z)
-    return pts
+def worst(name, seed, count):
+    """Largest residual of the registry's fact ``name`` over ``count`` samples."""
+    return selftest._FACTS[name].worst(random.Random(seed), count)
 
 
-@pytest.fixture(scope="session")
-def consts():
-    return CONSTS
+def assert_fact(name, seed, count):
+    """The fact ``name`` holds to its selftest tolerance over ``count`` samples."""
+    got = worst(name, seed, count)
+    assert got <= TOL[name], f"{name}: {got:.3e} > {TOL[name]:.1e}"
+
+
+def assert_checks(*names):
+    """The named selftest checks pass at their own tolerances."""
+    results = run_selftest(names=list(names))
+    assert sorted(r.name for r in results) == sorted(names)
+    for r in results:
+        assert r.passed, f"{r.name}: {r.residual:.3e} > {r.tol:.1e}"

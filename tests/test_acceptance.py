@@ -1,266 +1,102 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
-Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines as they complete.
+The criteria sample the selftest registry's facts over larger samples than
+the selftest draws, and run its fixed checks. Run with
+``pytest tests/test_acceptance.py -v -s`` to see the per-criterion lines as
+they complete.
 """
 
-import cmath
-import math
 import random
+from fractions import Fraction
 
-from dixonian import (
-    FunctionPair,
-    add,
-    compute_K_quadrature,
-    compute_K_root,
-    duplicate,
-    from_weierstrass,
-    generate_series,
-    sm_inverse,
-    to_weierstrass,
-    triplicate,
-)
+from dixonian import generate_series, run_selftest, sm_inverse
 from dixonian.cli import main as cli_main
-from conftest import CONSTS, GAMMA, K, W1, W2, cell_points, values
+from dixonian.selftest import _cell_points, _periodicity
+from conftest import ALL_SHIFTS, TOL, K, worst
 from oracles import picard_coefficients
 
-K_REFERENCE = 1.76663875
-QUARTIC_REFERENCE = -0.0899798
 
-
-def report(num, name, worst, tol):
-    ok = worst <= tol
+def report(num, name, residual, tol):
+    ok = residual <= tol
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {num:02d} {name}: "
-          f"worst residual {worst:.3e} vs tol {tol:.1e}")
-    assert ok, f"criterion {num} {name}: {worst:.3e} > {tol:.1e}"
+          f"worst residual {residual:.3e} vs tol {tol:.1e}")
+    assert ok, f"criterion {num} {name}: {residual:.3e} > {tol:.1e}"
 
 
-def pair_at(z):
-    return FunctionPair(*values(z))
+def report_checks(num, *names):
+    """Run the named selftest checks, one line each."""
+    results = run_selftest(names=list(names))
+    assert len(results) == len(names)
+    for r in results:
+        report(num, r.name, r.residual, r.tol)
+
+
+def report_fact(num, name, seed, count):
+    """Sample the registry's fact ``name`` at ``count`` points."""
+    report(num, f"{name} ({count} samples)", worst(name, seed, count), TOL[name])
 
 
 def test_criterion_01_k_reproduction():
-    k_root = compute_K_root()
-    k_quad = compute_K_quadrature(1e-10)
-    report(1, "K via root-finding", abs(k_root - K_REFERENCE), 1e-8)
-    report(1, "K via quadrature", abs(k_quad - K_REFERENCE), 1e-8)
-    report(1, "mutual agreement", abs(k_root - k_quad), 1e-9)
+    report_checks(1, "k_value_root", "k_value_quadrature", "k_cross_agreement")
 
 
 def test_criterion_02_cardinal_values():
-    half = 2.0 ** (-1.0 / 3.0)
-    sK, cK = values(K)
-    sh, ch = values(K / 2.0)
-    sn, cn = values(-K / 2.0)
-    worst = max(
-        abs(sK - 1.0),
-        abs(cK),
-        abs(sh - half),
-        abs(ch - half),
-        abs(sn + 1.0),
-        abs(cn - 2.0 ** (1.0 / 3.0)),
-    )
-    report(2, "cardinal values", worst, 1e-10)
+    report_checks(2, "cardinal_values")
 
 
 def test_criterion_03_quartic_root():
     # the quartic's unit-disc root is the cube of sm(-K/4): doubling -K/4
     # lands on -K/2 where sm^3 = -1, and the duplication formula turns that
     # into 1 + 10*x - 12*x^2 + 4*x^3 - 2*x^4 = 0 for x = sm(-K/4)^3
-    s, _ = values(-K / 4.0)
-    sigma = s ** 3
-    quartic = 1.0 + 10.0 * sigma - 12.0 * sigma ** 2 + 4.0 * sigma ** 3 - 2.0 * sigma ** 4
-    report(3, "sm(-K/4)^3 vs quartic root", abs(sigma - QUARTIC_REFERENCE), 1e-6)
-    report(3, "quartic residual", abs(quartic), 1e-6)
+    report_checks(3, "quartic_root")
 
 
 def test_criterion_04_cube_identity_and_ivp():
-    rng = random.Random(104)
-    pts = cell_points(rng, 2000)
-    worst_cube = 0.0
-    worst_fd = 0.0
-    h = 1e-5
-    for z in pts:
-        s, c = values(z)
-        worst_cube = max(worst_cube, abs(s ** 3 + c ** 3 - 1.0))
-        sp, cp = values(z + h)
-        sn, cn = values(z - h)
-        ds = (sp - sn) / (2.0 * h)
-        dc = (cp - cn) / (2.0 * h)
-        # tolerance scales with |f'| where the derivative is large (the
-        # h^2 * f'''/6 truncation floor exceeds 1e-6 within ~0.1 of a pole)
-        worst_fd = max(
-            worst_fd,
-            abs(ds - c * c) / max(1.0, abs(c * c)),
-            abs(dc + s * s) / max(1.0, abs(s * s)),
-        )
-    report(4, "cube identity (2000 points)", worst_cube, 1e-10)
-    report(4, "finite-difference IVP", worst_fd, 1e-6)
+    report_fact(4, "cube_identity_cell", 104, 2000)
+    report_fact(4, "ivp_derivatives", 104, 2000)
 
 
 def test_criterion_05_periodicity_and_residues():
-    rng = random.Random(105)
-    worst = 0.0
-    for z in cell_points(rng, 150):
-        s, _ = values(z)
-        for m in range(-2, 3):
-            for n in range(-2, 3):
-                worst = max(worst, abs(values(z + m * W1 + n * W2)[0] - s))
-    report(5, "periodicity", worst, 1e-9)
-
-    targets = [
-        (complex(-K), complex(-1.0)),
-        (2.0 * K * GAMMA, -GAMMA.conjugate()),
-        (2.0 * K * GAMMA.conjugate(), -GAMMA),
-    ]
-    total = 0.0j
-    worst = 0.0
-    for p, want in targets:
-        avg = 0.0j
-        for i in range(8):
-            z = p + cmath.rect(1e-4, i * math.pi / 4.0)
-            avg += (z - p) * values(z)[0]
-        avg /= 8.0
-        total += avg
-        worst = max(worst, abs(avg - want))
-    report(5, "residues at the three poles", worst, 1e-5)
-    report(5, "residue sum", abs(total), 1e-5)
+    pts = _cell_points(random.Random(105), 150)
+    report(5, "periodicity (150 points x 25 shifts)",
+           max(_periodicity(z, ALL_SHIFTS) for z in pts), TOL["periodicity"])
+    report_checks(5, "zeros", "residues_sm", "residue_cm")
 
 
 def test_criterion_06_symmetry_suite():
-    rng = random.Random(106)
-
-    worst = 0.0
-    for z in cell_points(rng, 500):
-        s, c = values(z)
-        sb, cb = values(z.conjugate())
-        worst = max(worst, abs(sb - s.conjugate()), abs(cb - c.conjugate()))
-    report(6, "conjugation", worst, 1e-10)
-
-    worst = 0.0
-    czeros = (complex(K), K * GAMMA, K * GAMMA.conjugate())
-    for z in cell_points(rng, 500, avoid=czeros):
-        s, c = values(z)
-        sn, cn = values(-z)
-        worst = max(worst, abs(cn - 1.0 / c), abs(sn + s / c))
-    report(6, "negation", worst, 1e-10)
-
-    worst = 0.0
-    for z in cell_points(rng, 500):
-        s, c = values(z)
-        sg, cg = values(GAMMA * z)
-        worst = max(worst, abs(sg - GAMMA * s), abs(cg - c))
-    report(6, "gamma rotation", worst, 1e-10)
-
-    worst = 0.0
-    for z in cell_points(rng, 500):
-        s, c = values(z)
-        sr, cr = values(K - z)
-        worst = max(worst, abs(sr - c), abs(cr - s))
-    report(6, "reflection at K", worst, 1e-10)
-
-    worst = 0.0
-    for z in cell_points(rng, 500, avoid=CONSTS.zero_reps):
-        s, c = values(z)
-        st, ct = values(2.0 * K + z)
-        worst = max(worst, abs(ct - 1.0 / s), abs(st + c / s))
-    report(6, "2K translation", worst, 1e-10)
+    for name, seed in (
+        ("conjugation_symmetry", 1061),
+        ("negation_symmetry", 1062),
+        ("rotation_symmetry", 1063),
+        ("reflection_identity", 1064),
+        ("translation_2k", 1065),
+    ):
+        report_fact(6, name, seed, 500)
 
 
 def test_criterion_07_boundary_geometry():
-    worst = 0.0
-    verts = [complex(K), K * GAMMA, K * GAMMA.conjugate()]
-    for a, b in zip(verts, verts[1:] + verts[:1]):
-        for i in range(100):
-            t = i / 99.0
-            s, _ = values((1.0 - t) * a + t * b)
-            worst = max(worst, abs(abs(s) - 1.0))
-    report(7, "|sm| = 1 on the triangle edges", worst, 1e-9)
-
-    worst = 0.0
-    for i in range(100):
-        t = -4.5 + 9.0 * i / 99.0
-        _, c = values(complex(0.0, t))
-        worst = max(worst, abs(abs(c) - 1.0))
-    report(7, "|cm| = 1 on the imaginary axis", worst, 1e-9)
-
-    worst = 0.0
-    for i in range(100):
-        s, _ = values(K + (i / 100.0) * K * GAMMA)
-        worst = max(worst, abs(s.imag))
-    report(7, "sm real on the hexagon edge", worst, 1e-9)
+    report_checks(7, "triangle_boundary", "imaginary_axis", "hexagon_edge", "reality_rays")
 
 
 def test_criterion_08_identity_layer():
-    rng = random.Random(108)
-
-    worst = 0.0
-    done = 0
-    while done < 500:
-        a, z = cell_points(rng, 2)
-        pa, pz = pair_at(a), pair_at(z)
-        if abs(pa.s * pa.c * pz.s * pz.s + pz.c) < 0.05:
-            continue
-        got = add(pa, pz)
-        s, c = values(a + z)
-        worst = max(worst, abs(got.s - s), abs(got.c - c))
-        done += 1
-    report(8, "addition vs evaluation (500 pairs)", worst, 1e-9)
-
-    worst = 0.0
-    done = 0
-    while done < 500:
-        (z,) = cell_points(rng, 1)
-        p = pair_at(z)
-        s3, c3 = p.s ** 3, p.c ** 3
-        if abs(c3 - s3 * s3 + 3 * s3 * c3 + s3 * c3 * c3) < 0.05:
-            continue
-        if abs(p.c * (1.0 + s3)) < 0.05:
-            continue
-        d = duplicate(p)
-        if abs(d.s * d.c * p.s * p.s + p.c) < 0.05:
-            continue
-        t = triplicate(p)
-        via = add(d, p)
-        worst = max(worst, abs(t.s - via.s), abs(t.c - via.c))
-        done += 1
-    report(8, "triplicate = add(duplicate, .)", worst, 1e-10)
-
-    worst = 0.0
-    done = 0
-    while done < 500:
-        (z,) = cell_points(rng, 1, avoid=(complex(0.0),), avoid_margin=0.35)
-        p = pair_at(z)
-        if abs(1.0 - p.c) < 0.05:
-            continue
-        w = to_weierstrass(p)
-        if abs(3.0 * w.p_prime - 1.0) < 0.05:
-            continue
-        ode = w.p_prime ** 2 - 4.0 * w.p ** 3 + 1.0 / 27.0
-        back = from_weierstrass(w)
-        worst = max(worst, abs(ode), abs(back.s - p.s), abs(back.c - p.c))
-        done += 1
-    report(8, "Weierstrass residual and round trip", worst, 1e-10)
+    report_fact(8, "addition_formula", 1081, 500)
+    report_fact(8, "duplication_consistency", 1082, 500)
+    report_fact(8, "triplication_consistency", 1083, 500)
+    report_fact(8, "weierstrass_bridge", 1084, 500)
 
 
 def test_criterion_09_series_oracle():
     s_oracle, c_oracle = picard_coefficients(48)
     pair = generate_series(48)
     exact = list(pair.s_coeffs) == s_oracle and list(pair.c_coeffs) == c_oracle
-    from fractions import Fraction
-
     landmarks = pair.s_coeffs[4] == Fraction(-1, 6) and pair.s_coeffs[7] == Fraction(2, 63)
     report(9, "coefficients == independent oracle", 0.0 if (exact and landmarks) else 1.0, 0.0)
 
 
 def test_criterion_10_inverse():
-    rng = random.Random(110)
-    worst = 0.0
-    for _ in range(300):
-        w = cmath.rect(rng.uniform(0.0, 0.9), rng.uniform(0.0, 2.0 * math.pi))
-        worst = max(worst, abs(values(sm_inverse(w).z)[0] - w))
-    report(10, "round trip (300 points)", worst, 1e-9)
+    report_fact(10, "inverse_roundtrip", 110, 300)
     report(10, "sm_inverse(1) = K", abs(sm_inverse(1.0).z - K), 1e-8)
+    report_checks(10, "inverse_landmarks")
 
 
 def test_criterion_11_grid_determinism(tmp_path):

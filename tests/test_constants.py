@@ -1,16 +1,15 @@
 """Constants layer: K both ways, gamma, lattice data, pole probes."""
 
-import cmath
 import dataclasses
 import math
-import random
 
 import pytest
 
 from dixonian import compute_K_quadrature, compute_K_root, dixon_constants
 from dixonian.constants import _k_integrand
 from dixonian.quadrature import tanh_sinh
-from conftest import CONSTS, values
+from dixonian.selftest import _pole_probes
+from conftest import CONSTS, assert_checks, values
 
 K_REFERENCE = 1.76663875
 
@@ -22,11 +21,11 @@ def test_k_root_reference():
 
 
 def test_k_quadrature_reference():
-    assert abs(compute_K_quadrature(1e-10) - K_REFERENCE) <= 1e-8
+    assert_checks("k_value_quadrature")
 
 
 def test_k_agreement():
-    assert abs(compute_K_root() - compute_K_quadrature(1e-11)) <= 1e-9
+    assert_checks("k_cross_agreement")
 
 
 def test_k_integrand_at_zero():
@@ -92,20 +91,10 @@ def test_reps_inside_cell():
 
 
 def test_cardinal_sanity():
-    s, c = values(CONSTS.K)
-    assert abs(s - 1.0) <= 1e-10
-    assert abs(c) <= 1e-10
-    s, c = values(CONSTS.K / 2.0)
-    assert abs(s - 2.0 ** (-1.0 / 3.0)) <= 1e-10
-    s, c = values(-CONSTS.K / 2.0)
-    assert abs(s + 1.0) <= 1e-10
-    assert abs(c - 2.0 ** (1.0 / 3.0)) <= 1e-10
+    assert_checks("cardinal_values")
 
 
 def test_pole_probe_blowup():
-    rng = random.Random(5)
-    for rep in CONSTS.pole_reps:
-        z = rep + cmath.rect(1e-9, rng.uniform(0.0, 2.0 * math.pi))
-        s, c = values(z)
-        assert abs(s) >= 1e8
-        assert abs(c) >= 1e8
+    assert_checks("pole_probe")  # |sm| >= 1e8 at each probe
+    for z in _pole_probes():
+        assert abs(values(z)[1]) >= 1e8

@@ -17,7 +17,8 @@ from dixonian import (
     sm_cm_values,
     wp,
 )
-from conftest import C_ZERO_REPS, CONSTS, GAMMA, K, W1, W2, cell_points, values
+from dixonian.selftest import _cell_points, _ivp_errors, _periodicity, _ray_points, _reality
+from conftest import ALL_SHIFTS, CONSTS, GAMMA, K, TOL, W1, W2, assert_checks, assert_fact, values
 
 
 # --- lattice reduction -----------------------------------------------------
@@ -76,13 +77,7 @@ def test_origin():
 
 
 def test_cardinal_table():
-    third = 2.0 ** (-1.0 / 3.0)
-    s, c = values(K / 2.0)
-    assert abs(s - third) <= 1e-10 and abs(c - third) <= 1e-10
-    s, c = values(K)
-    assert abs(s - 1.0) <= 1e-10 and abs(c) <= 1e-10
-    s, c = values(-K / 2.0)
-    assert abs(s + 1.0) <= 1e-10 and abs(c - 2.0 ** (1.0 / 3.0)) <= 1e-10
+    assert_checks("cardinal_values")
 
 
 def test_quartic_point():
@@ -122,16 +117,6 @@ def test_near_path_matches_translation():
             assert abs(lhs - rhs) <= 1e-9
 
 
-def test_duplication_fallback_swaps_through_mirror():
-    # -2K halves through -K/2, whose duplication denominator vanishes, so
-    # this forces the retry at K - z with swapped outputs
-    from dixonian.evaluator import _context, _duplication_values
-
-    s, c = _duplication_values(_context(48), complex(-2.0 * K, 0.0))
-    assert abs(s - 1.0) <= 1e-10
-    assert abs(c) <= 1e-10
-
-
 def test_elliptic_value_api():
     v = EllipticValue.finite(2.0 + 1.0j)
     assert not v.is_pole and v.value == 2.0 + 1.0j and v.pole_rep is None
@@ -158,150 +143,70 @@ def test_periodicity_examples():
 
 
 def test_periodicity_random():
-    rng = random.Random(21)
-    for z in cell_points(rng, 50):
-        s, c = values(z)
-        for m in range(-2, 3):
-            for n in range(-2, 3):
-                s2, c2 = values(z + m * W1 + n * W2)
-                assert abs(s2 - s) <= 1e-9
-                assert abs(c2 - c) <= 1e-9
+    pts = _cell_points(random.Random(21), 50)
+    assert max(_periodicity(z, ALL_SHIFTS) for z in pts) <= TOL["periodicity"]
 
 
 def test_conjugation():
-    rng = random.Random(22)
-    for z in cell_points(rng, 200):
-        s, c = values(z)
-        sb, cb = values(z.conjugate())
-        assert abs(sb - s.conjugate()) <= 1e-10
-        assert abs(cb - c.conjugate()) <= 1e-10
+    assert_fact("conjugation_symmetry", 22, 200)
 
 
 def test_negation():
-    rng = random.Random(23)
-    for z in cell_points(rng, 200, avoid=C_ZERO_REPS):
-        s, c = values(z)
-        sn, cn = values(-z)
-        assert abs(cn - 1.0 / c) <= 1e-10
-        assert abs(sn + s / c) <= 1e-10
+    assert_fact("negation_symmetry", 23, 200)
 
 
 def test_rotation():
-    rng = random.Random(24)
-    for z in cell_points(rng, 200):
-        s, c = values(z)
-        sg, cg = values(GAMMA * z)
-        assert abs(sg - GAMMA * s) <= 1e-10
-        assert abs(cg - c) <= 1e-10
+    assert_fact("rotation_symmetry", 24, 200)
 
 
 def test_reflection():
-    rng = random.Random(25)
-    for z in cell_points(rng, 200):
-        s, c = values(z)
-        sr, cr = values(K - z)
-        assert abs(sr - c) <= 1e-10
-        assert abs(cr - s) <= 1e-10
+    assert_fact("reflection_identity", 25, 200)
 
 
 def test_translation_2k():
-    rng = random.Random(26)
-    for z in cell_points(rng, 200, avoid=CONSTS.zero_reps):
-        s, c = values(z)
-        st, ct = values(2.0 * K + z)
-        assert abs(ct - 1.0 / s) <= 1e-10
-        assert abs(st + c / s) <= 1e-10
+    assert_fact("translation_2k", 26, 200)
 
 
 def test_derivatives_finite_difference():
-    rng = random.Random(27)
-    h = 1e-5
-    for z in cell_points(rng, 200, pole_margin=0.15):
-        s0, c0 = values(z)
-        sp, cp = values(z + h)
-        sn, cn = values(z - h)
-        assert abs((sp - sn) / (2 * h) - c0 * c0) <= 1e-6
-        assert abs((cp - cn) / (2 * h) + s0 * s0) <= 1e-6
+    # absolute errors, where the pole margin keeps the derivatives moderate
+    for z in _cell_points(random.Random(27), 200, pole_margin=0.15):
+        assert max(err for err, _ in _ivp_errors(z)) <= 1e-6
 
 
 # --- zeros, residues, boundary geometry -------------------------------------
 
 def test_zeros():
-    for rep in CONSTS.zero_reps:
-        for m, n in ((0, 0), (1, 0), (0, 1)):
-            s, _ = values(rep + m * W1 + n * W2)
-            assert abs(s) <= 1e-9
-
-
-def _ring_average(p, component):
-    total = 0.0j
-    for i in range(8):
-        z = p + cmath.rect(1e-4, i * math.pi / 4.0)
-        total += (z - p) * values(z)[component]
-    return total / 8.0
+    assert_checks("zeros")
 
 
 def test_residues_sm():
-    expected = {
-        complex(-K): complex(-1.0),
-        2.0 * K * GAMMA: -GAMMA.conjugate(),
-        2.0 * K * GAMMA.conjugate(): -GAMMA,
-    }
-    total = 0.0j
-    for p, want in expected.items():
-        got = _ring_average(p, 0)
-        assert abs(got - want) <= 1e-5
-        total += got
-    assert abs(total) <= 1e-5
+    assert_checks("residues_sm")
 
 
 def test_residue_cm():
-    assert abs(_ring_average(complex(-K), 1) - 1.0) <= 1e-5
+    assert_checks("residue_cm")
 
 
 def test_triangle_edges_unit_modulus():
-    verts = [complex(K), K * GAMMA, K * GAMMA.conjugate()]
-    for a, b in zip(verts, verts[1:] + verts[:1]):
-        for i in range(100):
-            t = i / 99.0
-            s, _ = values((1 - t) * a + t * b)
-            assert abs(abs(s) - 1.0) <= 1e-9
+    assert_checks("triangle_boundary")
 
 
 def test_imaginary_axis_unit_modulus():
-    for i in range(100):
-        t = -4.5 + 9.0 * i / 99.0
-        _, c = values(complex(0.0, t))
-        assert abs(abs(c) - 1.0) <= 1e-9
+    assert_checks("imaginary_axis")
 
 
 def test_hexagon_edge():
-    # edge from K to -K*conj(gamma) = K + K*gamma, stopping short of the pole
-    gbar = GAMMA.conjugate()
-    for i in range(100):
-        z = K + (i / 100.0) * K * GAMMA
-        s, c = values(z)
-        assert abs(s.imag) <= 1e-9
-        assert abs((c * gbar).imag) <= 1e-9
+    assert_checks("hexagon_edge")
 
 
 def test_reality_rays():
-    for sextant in range(6):
-        direction = cmath.rect(1.0, sextant * math.pi / 3.0)
-        for i in range(12):
-            z = (0.05 + 0.54 * i / 11.0) * direction
-            ratio = values(z)[0] / z
-            assert abs(ratio.imag) <= 1e-9
-            assert ratio.real > 0.0
+    assert max(map(_reality, _ray_points(12))) <= TOL["reality_rays"]
 
 
 # --- cube identity over the cell ---------------------------------------------
 
 def test_cube_identity_cell():
-    rng = random.Random(28)
-    for z in cell_points(rng, 500):
-        s, c = values(z)
-        assert abs(s ** 3 + c ** 3 - 1.0) <= 1e-10
+    assert_fact("cube_identity_cell", 28, 500)
 
 
 # --- Weierstrass evaluation ---------------------------------------------------

@@ -1,7 +1,5 @@
 """Identity layer: addition, duplication, triplication, translation, bridge."""
 
-import random
-
 import pytest
 
 from dixonian import (
@@ -15,7 +13,7 @@ from dixonian import (
     translate_2K,
     triplicate,
 )
-from conftest import CONSTS, GAMMA, K, cell_points, values
+from conftest import CONSTS, K, assert_fact, values
 
 
 def pair_at(z):
@@ -41,15 +39,7 @@ def test_add_half_k_twice():
 
 def test_add_matches_evaluator():
     assert_pair_close(add(pair_at(0.3), pair_at(0.4)), values(0.7), 1e-10)
-    rng = random.Random(31)
-    done = 0
-    while done < 200:
-        a, z = cell_points(rng, 2)
-        pa, pz = pair_at(a), pair_at(z)
-        if abs(pa.s * pa.c * pz.s * pz.s + pz.c) < 0.05:
-            continue
-        assert_pair_close(add(pa, pz), values(a + z), 1e-9)
-        done += 1
+    assert_fact("addition_formula", 31, 200)
 
 
 def test_add_degenerate():
@@ -76,18 +66,7 @@ def test_duplicate_matches_evaluator():
 
 
 def test_duplicate_equals_self_addition():
-    rng = random.Random(32)
-    done = 0
-    while done < 200:
-        (z,) = cell_points(rng, 1)
-        p = pair_at(z)
-        if abs(p.c * (1.0 + p.s ** 3)) < 0.05:
-            continue
-        d = duplicate(p)
-        a = add(p, p)
-        assert abs(d.s - a.s) <= 1e-11
-        assert abs(d.c - a.c) <= 1e-11
-        done += 1
+    assert_fact("duplication_consistency", 32, 200)
 
 
 def test_duplicate_degenerate_at_half_pole():
@@ -118,24 +97,7 @@ def test_triplicate_matches_evaluator_and_addition():
 
 
 def test_triplicate_consistency_random():
-    rng = random.Random(33)
-    done = 0
-    while done < 200:
-        (z,) = cell_points(rng, 1)
-        p = pair_at(z)
-        s3, c3 = p.s ** 3, p.c ** 3
-        if abs(c3 - s3 * s3 + 3 * s3 * c3 + s3 * c3 * c3) < 0.05:
-            continue
-        if abs(p.c * (1.0 + s3)) < 0.05:
-            continue
-        d = duplicate(p)
-        if abs(d.s * d.c * p.s * p.s + p.c) < 0.05:
-            continue
-        t = triplicate(p)
-        via = add(d, p)
-        assert abs(t.s - via.s) <= 1e-10
-        assert abs(t.c - via.c) <= 1e-10
-        done += 1
+    assert_fact("triplication_consistency", 33, 200)
 
 
 def test_triplicate_degenerate():
@@ -187,21 +149,7 @@ def test_weierstrass_roundtrip():
 
 
 def test_weierstrass_random():
-    rng = random.Random(34)
-    done = 0
-    while done < 200:
-        (z,) = cell_points(rng, 1, avoid=(complex(0.0),), avoid_margin=0.35)
-        p = pair_at(z)
-        if abs(1.0 - p.c) < 0.05:
-            continue
-        w = to_weierstrass(p)
-        if abs(3.0 * w.p_prime - 1.0) < 0.05:
-            continue
-        assert abs(w.p_prime ** 2 - 4.0 * w.p ** 3 + 1.0 / 27.0) <= 1e-10
-        back = from_weierstrass(w)
-        assert abs(back.s - p.s) <= 1e-10
-        assert abs(back.c - p.c) <= 1e-10
-        done += 1
+    assert_fact("weierstrass_bridge", 34, 200)
 
 
 def test_from_weierstrass_inverts_cardinal():

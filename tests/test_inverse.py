@@ -7,7 +7,7 @@ import random
 import pytest
 
 from dixonian import sm_inverse
-from conftest import GAMMA, K, values
+from conftest import GAMMA, K, assert_checks, values, worst
 
 
 def test_zero():
@@ -32,18 +32,14 @@ def test_endpoint_minus_one():
 
 
 def test_quartic_landmark():
-    # sm(-K/4)**3 = -0.0899798...; invert the cube root back to -K/4
-    r = sm_inverse(-abs(-0.0899798) ** (1.0 / 3.0))
-    assert abs(r.z + K / 4.0) <= 1e-7
+    # sm(-K/4)**3 = -0.0899798...; the cube root inverts back to -K/4
+    assert_checks("inverse_landmarks")
 
 
 def test_roundtrip_random():
-    rng = random.Random(41)
-    for _ in range(100):
-        w = cmath.rect(rng.uniform(0.0, 0.9), rng.uniform(0.0, 2.0 * math.pi))
-        r = sm_inverse(w)
-        assert abs(values(r.z)[0] - w) <= 1e-9
-        assert r.residual <= 1e-12
+    # the round-trip error is the residual sm_inverse verified, so it also
+    # meets the default tol of 1e-12
+    assert worst("inverse_roundtrip", 41, 300) <= 1e-12
 
 
 def test_reality_scaling():

@@ -2,7 +2,9 @@
 and the module attributes the benchmark's tracer wraps."""
 
 import cmath
+import dataclasses
 import importlib.util
+import json
 import math
 import pathlib
 import random
@@ -31,7 +33,8 @@ from dixonian import (
 from dixonian.evaluator import NEAR_TOL, POLE_TOL, _context, _nearest_pole_frame
 from dixonian.identities import duplicate_values
 from dixonian.series import MAX_ORDER, SERIES_EVAL_RADIUS
-from conftest import CONSTS, K, W1, W2, cell_points
+from dixonian.selftest import _cell_points
+from conftest import CONSTS, K, W1, W2
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -49,26 +52,15 @@ def _duplicate_formula(p):
 
 def _identity_duplication(zr):
     """(sm, cm) at a reduced argument away from the poles, at order 48, from
-    eval_series on the 0.5 disc and one duplication per halving, with the
-    K - z mirror when a duplication degenerates."""
-    pair = _context(48).pair
-
-    def doubled(y):
-        k, a = 0, abs(y)
-        while a > SERIES_EVAL_RADIUS:
-            a *= 0.5
-            k += 1
-        p = FunctionPair(*eval_series(pair, y / (1 << k)))
-        for _ in range(k):
-            p = _duplicate_formula(p)
-        return p
-
-    try:
-        p = doubled(zr)
-        return p.s, p.c
-    except DegenerateDenominatorError:
-        q = doubled(reduce_to_fundamental(K - zr, CONSTS).z_reduced)
-        return q.c, q.s
+    eval_series on the 0.5 disc and one duplication per halving."""
+    k, a = 0, abs(zr)
+    while a > SERIES_EVAL_RADIUS:
+        a *= 0.5
+        k += 1
+    p = FunctionPair(*eval_series(_context(48).pair, zr / (1 << k)))
+    for _ in range(k):
+        p = _duplicate_formula(p)
+    return p.s, p.c
 
 
 def _identity_layer(z):
@@ -87,7 +79,7 @@ def _identity_layer(z):
 
 def _kernel_points():
     rng = random.Random(404)
-    pts = cell_points(rng, 400, pole_margin=0.0)
+    pts = _cell_points(rng, 400, pole_margin=0.0)
     # near-pole rescue, far enough out that translate_2K's guard passes
     def log_uniform(lo, hi):
         return math.exp(rng.uniform(math.log(lo), math.log(hi)))
@@ -116,18 +108,36 @@ def test_kernel_bit_identical_to_identity_layer():
             assert repr((sv.value, cv.value)) == repr(want), z
 
 
-def test_kernel_mirror_matches_identity_layer():
-    # -2K (outside the cell, so only the private kernel sees it) halves
-    # through -K/2, where duplication degenerates
-    zr = complex(-2.0 * K, 0.0)
-    with pytest.raises(DegenerateDenominatorError):
-        duplicate_values(*eval_series(_context(48).pair, zr / 8), 3)
-    assert repr(evaluator._duplication_values(_context(48), zr)) == repr(_identity_duplication(zr))
+def test_duplication_denominators_bounded_over_cell():
+    # A denominator c(1 + s^3) vanishes only where the doubled argument is a
+    # pole. The doubles of the poles lie outside the cell, so outside the
+    # NEAR_TOL discs no duplication the kernel runs comes near DENOM_TOL
+    # (1e-8): the smallest denominator, about 0.14, sits on the disc about -K.
+    n = 17
+    for order in range(1, MAX_ORDER + 1):
+        ctx = _context(order)
+        w1, w2 = ctx.constants.periods
+        pts = [(i / (n - 1) - 0.5) * w1 + (j / (n - 1) - 0.5) * w2 for i in range(n) for j in range(n)]
+        pts += [
+            rep + cmath.rect(NEAR_TOL * (1.0 + 1e-9), i * math.pi / 12.0)
+            for rep in ctx.constants.pole_reps
+            for i in range(24)
+        ]
+        smallest = math.inf
+        for zr in pts:
+            if abs(_nearest_pole_frame(ctx, zr)[1]) <= NEAR_TOL:
+                continue
+            k = ctx.pair.halvings(abs(zr))
+            s, c = eval_series(ctx.pair, zr / (1 << k))
+            for _ in range(k):
+                smallest = min(smallest, abs(c * (1.0 + s * s * s)))
+                s, c = duplicate_values(s, c, 1)
+        assert smallest > 0.1, order
 
 
 def test_duplicate_values_is_duplicate():
     rng = random.Random(3)
-    for z in cell_points(rng, 50):
+    for z in _cell_points(rng, 50):
         s, c = sm_cm(z / 4)
         p = _duplicate_formula(_duplicate_formula(FunctionPair(s.value, c.value)))
         assert repr(duplicate_values(s.value, c.value, 2)) == repr((p.s, p.c))
@@ -205,8 +215,29 @@ def test_sm_cm_calls_through_module_attributes(monkeypatch):
         calls.update(eval_series=0, reduce_to_fundamental=0)
         sm_cm(z)
         assert calls == {"eval_series": 1, "reduce_to_fundamental": 1}, z
-    # the mirror reduces K - z once more and evaluates the series again
-    calls.update(eval_series=0, reduce_to_fundamental=0)
-    evaluator._duplication_values(_context(48), complex(-2.0 * K, 0.0))
-    assert calls == {"eval_series": 2, "reduce_to_fundamental": 1}
+
+
+def test_selftest_registry_hooks():
+    # the benchmark times each check by swapping its fn with
+    # dataclasses.replace, and names one per-layer metric after each
+    calls = []
+
+    def counted(check):
+        def fn():
+            calls.append(check.name)
+            return 0.0
+
+        return fn
+
+    saved = list(selftest._CHECKS)
+    try:
+        selftest._CHECKS[:] = [dataclasses.replace(c, fn=counted(c)) for c in saved]
+        results = selftest.run_selftest()
+    finally:
+        selftest._CHECKS[:] = saved
+    assert calls == selftest.list_checks()
+    assert [(r.name, r.tol) for r in results] == [(c.name, c.tol) for c in saved]
+    per_layer = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
+    timed = [name[len("selftest.check."):-len(".ms")] for name in per_layer if name.startswith("selftest.check.")]
+    assert selftest.list_checks() == timed
 

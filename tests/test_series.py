@@ -11,6 +11,7 @@ import pytest
 from dixonian import ConvergenceError, eval_series, export_json, generate_series, series
 from dixonian.series import DEFAULT_ORDER, MAX_ORDER, SERIES_EVAL_RADIUS, SERIES_TOL
 from oracles import picard_coefficients
+from conftest import assert_checks, assert_fact
 
 
 def test_initial_conditions():
@@ -35,20 +36,11 @@ def test_factorial_form_landmarks():
 
 
 def test_recurrence_exact():
-    pair = generate_series(48)
-    s, c = pair.s_coeffs, pair.c_coeffs
-    for n in range(48):
-        assert (n + 1) * s[n + 1] == sum(c[k] * c[n - k] for k in range(n + 1))
-        assert (n + 1) * c[n + 1] == -sum(s[k] * s[n - k] for k in range(n + 1))
+    assert_checks("series_recurrence")
 
 
 def test_mod3_sparsity():
-    pair = generate_series(48)
-    for n in range(49):
-        if n % 3 != 1:
-            assert pair.s_coeffs[n] == 0
-        if n % 3 != 0:
-            assert pair.c_coeffs[n] == 0
+    assert_checks("series_mod3_sparsity")
 
 
 def test_all_rational():
@@ -88,12 +80,7 @@ def test_eval_real_point():
 
 
 def test_cube_identity_random():
-    pair = generate_series()
-    rng = random.Random(7)
-    for _ in range(1000):
-        z = cmath.rect(rng.uniform(0, 0.5), rng.uniform(0, 2 * math.pi))
-        s, c = eval_series(pair, z)
-        assert abs(s ** 3 + c ** 3 - 1) <= 1e-12
+    assert_fact("series_cube_identity", 7, 1000)
 
 
 def test_finite_difference_matches_ode():
