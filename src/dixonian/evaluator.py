@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import identities, series
 from .constants import DixonConstants, dixon_constants, halve_and_duplicate
@@ -27,12 +28,26 @@ POLE_TOL = 1e-12
 NEAR_TOL = 0.05
 
 
-@dataclass(frozen=True)
-class EllipticValue:
-    """A finite complex value, or a pole marker with its lattice representative."""
+def _same_type_eq(self, other) -> bool:
+    return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+
+def _same_type_ne(self, other) -> bool:
+    return not _same_type_eq(self, other)
+
+
+class EllipticValue(NamedTuple):
+    """A finite complex value, or a pole marker with its lattice representative.
+
+    Immutable, and equal only to an EllipticValue with equal fields. The
+    kernel builds instances with ``tuple.__new__``, which skips the
+    keyword handling of the class call.
+    """
 
     value: complex | None
     pole_rep: complex | None = None
+
+    __eq__, __ne__, __hash__ = _same_type_eq, _same_type_ne, tuple.__hash__
 
     @property
     def is_pole(self) -> bool:
@@ -47,13 +62,14 @@ class EllipticValue:
         return cls(value=None, pole_rep=complex(rep))
 
 
-@dataclass(frozen=True)
-class LatticeReduction:
+class LatticeReduction(NamedTuple):
     """Integer lattice coordinates and the remainder in the centered cell."""
 
     m: int
     n: int
     z_reduced: complex
+
+    __eq__, __ne__, __hash__ = _same_type_eq, _same_type_ne, tuple.__hash__
 
 
 @dataclass(frozen=True)
@@ -97,7 +113,7 @@ def reduce_to_fundamental(z: complex, consts: DixonConstants | None = None) -> L
     b = z.imag / w2.imag
     a = (z.real - b * w2.real) / w1.real
     m, n = round(a), round(b)
-    return LatticeReduction(m, n, z - (m * w1 + n * w2))
+    return tuple.__new__(LatticeReduction, (m, n, z - (m * w1 + n * w2)))
 
 
 def fundamental_cell(consts: DixonConstants | None = None) -> FundamentalCell:
@@ -125,7 +141,7 @@ def sm_cm(z: complex, *, order: int | None = None) -> tuple[EllipticValue, Ellip
         s, c = pair.s, pair.c
     else:
         s, c = halve_and_duplicate(ctx.pair, zr)
-    return EllipticValue(s), EllipticValue(c)
+    return tuple.__new__(EllipticValue, (s, None)), tuple.__new__(EllipticValue, (c, None))
 
 
 def sm(z: complex, *, order: int | None = None) -> EllipticValue:
@@ -151,15 +167,15 @@ def wp(z: complex, *, order: int | None = None) -> EllipticValue:
     the simple poles of sm and cm, where s/(3(1 - c)) has the limit
     gamma**j / 3.
     """
-    ctx = _context(order if order is not None else series.DEFAULT_ORDER)
     sv, cv = sm_cm(z, order=order)
-    if sv.is_pole:
+    if sv.value is None:
+        ctx = _context(order if order is not None else series.DEFAULT_ORDER)
         j = ctx.constants.pole_reps.index(sv.pole_rep)
         return EllipticValue.finite(ctx.gamma_powers[j] / 3.0)
     den = 1.0 - cv.value
     if abs(den) < identities.DENOM_TOL:
         return EllipticValue.pole(complex(0.0))
-    return EllipticValue.finite(sv.value / (3.0 * den))
+    return tuple.__new__(EllipticValue, (sv.value / (3.0 * den), None))
 
 
 def _nearest_pole_frame(ctx: _Context, zr: complex) -> tuple[int, complex]:
@@ -169,11 +185,17 @@ def _nearest_pole_frame(ctx: _Context, zr: complex) -> tuple[int, complex]:
     onto the class of 2K. Non-interior pole copies sit at least 0.6 from the
     closed cell, so the three representatives suffice.
     """
-    best_j, best_w = 0, zr - ctx.constants.pole_reps[0]
-    for j in (1, 2):
-        w = ctx.gamma_inverse_powers[j] * (zr - ctx.constants.pole_reps[j])
-        if abs(w) < abs(best_w):
-            best_j, best_w = j, w
+    p0, p1, p2 = ctx.constants.pole_reps
+    _, g1, g2 = ctx.gamma_inverse_powers
+    best_j, best_w = 0, zr - p0
+    best_d = abs(best_w)
+    w = g1 * (zr - p1)
+    d = abs(w)
+    if d < best_d:
+        best_j, best_w, best_d = 1, w, d
+    w = g2 * (zr - p2)
+    if abs(w) < best_d:
+        best_j, best_w = 2, w
     return best_j, best_w
 
 

@@ -64,7 +64,9 @@ def duplicate_values(s: complex, c: complex, times: int) -> tuple[complex, compl
     for _ in range(times):
         s3 = s * s * s
         c3 = c * c * c
-        den = _require(c * (1.0 + s3), "duplication")
+        den = c * (1.0 + s3)
+        if abs(den) < DENOM_TOL:
+            _require(den, "duplication")
         s, c = s * (1.0 + c3) / den, (c3 - s3) / den
     return s, c
 

@@ -5,6 +5,10 @@ from 0 to w with the principal-valued power (holomorphic throughout the open
 unit disc), then Newton steps against the forward evaluator polish the
 residual down to tolerance. The returned preimage is the principal one: the
 value continuous along rays from 0.
+
+Next to a branch point gamma**j, where the integrand blows up, the guess
+comes instead from sm(gamma**j (K - y)) = gamma**j cm(y) = gamma**j (1 -
+y^3/3 + ...): y is the principal cube root of 3 (1 - w gamma**-j).
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constants import dixon_constants
+from .constants import DixonConstants, dixon_constants
 from .errors import ConvergenceError
 from .evaluator import sm_cm_values
 from .quadrature import tanh_sinh
@@ -22,6 +26,11 @@ NEWTON_MAX_ITER = 50
 #: Newton cannot improve the iterate once |cm^2| is this small (w at the
 #: branch point 1, where z = K and cm vanishes).
 _FLAT_DERIVATIVE = 1e-9
+
+#: Within this distance of a branch point the quadrature guess stops
+#: converging (from about 1e-12); the cube-root guess is then off by about
+#: |y|^6 / 18 <= 5e-19 in w.
+_BRANCH_RADIUS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -52,7 +61,9 @@ def sm_inverse(w: complex, tol: float = 1e-12, *, order: int | None = None) -> I
             raise ValueError("sm_inverse requires |w| < 1, or real w with |w| = 1")
         z = complex(consts.K if w.real > 0 else -consts.K / 2.0, 0.0)
     else:
-        z = w * tanh_sinh(lambda x, _: (1.0 - (w * x) ** 3) ** (-2.0 / 3.0), tol=1e-11)
+        z = _branch_guess(w, consts)
+        if z is None:
+            z = w * tanh_sinh(lambda x, _: (1.0 - (w * x) ** 3) ** (-2.0 / 3.0), tol=1e-11)
 
     best_z, best_r = z, math.inf
     for _ in range(NEWTON_MAX_ITER):
@@ -72,3 +83,13 @@ def sm_inverse(w: complex, tol: float = 1e-12, *, order: int | None = None) -> I
         f"Newton did not reach {tol:.1e}; best residual {best_r:.3e}",
         residual=best_r,
     )
+
+
+def _branch_guess(w: complex, consts: DixonConstants) -> complex | None:
+    """gamma**j (K - y) with y = (3 (1 - w gamma**-j))**(1/3), for w within
+    _BRANCH_RADIUS of the branch point gamma**j; None farther out."""
+    for b in (1.0, consts.gamma, consts.gamma.conjugate()):
+        if abs(w - b) <= _BRANCH_RADIUS:
+            y = (3.0 * (1.0 - w * b.conjugate())) ** (1.0 / 3.0)
+            return b * (consts.K - y)
+    return None

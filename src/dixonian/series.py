@@ -142,20 +142,24 @@ def eval_series(pair: SeriesPair, z: complex, tol: float = SERIES_TOL) -> tuple[
     The truncation error is bounded by a geometric tail fitted to the decay
     of the retained coefficients, with a 2x guard; ConvergenceError is raised
     when that bound exceeds ``tol``, signalling the order is too small.
+    Inside the pair's ``eval_radius`` at a ``tol`` of at least SERIES_TOL
+    the bound is not computed: it grows with |z| and meets SERIES_TOL at
+    ``eval_radius``, so it cannot exceed ``tol`` there.
     """
     z = complex(z)
     r = abs(z)
-    if r > SERIES_EVAL_RADIUS:
-        raise ValueError(
-            f"|z| = {r:.6g} exceeds the series evaluation radius {SERIES_EVAL_RADIUS}"
-        )
-    tail = _tail_bound(pair, r)
-    if tail > tol:
-        raise ConvergenceError(
-            f"series order {pair.order} cannot meet tol {tol:.1e} at |z| = {r:.3g} "
-            f"(tail bound {tail:.1e})",
-            residual=tail,
-        )
+    if not (r <= pair.eval_radius and tol >= SERIES_TOL):
+        if r > SERIES_EVAL_RADIUS:
+            raise ValueError(
+                f"|z| = {r:.6g} exceeds the series evaluation radius {SERIES_EVAL_RADIUS}"
+            )
+        tail = _tail_bound(pair, r)
+        if tail > tol:
+            raise ConvergenceError(
+                f"series order {pair.order} cannot meet tol {tol:.1e} at |z| = {r:.3g} "
+                f"(tail bound {tail:.1e})",
+                residual=tail,
+            )
     u = z * z * z
     c_top, steps = pair._horner_steps
     s = c = 0j

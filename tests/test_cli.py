@@ -114,6 +114,15 @@ def test_invert_unit(capsys):
     assert abs(json.loads(out)["re"] - K) <= 1e-8
 
 
+def test_invert_next_to_branch_point(capsys):
+    code, out, _ = run_cli(capsys, "invert", "--w", "0.9999999999999", "--tol", "1e-14")
+    assert code == 0
+    data = json.loads(out)
+    assert data["residual"] <= 1e-14
+    y = (3.0 * (1.0 - 0.9999999999999)) ** (1.0 / 3.0)
+    assert abs(complex(data["re"], data["im"]) - (K - y)) <= 0.1 * y
+
+
 def test_invert_domain_error(capsys):
     code, _, err = run_cli(capsys, "invert", "--w", "1.5")
     assert code == 2

