@@ -3,8 +3,8 @@
 Subcommands: eval, constants, invert, grid, selftest. Machine-readable JSON
 goes to stdout (grid writes a PPM or CSV file instead); diagnostics go to
 stderr. Exit status: 0 success, 1 failed checks or evaluation failure,
-2 usage errors. The environment variable DIXON_SERIES_ORDER overrides the
-default series order; an explicit --order flag wins over it.
+2 usage errors. Every subcommand but selftest takes --order, the series
+order (default 48); an order outside 1..64 is a usage error.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
 
@@ -36,23 +35,6 @@ def parse_complex(text: str) -> complex:
     return complex(float(m.group(1)), float(m.group(3)) if m.group(3) else 0.0)
 
 
-def _resolve_order(args) -> int:
-    """--order, else DIXON_SERIES_ORDER, else the default order.
-
-    The range is checked where the order is first used, by
-    ``series.generate_series``.
-    """
-    if args.order is not None:
-        return args.order
-    env = os.environ.get("DIXON_SERIES_ORDER")
-    if env is None:
-        return series.DEFAULT_ORDER
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"DIXON_SERIES_ORDER is not an integer: {env!r}")
-
-
 def _check_tol(tol: float) -> float:
     lo, hi = _TOL_RANGE
     if not lo <= tol <= hi:
@@ -61,9 +43,8 @@ def _check_tol(tol: float) -> float:
 
 
 def _cmd_eval(args) -> int:
-    order = _resolve_order(args)
     fn = {"sm": sm, "cm": cm, "wp": wp}[args.fn]
-    v = fn(args.z, order=order)
+    v = fn(args.z, order=args.order)
     if v.is_pole:
         print(json.dumps({"re": None, "im": None, "pole": True}))
     else:
@@ -72,7 +53,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_constants(args) -> int:
-    k = dixon_constants(_resolve_order(args))
+    k = dixon_constants(args.order)
     print(
         json.dumps(
             {
@@ -88,7 +69,7 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_invert(args) -> int:
-    result = sm_inverse(args.w, tol=_check_tol(args.tol), order=_resolve_order(args))
+    result = sm_inverse(args.w, tol=_check_tol(args.tol), order=args.order)
     print(json.dumps({"re": result.z.real, "im": result.z.imag, "residual": result.residual}))
     return 0
 
@@ -105,8 +86,7 @@ def _cell_preset(order: int) -> dict:
 
 
 def _cmd_grid(args) -> int:
-    order = _resolve_order(args)
-    preset = _cell_preset(order) if args.preset == "cell" else {}
+    preset = _cell_preset(args.order) if args.preset == "cell" else {}
 
     def pick(name):
         value = getattr(args, name)
@@ -123,7 +103,7 @@ def _cmd_grid(args) -> int:
         nx=pick("nx"),
         ny=pick("ny"),
     )
-    grid = render.sample_grid(region, args.fn, workers=args.threads, order=order)
+    grid = render.sample_grid(region, args.fn, order=args.order)
     if args.format == "ppm":
         with open(args.out, "wb") as fh:
             fh.write(render.domain_color(grid))
@@ -161,17 +141,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate sm, cm or wp at a point")
     p_eval.add_argument("--fn", choices=("sm", "cm", "wp"), required=True)
     p_eval.add_argument("--z", type=parse_complex, required=True, help="complex literal a, a+bi or a-bi")
-    p_eval.add_argument("--order", type=int, help="series order (default 48, max 64)")
+    p_eval.add_argument(
+        "--order", type=int, default=series.DEFAULT_ORDER, help="series order (default 48, max 64)"
+    )
     p_eval.set_defaults(func=_cmd_eval)
 
     p_const = sub.add_parser("constants", help="print K, gamma, periods and invariants as JSON")
-    p_const.add_argument("--order", type=int)
+    p_const.add_argument("--order", type=int, default=series.DEFAULT_ORDER)
     p_const.set_defaults(func=_cmd_constants)
 
     p_inv = sub.add_parser("invert", help="principal preimage of sm")
     p_inv.add_argument("--w", type=parse_complex, required=True)
     p_inv.add_argument("--tol", type=float, default=1e-10, help="target residual (1e-14..1e-2)")
-    p_inv.add_argument("--order", type=int)
+    p_inv.add_argument("--order", type=int, default=series.DEFAULT_ORDER)
     p_inv.set_defaults(func=_cmd_invert)
 
     p_grid = sub.add_parser("grid", help="sample a rectangle and write a PPM or CSV file")
@@ -184,8 +166,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_grid.add_argument("--ny", type=int)
     p_grid.add_argument("--out", required=True)
     p_grid.add_argument("--format", choices=("ppm", "csv"), default="ppm")
-    p_grid.add_argument("--threads", type=int, default=1, help="at least 1; rows run on one thread")
-    p_grid.add_argument("--order", type=int)
+    p_grid.add_argument("--order", type=int, default=series.DEFAULT_ORDER)
     p_grid.set_defaults(func=_cmd_grid)
 
     p_self = sub.add_parser("selftest", help="run the built-in verification suite")

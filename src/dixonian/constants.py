@@ -64,13 +64,11 @@ def halve_and_duplicate(pair: series.SeriesPair, y: complex) -> tuple[complex, c
     return identities.duplicate_values(s, c, k)
 
 
-def compute_K_root(tol: float = 1e-14, order: int = series.DEFAULT_ORDER) -> float:
+def compute_K_root(order: int = series.DEFAULT_ORDER) -> float:
     """First positive zero of cm, by bisection then Newton (cm' = -sm^2).
 
-    Returns t in (1.5, 2.0) with |cm(t)| <= tol.
+    Returns t in (1.5, 2.0) with |cm(t)| <= 1e-14.
     """
-    if tol < 1e-14:
-        raise ValueError("tol must be at least 1e-14")
     pair = series.generate_series(order)
     a, b = 1.5, 2.0
     fa = halve_and_duplicate(pair, a)[1].real
@@ -89,7 +87,7 @@ def compute_K_root(tol: float = 1e-14, order: int = series.DEFAULT_ORDER) -> flo
     for _ in range(20):
         s, c = halve_and_duplicate(pair, t)
         c = c.real
-        if abs(c) <= tol:
+        if abs(c) <= 1e-14:
             return t
         t += c / (s.real * s.real)
     raise ConvergenceError(f"Newton stalled at |cm(t)| = {abs(c):.3e}", residual=abs(c))
@@ -100,16 +98,14 @@ def _k_integrand(sigma: float, one_minus_sigma: float) -> float:
     return (one_minus_sigma * (1.0 + sigma + sigma * sigma)) ** (-2.0 / 3.0)
 
 
-def compute_K_quadrature(tol: float = 1e-12) -> float:
+def compute_K_quadrature() -> float:
     """K as the integral of (1 - sigma^3)^(-2/3) over (0, 1).
 
     The integrand has an algebraic singularity at sigma = 1; the tanh-sinh
-    transformation absorbs it. Cross-check only; the root-finder is the
-    authoritative K.
+    transformation absorbs it; successive refinements agree within 1e-11.
+    Cross-check only; the root-finder is the authoritative K.
     """
-    if tol < 1e-12:
-        raise ValueError("tol must be at least 1e-12")
-    return tanh_sinh(_k_integrand, tol=tol).real
+    return tanh_sinh(_k_integrand, tol=1e-11).real
 
 
 @lru_cache(maxsize=None)

@@ -123,13 +123,13 @@ def fundamental_cell(consts: DixonConstants | None = None) -> FundamentalCell:
     return FundamentalCell(origin=-(w1 + w2) / 2.0, edge1=w1, edge2=w2)
 
 
-def sm_cm(z: complex, *, order: int | None = None) -> tuple[EllipticValue, EllipticValue]:
+def sm_cm(z: complex, *, order: int = series.DEFAULT_ORDER) -> tuple[EllipticValue, EllipticValue]:
     """Evaluate (sm(z), cm(z)); both values share all intermediate work.
 
     Each result is finite or a pole marker; poles are reported when the
     reduced argument is within POLE_TOL of a pole representative.
     """
-    ctx = _context(order if order is not None else series.DEFAULT_ORDER)
+    ctx = _context(order)
     zr = reduce_to_fundamental(z, ctx.constants).z_reduced
     j, w = _nearest_pole_frame(ctx, zr)
     dist = abs(w)
@@ -144,15 +144,15 @@ def sm_cm(z: complex, *, order: int | None = None) -> tuple[EllipticValue, Ellip
     return tuple.__new__(EllipticValue, (s, None)), tuple.__new__(EllipticValue, (c, None))
 
 
-def sm(z: complex, *, order: int | None = None) -> EllipticValue:
+def sm(z: complex, *, order: int = series.DEFAULT_ORDER) -> EllipticValue:
     return sm_cm(z, order=order)[0]
 
 
-def cm(z: complex, *, order: int | None = None) -> EllipticValue:
+def cm(z: complex, *, order: int = series.DEFAULT_ORDER) -> EllipticValue:
     return sm_cm(z, order=order)[1]
 
 
-def sm_cm_values(z: complex, *, order: int | None = None) -> tuple[complex, complex]:
+def sm_cm_values(z: complex, *, order: int = series.DEFAULT_ORDER) -> tuple[complex, complex]:
     """Finite (sm, cm) values; raises PoleError when z is on a pole."""
     sv, cv = sm_cm(z, order=order)
     if sv.is_pole:
@@ -160,7 +160,7 @@ def sm_cm_values(z: complex, *, order: int | None = None) -> tuple[complex, comp
     return sv.value, cv.value
 
 
-def wp(z: complex, *, order: int | None = None) -> EllipticValue:
+def wp(z: complex, *, order: int = series.DEFAULT_ORDER) -> EllipticValue:
     """Weierstrass p for the sm/cm lattice (invariants g2 = 0, g3 = 1/27).
 
     Double poles at the lattice points. Finite everywhere else, including at
@@ -169,7 +169,7 @@ def wp(z: complex, *, order: int | None = None) -> EllipticValue:
     """
     sv, cv = sm_cm(z, order=order)
     if sv.value is None:
-        ctx = _context(order if order is not None else series.DEFAULT_ORDER)
+        ctx = _context(order)
         j = ctx.constants.pole_reps.index(sv.pole_rep)
         return EllipticValue.finite(ctx.gamma_powers[j] / 3.0)
     den = 1.0 - cv.value

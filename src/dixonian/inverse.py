@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import series
 from .constants import DixonConstants, dixon_constants
 from .errors import ConvergenceError
 from .evaluator import sm_cm_values
@@ -41,7 +42,7 @@ class InverseResult:
     residual: float
 
 
-def sm_inverse(w: complex, tol: float = 1e-12, *, order: int | None = None) -> InverseResult:
+def sm_inverse(w: complex, tol: float = 1e-12, *, order: int = series.DEFAULT_ORDER) -> InverseResult:
     """Solve sm(z) = w for the principal z.
 
     Defined for |w| < 1, and for real w with |w| = 1 (the endpoint w = 1
@@ -51,9 +52,9 @@ def sm_inverse(w: complex, tol: float = 1e-12, *, order: int | None = None) -> I
     w = complex(w)
     if not (math.isfinite(w.real) and math.isfinite(w.imag)):
         raise ValueError(f"non-finite argument {w}")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
-    consts = dixon_constants() if order is None else dixon_constants(order)
+    consts = dixon_constants(order)
     if w == 0:
         return InverseResult(complex(0.0), 0.0)
     if abs(w) >= 1.0:
@@ -65,20 +66,18 @@ def sm_inverse(w: complex, tol: float = 1e-12, *, order: int | None = None) -> I
         if z is None:
             z = w * tanh_sinh(lambda x, _: (1.0 - (w * x) ** 3) ** (-2.0 / 3.0), tol=1e-11)
 
-    best_z, best_r = z, math.inf
+    best_r = math.inf
     for _ in range(NEWTON_MAX_ITER):
         s, c = sm_cm_values(z, order=order)
         r = abs(s - w)
-        if r < best_r:
-            best_z, best_r = z, r
         if r <= tol:
             return InverseResult(z, r)
+        if r < best_r:
+            best_r = r
         c2 = c * c
         if abs(c2) < _FLAT_DERIVATIVE:
             break
         z = z - (s - w) / c2
-    if best_r <= tol:
-        return InverseResult(best_z, best_r)
     raise ConvergenceError(
         f"Newton did not reach {tol:.1e}; best residual {best_r:.3e}",
         residual=best_r,

@@ -11,7 +11,7 @@ the integrand, so each level's table of (weight, x, 1 - x) is built the first
 time any integration reaches that level and is reused for the rest of the
 process. Level 0 holds the nodes t = -5..5; each later level holds the new
 nodes t = +k*h, -k*h for odd k, in pairs, in the order they are summed.
-Levels 0-6 take about 0.08 MB, all levels to the default ``max_level`` 1.2 MB.
+Levels 0-6 take about 0.08 MB, all levels to MAX_LEVEL 1.2 MB.
 """
 
 from __future__ import annotations
@@ -25,17 +25,16 @@ from .errors import ConvergenceError
 _HALF_PI = math.pi / 2.0
 _T_MAX = 5.0  # weight * (1-x)^(-2/3) is ~1e-34 here; further nodes are noise
 
+#: Halvings of the step before tanh_sinh gives up.
+MAX_LEVEL = 10
 
-def tanh_sinh(
-    f: Callable[[float, float], complex],
-    tol: float = 1e-12,
-    max_level: int = 10,
-) -> complex:
+
+def tanh_sinh(f: Callable[[float, float], complex], tol: float = 1e-12) -> complex:
     """Integrate ``f(x, 1 - x)`` over (0, 1).
 
     The trapezoid step in the transformed variable is halved until two
     successive estimates agree within ``tol``. Raises ConvergenceError
-    (carrying the achieved error estimate) if ``max_level`` halvings are not
+    (carrying the achieved error estimate) if MAX_LEVEL halvings are not
     enough.
     """
     h = 1.0
@@ -44,7 +43,7 @@ def tanh_sinh(
         total += w * f(x, omx)
     estimate = h * total
     diff = math.inf
-    for level in range(1, max_level + 1):
+    for level in range(1, MAX_LEVEL + 1):
         h *= 0.5
         new = 0.0
         for w1, x1, omx1, w2, x2, omx2 in _level_nodes(level):
@@ -55,7 +54,7 @@ def tanh_sinh(
         if level >= 3 and diff <= tol:
             return estimate
     raise ConvergenceError(
-        f"tanh-sinh did not converge to {tol:.1e} in {max_level} levels "
+        f"tanh-sinh did not converge to {tol:.1e} in {MAX_LEVEL} levels "
         f"(last refinement changed the estimate by {diff:.1e})",
         residual=diff,
     )

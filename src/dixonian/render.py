@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .evaluator import EllipticValue, sm_cm, wp
+from .series import DEFAULT_ORDER
 
 MAX_PIXELS = 4096 * 4096
 
@@ -64,10 +65,10 @@ class ValueGrid:
 
 
 def sample_grid(
-    region: Region, selector: str, workers: int = 1, *, order: int | None = None
+    region: Region, selector: str, workers: int = 1, *, order: int = DEFAULT_ORDER
 ) -> ValueGrid:
     """Evaluate the selected function over the region, row by row, at the
-    series ``order`` (None: the default order).
+    series ``order``.
 
     ``workers`` must be at least 1. Whatever its value, rows run in order on
     the calling thread: evaluation is pure Python and holds the interpreter

@@ -236,12 +236,12 @@ def _check_k_root() -> float:
 
 @_register("k_value_quadrature", 1e-8)
 def _check_k_quadrature() -> float:
-    return abs(compute_K_quadrature(1e-11) - K_REFERENCE)
+    return abs(compute_K_quadrature() - K_REFERENCE)
 
 
 @_register("k_cross_agreement", 1e-9)
 def _check_k_agreement() -> float:
-    return abs(compute_K_root() - compute_K_quadrature(1e-11))
+    return abs(compute_K_root() - compute_K_quadrature())
 
 
 @_register("cardinal_values", 1e-10)

@@ -30,8 +30,7 @@ MAX_ORDER = 64
 #: ample tail margin at the default order.
 SERIES_EVAL_RADIUS = 0.5
 
-#: Default bound on the truncation error of eval_series; the evaluator and
-#: the root-finder for K evaluate at this tolerance.
+#: Bound on the truncation error of eval_series.
 SERIES_TOL = 1e-13
 
 #: Conservative lower bound on the convergence radius (the nearest poles sit
@@ -135,31 +134,31 @@ def _generate(order: int) -> SeriesPair:
     return SeriesPair(tuple(s), tuple(c), order)
 
 
-def eval_series(pair: SeriesPair, z: complex, tol: float = SERIES_TOL) -> tuple[complex, complex]:
+def eval_series(pair: SeriesPair, z: complex) -> tuple[complex, complex]:
     """Evaluate the truncated series at z, for |z| <= SERIES_EVAL_RADIUS.
 
     Horner evaluation in u = z**3 (two of every three coefficients vanish).
     The truncation error is bounded by a geometric tail fitted to the decay
-    of the retained coefficients, with a 2x guard; ConvergenceError is raised
-    when that bound exceeds ``tol``, signalling the order is too small.
-    Inside the pair's ``eval_radius`` at a ``tol`` of at least SERIES_TOL
-    the bound is not computed: it grows with |z| and meets SERIES_TOL at
-    ``eval_radius``, so it cannot exceed ``tol`` there.
+    of the retained coefficients, with a 2x guard. The bound grows with |z|
+    and stays within SERIES_TOL up to the pair's ``eval_radius`` and no
+    farther, so it is computed only beyond that radius, where it exceeds
+    SERIES_TOL and ConvergenceError is raised, signalling the order is too
+    small. A |z| beyond SERIES_EVAL_RADIUS, or not a number, raises
+    ValueError.
     """
     z = complex(z)
     r = abs(z)
-    if not (r <= pair.eval_radius and tol >= SERIES_TOL):
-        if r > SERIES_EVAL_RADIUS:
+    if not r <= pair.eval_radius:
+        if not r <= SERIES_EVAL_RADIUS:
             raise ValueError(
                 f"|z| = {r:.6g} exceeds the series evaluation radius {SERIES_EVAL_RADIUS}"
             )
         tail = _tail_bound(pair, r)
-        if tail > tol:
-            raise ConvergenceError(
-                f"series order {pair.order} cannot meet tol {tol:.1e} at |z| = {r:.3g} "
-                f"(tail bound {tail:.1e})",
-                residual=tail,
-            )
+        raise ConvergenceError(
+            f"series order {pair.order} cannot meet tol {SERIES_TOL:.1e} at |z| = {r:.3g} "
+            f"(tail bound {tail:.1e})",
+            residual=tail,
+        )
     u = z * z * z
     c_top, steps = pair._horner_steps
     s = c = 0j

@@ -80,8 +80,9 @@ def test_domain_errors():
 
 
 def test_tol_validation():
-    with pytest.raises(ValueError):
-        sm_inverse(0.5, tol=0.0)
+    for tol in (0.0, -1e-12, math.nan):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            sm_inverse(0.5, tol=tol)
 
 
 def test_newton_reports_best_residual():

@@ -10,7 +10,7 @@ import pytest
 from dixonian import ConvergenceError, sm_inverse
 from dixonian import quadrature
 from dixonian.constants import _k_integrand
-from dixonian.quadrature import tanh_sinh
+from dixonian.quadrature import MAX_LEVEL, tanh_sinh
 from conftest import GAMMA
 
 HALF_PI = math.pi / 2.0
@@ -36,7 +36,7 @@ def reference_sample(f, t):
     return w * f(x, omx)
 
 
-def reference_tanh_sinh(f, tol, max_level, t_max=5.0):
+def reference_tanh_sinh(f, tol, max_level=10, t_max=5.0):
     """(estimate, level stopped at), summed exactly as the table loop sums."""
     h = 1.0
     total = 0.0
@@ -63,9 +63,9 @@ def reference_tanh_sinh(f, tol, max_level, t_max=5.0):
     )
 
 
-def outcome(integrate, f, tol, max_level):
+def outcome(integrate, f, tol):
     try:
-        value = integrate(f, tol, max_level)
+        value = integrate(f, tol)
     except ConvergenceError as exc:
         return "ConvergenceError", str(exc), repr(exc.residual)
     return repr(value[0] if isinstance(value, tuple) else value)
@@ -75,6 +75,10 @@ def inverse_integrand(w):
     # the integrand sm_inverse hands to tanh_sinh
     return lambda x, _: (1.0 - (w * x) ** 3) ** (-2.0 / 3.0)
 
+
+#: sm_inverse's integrand for a target 1e-13 from the branch point 1: at tol
+#: 1e-11 the last of MAX_LEVEL refinements still moves the estimate by 1.2e-9
+BRANCH_SIDE = inverse_integrand(1.0 - 1e-13)
 
 B_HALF = 2.0 ** (-1.0 / 3.0)
 
@@ -102,18 +106,18 @@ INTEGRANDS = integrands()
 @pytest.mark.parametrize("f", [f for _, f in INTEGRANDS], ids=[name for name, _ in INTEGRANDS])
 def test_bit_identical_to_per_node_loop(f):
     for tol in (1e-10, 1e-11, 1e-12):
-        for max_level in range(2, 11):
-            want = outcome(reference_tanh_sinh, f, tol, max_level)
-            got = outcome(lambda g, t, m: tanh_sinh(g, tol=t, max_level=m), f, tol, max_level)
-            assert got == want, (tol, max_level)
+        want = outcome(reference_tanh_sinh, f, tol)
+        got = outcome(lambda g, t: tanh_sinh(g, tol=t), f, tol)
+        assert got == want, tol
 
 
 def test_nonconvergence_message_and_residual():
     with pytest.raises(ConvergenceError) as want:
-        reference_tanh_sinh(_k_integrand, 1e-12, 2)
+        reference_tanh_sinh(BRANCH_SIDE, 1e-11)
     with pytest.raises(ConvergenceError) as got:
-        tanh_sinh(_k_integrand, tol=1e-12, max_level=2)
+        tanh_sinh(BRANCH_SIDE, tol=1e-11)
     assert str(got.value) == str(want.value)
+    assert "in 10 levels (last refinement changed the estimate by 1.2e-09)" in str(got.value)
     assert repr(got.value.residual) == repr(want.value.residual)
 
 
@@ -133,7 +137,7 @@ def test_tables_hold_the_nodes_in_summation_order():
 
 def test_each_level_built_once_up_to_the_level_reached():
     quadrature._level_nodes.cache_clear()
-    _, level = reference_tanh_sinh(_k_integrand, 1e-11, 10)
+    _, level = reference_tanh_sinh(_k_integrand, 1e-11)
     tanh_sinh(_k_integrand, tol=1e-11)
     info = quadrature._level_nodes.cache_info()
     assert info.currsize == info.misses == level + 1
@@ -142,8 +146,8 @@ def test_each_level_built_once_up_to_the_level_reached():
 
     quadrature._level_nodes.cache_clear()
     with pytest.raises(ConvergenceError):
-        tanh_sinh(_k_integrand, tol=1e-12, max_level=2)
-    assert quadrature._level_nodes.cache_info().currsize == 3
+        tanh_sinh(BRANCH_SIDE, tol=1e-11)
+    assert quadrature._level_nodes.cache_info().currsize == MAX_LEVEL + 1
 
 
 def test_disc_solves_cache_at_most_five_levels():

@@ -91,15 +91,20 @@ def test_finite_difference_matches_ode():
 def test_radius_violation():
     with pytest.raises(ValueError):
         eval_series(generate_series(), 0.51)
+    # a non-finite argument has no modulus inside the disc
+    for order in (1, DEFAULT_ORDER):
+        for z in (complex(math.nan, 0.0), complex(0.0, math.nan), complex(math.inf, math.nan)):
+            with pytest.raises(ValueError, match="exceeds the series evaluation radius"):
+                eval_series(generate_series(order), z)
 
 
 def test_tail_bound_rejects_small_order():
     with pytest.raises(ConvergenceError):
-        eval_series(generate_series(4), 0.5, tol=1e-13)
+        eval_series(generate_series(4), 0.5)
 
 
 def test_small_order_ok_near_zero():
-    s, c = eval_series(generate_series(10), 0.05, tol=1e-13)
+    s, c = eval_series(generate_series(10), 0.05)
     assert abs(s - 0.05) < 1e-5
     assert abs(c - 1.0) < 1e-3
 
@@ -166,8 +171,8 @@ def test_eval_radius_is_largest_that_meets_tol(order):
 
 @pytest.mark.parametrize("order", range(1, MAX_ORDER + 1))
 def test_tail_bound_met_inside_eval_radius(order):
-    # eval_series skips the bound for |z| <= eval_radius at tol >= SERIES_TOL:
-    # that is sound only if the bound meets SERIES_TOL on the whole disc
+    # eval_series skips the bound for |z| <= eval_radius: that is sound only
+    # if the bound meets SERIES_TOL on the whole disc
     pair = generate_series(order)
     r_max = pair.eval_radius
     radii = [r_max * i / 2000 for i in range(2001)] + [math.nextafter(r_max, 0.0)]
@@ -180,16 +185,19 @@ def test_tail_bound_met_inside_eval_radius(order):
 def test_eval_series_checks_outside_shortcut(order):
     pair = generate_series(order)
     r = pair.eval_radius
-    # a tol below SERIES_TOL is checked against the bound, inside the disc too
-    tail = series._tail_bound(pair, r)
-    with pytest.raises(ConvergenceError) as exc:
-        eval_series(pair, r, tol=tail / 2.0)
-    assert exc.value.residual == tail
-    assert f"(tail bound {tail:.1e})" in str(exc.value)
+    # just beyond a disc smaller than SERIES_EVAL_RADIUS the bound is computed
+    # and fails SERIES_TOL
+    if r < SERIES_EVAL_RADIUS:
+        for z in (math.nextafter(r, 1.0), SERIES_EVAL_RADIUS):
+            tail = series._tail_bound(pair, z)
+            with pytest.raises(ConvergenceError) as exc:
+                eval_series(pair, z)
+            assert exc.value.residual == tail > SERIES_TOL
+            assert f"cannot meet tol {SERIES_TOL:.1e} " in str(exc.value)
+            assert f"(tail bound {tail:.1e})" in str(exc.value)
     for z in (math.nextafter(SERIES_EVAL_RADIUS, 1.0), 0.51j, -0.6):
-        for tol in (SERIES_TOL, 1.0):
-            with pytest.raises(ValueError, match="exceeds the series evaluation radius"):
-                eval_series(pair, z, tol=tol)
+        with pytest.raises(ValueError, match="exceeds the series evaluation radius"):
+            eval_series(pair, z)
 
 
 def test_default_order_keeps_half_disc():
