@@ -23,10 +23,8 @@ from .errors import (
 )
 from .evaluator import (
     EllipticValue,
-    FundamentalCell,
     LatticeReduction,
     cm,
-    fundamental_cell,
     reduce_to_fundamental,
     sm,
     sm_cm,
@@ -47,7 +45,7 @@ from .identities import (
 from .inverse import InverseResult, sm_inverse
 from .render import Region, ValueGrid, domain_color, grid_to_csv, sample_grid
 from .selftest import CheckResult, list_checks, run_selftest
-from .series import SeriesPair, eval_series, export_json, generate_series
+from .series import SeriesPair, eval_series, generate_series
 
 __version__ = "0.1.0"
 
@@ -61,7 +59,6 @@ __all__ = [
     "DixonError",
     "EllipticValue",
     "FunctionPair",
-    "FundamentalCell",
     "InverseResult",
     "LatticeReduction",
     "PoleError",
@@ -77,9 +74,7 @@ __all__ = [
     "domain_color",
     "duplicate",
     "eval_series",
-    "export_json",
     "from_weierstrass",
-    "fundamental_cell",
     "generate_series",
     "grid_to_csv",
     "list_checks",

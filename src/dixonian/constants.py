@@ -5,6 +5,13 @@ library's own machinery: halving into the series disc of the order, series
 evaluation and duplication back out cover the bracket (1.5, 2.0). The
 defining singular integral over (0, 1) is computed independently as a
 cross-check only. Everything is computed once and frozen.
+
+The gamma frame: sm(gamma*z) = gamma*sm(z) and cm(gamma*z) = cm(z), so the
+poles, zeros and branch points come in triples gamma**j * p, j = 0, 1, 2.
+``GAMMA_POWERS[j]`` is the rotation of member j; every layer (the constants
+record, the evaluator's pole framing and near-pole rescue, the inverse's
+branch-point guess, the selftest) reads it from here, and rotates back by
+its conjugate.
 """
 
 from __future__ import annotations
@@ -20,9 +27,9 @@ from .quadrature import tanh_sinh
 #: gamma = exp(2*pi*i/3) = (-1 + i*sqrt(3))/2, the primitive cube root of unity.
 GAMMA = complex(-0.5, math.sqrt(3.0) / 2.0)
 
-#: Radius of guaranteed local existence for the defining initial value
-#: problem, 2**(-2/3) = 0.62996...
-R_LOCAL = 2.0 ** (-2.0 / 3.0)
+#: (1, gamma, conj(gamma)) = gamma**j for j = 0, 1, 2; conj(gamma) = gamma**2
+#: = gamma**-1, so ``GAMMA_POWERS[j].conjugate()`` is gamma**-j.
+GAMMA_POWERS = (complex(1.0), GAMMA, GAMMA.conjugate())
 
 #: The centered cell lies within 3K*sqrt(3)/2 < 4.6 of 0, but from |z| of
 #: about 1e16 the reduction leaves rounding errors of several units in the
@@ -35,13 +42,16 @@ MAX_REDUCED = 32.0
 class DixonConstants:
     """Immutable record every other module reads.
 
-    ``pole_reps`` and ``zero_reps`` are the representatives of the three pole
-    and zero classes of sm inside the fundamental cell centered at 0.
+    ``K`` is the first positive zero of cm and ``gamma`` is GAMMA.
+    ``periods`` are 3K and 3K*gamma; they span the fundamental cell
+    centered at 0. ``pole_reps`` (-K*gamma**j) and ``zero_reps`` are the
+    representatives of the three pole and zero classes of sm inside that
+    cell, in the order of GAMMA_POWERS. ``g2`` and ``g3`` are the invariants
+    of the Weierstrass p function of the same lattice.
     """
 
     K: float
     gamma: complex
-    r: float
     periods: tuple[complex, complex]
     pole_reps: tuple[complex, complex, complex]
     zero_reps: tuple[complex, complex, complex]
@@ -112,12 +122,10 @@ def compute_K_quadrature() -> float:
 def dixon_constants(order: int = series.DEFAULT_ORDER) -> DixonConstants:
     """Compute once per series order and freeze."""
     K = compute_K_root(order=order)
-    g = GAMMA
-    gbar = GAMMA.conjugate()
+    _, g, gbar = GAMMA_POWERS
     return DixonConstants(
         K=K,
         gamma=g,
-        r=R_LOCAL,
         periods=(complex(3.0 * K, 0.0), 3.0 * K * g),
         pole_reps=(complex(-K, 0.0), -K * g, -K * gbar),
         # the class of -K + K*gbar is represented by K - K*g, one period over

@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import identities, series
-from .constants import DixonConstants, dixon_constants, halve_and_duplicate
+from .constants import GAMMA_POWERS, DixonConstants, dixon_constants, halve_and_duplicate
 from .errors import PoleError
 from .identities import FunctionPair
 
@@ -73,33 +73,14 @@ class LatticeReduction(NamedTuple):
 
 
 @dataclass(frozen=True)
-class FundamentalCell:
-    """Parallelogram spanned by the periods, centered at 0."""
-
-    origin: complex
-    edge1: complex
-    edge2: complex
-
-
-@dataclass(frozen=True)
 class _Context:
     constants: DixonConstants
     pair: series.SeriesPair
-    gamma_powers: tuple[complex, complex, complex]
-    gamma_inverse_powers: tuple[complex, complex, complex]
 
 
 @lru_cache(maxsize=8)
 def _context(order: int) -> _Context:
-    consts = dixon_constants(order)
-    g = consts.gamma
-    gbar = g.conjugate()
-    return _Context(
-        constants=consts,
-        pair=series.generate_series(order),
-        gamma_powers=(complex(1.0), g, gbar),
-        gamma_inverse_powers=(complex(1.0), gbar, g),
-    )
+    return _Context(constants=dixon_constants(order), pair=series.generate_series(order))
 
 
 def reduce_to_fundamental(z: complex, consts: DixonConstants | None = None) -> LatticeReduction:
@@ -108,19 +89,12 @@ def reduce_to_fundamental(z: complex, consts: DixonConstants | None = None) -> L
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError(f"non-finite argument {z}")
     if consts is None:
-        consts = dixon_constants()
+        consts = dixon_constants(series.DEFAULT_ORDER)
     w1, w2 = consts.periods
     b = z.imag / w2.imag
     a = (z.real - b * w2.real) / w1.real
     m, n = round(a), round(b)
     return tuple.__new__(LatticeReduction, (m, n, z - (m * w1 + n * w2)))
-
-
-def fundamental_cell(consts: DixonConstants | None = None) -> FundamentalCell:
-    if consts is None:
-        consts = dixon_constants()
-    w1, w2 = consts.periods
-    return FundamentalCell(origin=-(w1 + w2) / 2.0, edge1=w1, edge2=w2)
 
 
 def sm_cm(z: complex, *, order: int = series.DEFAULT_ORDER) -> tuple[EllipticValue, EllipticValue]:
@@ -169,9 +143,8 @@ def wp(z: complex, *, order: int = series.DEFAULT_ORDER) -> EllipticValue:
     """
     sv, cv = sm_cm(z, order=order)
     if sv.value is None:
-        ctx = _context(order)
-        j = ctx.constants.pole_reps.index(sv.pole_rep)
-        return EllipticValue.finite(ctx.gamma_powers[j] / 3.0)
+        j = _context(order).constants.pole_reps.index(sv.pole_rep)
+        return EllipticValue.finite(GAMMA_POWERS[j] / 3.0)
     den = 1.0 - cv.value
     if abs(den) < identities.DENOM_TOL:
         return EllipticValue.pole(complex(0.0))
@@ -186,7 +159,8 @@ def _nearest_pole_frame(ctx: _Context, zr: complex) -> tuple[int, complex]:
     closed cell, so the three representatives suffice.
     """
     p0, p1, p2 = ctx.constants.pole_reps
-    _, g1, g2 = ctx.gamma_inverse_powers
+    # gamma**-j = conj(GAMMA_POWERS[j]) = GAMMA_POWERS[-j % 3]
+    _, g2, g1 = GAMMA_POWERS
     best_j, best_w = 0, zr - p0
     best_d = abs(best_w)
     w = g1 * (zr - p1)
@@ -205,4 +179,4 @@ def _near_pole_pair(ctx: _Context, j: int, w: complex) -> FunctionPair:
     # full relative accuracy this close to 0. (Only orders whose series disc
     # is smaller than NEAR_TOL halve w.)
     s, c = halve_and_duplicate(ctx.pair, w)
-    return FunctionPair(ctx.gamma_powers[j] * (-c / s), 1.0 / s)
+    return FunctionPair(GAMMA_POWERS[j] * (-c / s), 1.0 / s)

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from . import series
-from .constants import DixonConstants, dixon_constants
+from .constants import GAMMA_POWERS, dixon_constants
 from .errors import ConvergenceError
 from .evaluator import sm_cm_values
 from .quadrature import tanh_sinh
@@ -62,7 +62,7 @@ def sm_inverse(w: complex, tol: float = 1e-12, *, order: int = series.DEFAULT_OR
             raise ValueError("sm_inverse requires |w| < 1, or real w with |w| = 1")
         z = complex(consts.K if w.real > 0 else -consts.K / 2.0, 0.0)
     else:
-        z = _branch_guess(w, consts)
+        z = _branch_guess(w, consts.K)
         if z is None:
             z = w * tanh_sinh(lambda x, _: (1.0 - (w * x) ** 3) ** (-2.0 / 3.0), tol=1e-11)
 
@@ -84,11 +84,11 @@ def sm_inverse(w: complex, tol: float = 1e-12, *, order: int = series.DEFAULT_OR
     )
 
 
-def _branch_guess(w: complex, consts: DixonConstants) -> complex | None:
+def _branch_guess(w: complex, K: float) -> complex | None:
     """gamma**j (K - y) with y = (3 (1 - w gamma**-j))**(1/3), for w within
     _BRANCH_RADIUS of the branch point gamma**j; None farther out."""
-    for b in (1.0, consts.gamma, consts.gamma.conjugate()):
+    for b in GAMMA_POWERS:
         if abs(w - b) <= _BRANCH_RADIUS:
             y = (3.0 * (1.0 - w * b.conjugate())) ** (1.0 / 3.0)
-            return b * (consts.K - y)
+            return b * (K - y)
     return None

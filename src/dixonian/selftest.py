@@ -6,7 +6,8 @@ sampled fact is a residual at one sample (a point of the centered cell, a
 pair of them, or a point of a disc), kept in ``_FACTS``: the selftest reduces
 it over a small seeded sample, and the test suite over larger ones. The CLI
 ``selftest`` subcommand runs every check and renders a pass/fail table;
-``run_selftest`` is the programmatic entry.
+``run_selftest`` is the programmatic entry. Every sample reads the constants
+of the default series order, the one the evaluator uses.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import identities, series
-from .constants import compute_K_quadrature, compute_K_root, dixon_constants
+from .constants import GAMMA_POWERS, DixonConstants, compute_K_quadrature, compute_K_root, dixon_constants
 from .evaluator import sm_cm_values, wp
 from .identities import FunctionPair
 from .inverse import sm_inverse
@@ -92,20 +93,23 @@ def list_checks() -> list[str]:
     return [c.name for c in _CHECKS]
 
 
-def run_selftest(tol: float | None = None, names: list[str] | None = None) -> list[CheckResult]:
-    """Run all (or the named) checks; ``tol`` overrides every threshold."""
+def run_selftest(names: list[str] | None = None) -> list[CheckResult]:
+    """Run all (or the named) checks against their default tolerances."""
     results = []
     for check in _CHECKS:
         if names is not None and check.name not in names:
             continue
-        threshold = check.tol if tol is None else tol
         residual = check.fn()
-        results.append(CheckResult(check.name, residual <= threshold, residual, threshold))
+        results.append(CheckResult(check.name, residual <= check.tol, residual, check.tol))
     return results
 
 
 # ---------------------------------------------------------------------------
 # sampling helpers
+
+def _constants() -> DixonConstants:
+    return dixon_constants(series.DEFAULT_ORDER)
+
 
 def _values(z: complex) -> tuple[complex, complex]:
     return sm_cm_values(z)
@@ -117,7 +121,7 @@ def _pair_at(z: complex) -> FunctionPair:
 
 def _cell_points(rng: random.Random, count: int, pole_margin: float = 0.05) -> list[complex]:
     """Uniform points of the centered cell, at least ``pole_margin`` from the poles."""
-    k = dixon_constants()
+    k = _constants()
     w1, w2 = k.periods
     pts: list[complex] = []
     while len(pts) < count:
@@ -163,11 +167,6 @@ def _sampled(
         return residual
 
     return deco
-
-
-def _c_zero_reps() -> tuple[complex, complex, complex]:
-    k = dixon_constants()
-    return (complex(k.K), k.K * k.gamma, k.K * k.gamma.conjugate())
 
 
 #: (1 - cm) ~ z^3/3 cancels near the lattice points, so the Weierstrass
@@ -246,7 +245,7 @@ def _check_k_agreement() -> float:
 
 @_register("cardinal_values", 1e-10)
 def _check_cardinals() -> float:
-    k = dixon_constants()
+    k = _constants()
     half = 2.0 ** (-1.0 / 3.0)
     sK, cK = _values(k.K)
     sh, ch = _values(k.K / 2.0)
@@ -264,7 +263,7 @@ def _check_cardinals() -> float:
 def _pole_probes() -> list[complex]:
     """One point 1e-9 from each pole representative, in a seeded direction."""
     rng = random.Random(202)
-    return [rep + cmath.rect(1e-9, rng.uniform(0.0, 2.0 * math.pi)) for rep in dixon_constants().pole_reps]
+    return [rep + cmath.rect(1e-9, rng.uniform(0.0, 2.0 * math.pi)) for rep in _constants().pole_reps]
 
 
 @_register("pole_probe", 1e-8)
@@ -306,7 +305,7 @@ _SHIFTS = ((1, 0), (0, 1), (-1, -1), (2, -1), (-2, 2))
 
 @_sampled("periodicity", 1e-9, 505, 100)
 def _periodicity(z: complex, shifts: Sequence[tuple[int, int]] = _SHIFTS) -> float:
-    w1, w2 = dixon_constants().periods
+    w1, w2 = _constants().periods
     s, c = _values(z)
     worst = 0.0
     for m, n in shifts:
@@ -324,7 +323,9 @@ def _conjugation(z: complex) -> float:
 
 @_sampled("negation_symmetry", 1e-10, 707, 150)
 def _negation(z: complex) -> float | None:
-    if _near(z, _c_zero_reps()):
+    # the zeros of cm: K * gamma**j
+    K = _constants().K
+    if _near(z, [K * g for g in GAMMA_POWERS]):
         return None
     s, c = _values(z)
     sn, cn = _values(-z)
@@ -333,7 +334,7 @@ def _negation(z: complex) -> float | None:
 
 @_sampled("rotation_symmetry", 1e-10, 808, 150)
 def _rotation(z: complex) -> float:
-    g = dixon_constants().gamma
+    g = _constants().gamma
     s, c = _values(z)
     sg, cg = _values(g * z)
     return max(abs(sg - g * s), abs(cg - c))
@@ -342,13 +343,13 @@ def _rotation(z: complex) -> float:
 @_sampled("reflection_identity", 1e-10, 909, 150)
 def _reflection(z: complex) -> float:
     s, c = _values(z)
-    sr, cr = _values(dixon_constants().K - z)
+    sr, cr = _values(_constants().K - z)
     return max(abs(sr - c), abs(cr - s))
 
 
 @_sampled("translation_2k", 1e-10, 1010, 150)
 def _translation(z: complex) -> float | None:
-    k = dixon_constants()
+    k = _constants()
     if _near(z, k.zero_reps):
         return None
     s, c = _values(z)
@@ -358,7 +359,7 @@ def _translation(z: complex) -> float | None:
 
 @_register("zeros", 1e-9)
 def _check_zeros() -> float:
-    k = dixon_constants()
+    k = _constants()
     w1, w2 = k.periods
     worst = 0.0
     for rep in k.zero_reps:
@@ -378,12 +379,12 @@ def _ring_average(p: complex, component: int, radius: float = 1e-4) -> complex:
 
 @_register("residues_sm", 1e-5)
 def _check_residues_sm() -> float:
-    k = dixon_constants()
-    g = k.gamma
+    k = _constants()
+    _, g, gbar = GAMMA_POWERS
     targets = [
         (complex(-k.K), complex(-1.0)),
-        (2.0 * k.K * g, -g.conjugate()),
-        (2.0 * k.K * g.conjugate(), -g),
+        (2.0 * k.K * g, -gbar),
+        (2.0 * k.K * gbar, -g),
     ]
     total = 0.0j
     worst = 0.0
@@ -396,15 +397,14 @@ def _check_residues_sm() -> float:
 
 @_register("residue_cm", 1e-5)
 def _check_residue_cm() -> float:
-    k = dixon_constants()
+    k = _constants()
     return abs(_ring_average(complex(-k.K), 1) - 1.0)
 
 
 @_register("triangle_boundary", 1e-9)
 def _check_triangle() -> float:
-    k = dixon_constants()
-    g = k.gamma
-    verts = [complex(k.K), k.K * g, k.K * g.conjugate()]
+    k = _constants()
+    verts = [k.K * g for g in GAMMA_POWERS]
     worst = 0.0
     for a, b in zip(verts, verts[1:] + verts[:1]):
         for i in range(100):
@@ -428,12 +428,12 @@ def _check_imaginary_axis() -> float:
 def _check_hexagon_edge() -> float:
     # edge from K toward -K*conj(gamma) = K + K*gamma; sm is real there and
     # cm lies on the line gamma * R; stop short of the pole at the far vertex
-    k = dixon_constants()
-    gbar = k.gamma.conjugate()
+    k = _constants()
+    _, g, gbar = GAMMA_POWERS
     worst = 0.0
     for i in range(100):
         t = i / 100.0
-        s, c = _values(k.K + t * k.K * k.gamma)
+        s, c = _values(k.K + t * k.K * g)
         worst = max(worst, abs(s.imag), abs((c * gbar).imag))
     return worst
 
@@ -462,7 +462,7 @@ def _check_reality_rays() -> float:
 def _check_quartic_root() -> float:
     # sigma = sm(-K/4)**3 is the unique root of the quartic in the unit disc;
     # doubling -K/4 forces sm(-K/2)**3 = -1
-    k = dixon_constants()
+    k = _constants()
     s, _ = _values(-k.K / 4.0)
     sigma = s * s * s
     quartic = 1.0 + 10.0 * sigma - 12.0 * sigma ** 2 + 4.0 * sigma ** 3 - 2.0 * sigma ** 4
@@ -527,7 +527,7 @@ def _weierstrass(z: complex) -> float | None:
 def _wp_periodicity(z: complex) -> float | None:
     if abs(z) < _LATTICE_MARGIN:
         return None
-    w1, w2 = dixon_constants().periods
+    w1, w2 = _constants().periods
     base = wp(z).value
     return max(abs(wp(z + shift).value - base) for shift in (w1, w2, w1 + w2))
 
@@ -542,7 +542,7 @@ def _inverse_roundtrip(w: complex) -> float:
 
 @_register("inverse_landmarks", 1e-7)
 def _check_inverse_landmarks() -> float:
-    k = dixon_constants()
+    k = _constants()
     return max(
         abs(sm_inverse(1.0).z - k.K),
         abs(sm_inverse(2.0 ** (-1.0 / 3.0)).z - k.K / 2.0),

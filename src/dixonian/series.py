@@ -14,7 +14,6 @@ time a pair is evaluated.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -168,25 +167,6 @@ def eval_series(pair: SeriesPair, z: complex) -> tuple[complex, complex]:
         s = s * u + a
         c = c * u + b
     return s * z, c
-
-
-def export_json(pair: SeriesPair) -> str:
-    """Coefficients as a JSON array of {n, s_num, s_den, c_num, c_den}.
-
-    Numerators and denominators are decimal integer strings, exact at any
-    order.
-    """
-    rows = [
-        {
-            "n": n,
-            "s_num": str(pair.s_coeffs[n].numerator),
-            "s_den": str(pair.s_coeffs[n].denominator),
-            "c_num": str(pair.c_coeffs[n].numerator),
-            "c_den": str(pair.c_coeffs[n].denominator),
-        }
-        for n in range(pair.order + 1)
-    ]
-    return json.dumps(rows)
 
 
 def _tail_fit(packed: tuple[float, ...], offset: int) -> tuple[float, int, float]:

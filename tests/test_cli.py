@@ -196,6 +196,15 @@ def test_grid_missing_flags(capsys):
     assert "required" in err
 
 
+def test_grid_unwritable_out(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.ppm"
+    code, _, err = run_cli(capsys, "grid", "--fn", "sm", "--center", "0", "--width", "1",
+                           "--height", "1", "--nx", "2", "--ny", "2", "--out", str(out))
+    assert code == 2
+    assert err.startswith("error: ") and str(out) in err
+    assert "Traceback" not in err
+
+
 # --- selftest -------------------------------------------------------------------------
 
 def test_selftest_list(capsys):
@@ -213,11 +222,12 @@ def test_selftest_passes(capsys):
     assert "checks passed" in out
 
 
-def test_selftest_unattainable_tol(capsys):
-    code, out, _ = run_cli(capsys, "selftest", "--tol", "1e-30")
-    assert code == 1
-    assert "FAIL" in out
-    assert "residual=" in out
+def test_selftest_tol_is_usage_error(capsys):
+    # the checks keep their own tolerances; the table prints each residual
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest", "--tol", "1e-30"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
 # --- series order plumbing --------------------------------------------------------------

@@ -61,7 +61,6 @@ def test_gamma():
 def test_record_fields():
     assert CONSTS.g2 == 0.0
     assert CONSTS.g3 == 1.0 / 27.0
-    assert CONSTS.r == 2.0 ** (-2.0 / 3.0)
     assert CONSTS.periods[0] == complex(3.0 * CONSTS.K)
 
 

@@ -10,7 +10,6 @@ from dixonian import (
     EllipticValue,
     PoleError,
     cm,
-    fundamental_cell,
     reduce_to_fundamental,
     sm,
     sm_cm,
@@ -59,13 +58,6 @@ def test_reduce_nonfinite():
             reduce_to_fundamental(bad)
         with pytest.raises(ValueError):
             sm_cm(bad)
-
-
-def test_fundamental_cell():
-    cell = fundamental_cell()
-    assert cell.edge1 == W1
-    assert cell.edge2 == W2
-    assert cell.origin == -(W1 + W2) / 2.0
 
 
 # --- cardinal values and poles ----------------------------------------------

@@ -1,5 +1,6 @@
 """The sm/cm kernel: bit-identity with the identity layer, every order usable,
-and the module attributes the benchmark's tracer wraps."""
+one constants record per order, the package's public names, and the module
+attributes the benchmark's tracer wraps."""
 
 import cmath
 import dataclasses
@@ -8,6 +9,9 @@ import json
 import math
 import pathlib
 import random
+import subprocess
+import sys
+import types
 
 import pytest
 
@@ -30,6 +34,7 @@ from dixonian import (
     sm_cm,
     translate_2K,
 )
+from dixonian.constants import GAMMA_POWERS
 from dixonian.evaluator import NEAR_TOL, POLE_TOL, _context, _nearest_pole_frame
 from dixonian.identities import duplicate_values
 from dixonian.series import MAX_ORDER, SERIES_EVAL_RADIUS
@@ -73,7 +78,7 @@ def _identity_layer(z):
         return None
     if abs(w) <= NEAR_TOL:
         p = translate_2K(FunctionPair(*eval_series(ctx.pair, w)))
-        return ctx.gamma_powers[j] * p.s, p.c
+        return GAMMA_POWERS[j] * p.s, p.c
     return _identity_duplication(zr)
 
 
@@ -195,6 +200,31 @@ def test_traced_attributes_exist():
     p = evaluator._near_pole_pair(ctx, j, w)
     assert (p.s, p.c) == tuple(v.value for v in sm_cm(-K + 0.01))
     assert evaluator.POLE_TOL < evaluator.NEAR_TOL
+
+
+def test_one_constants_record_per_order():
+    # the evaluator, the selftest and the default reduction share one cache
+    # entry; a fresh interpreter starts from an empty cache
+    code = (
+        "from dixonian import constants, evaluator, reduce_to_fundamental, run_selftest, sm\n"
+        "sm(0.3); run_selftest(); reduce_to_fundamental(1.0)\n"
+        "assert constants.dixon_constants.cache_info().currsize == 1\n"
+        "assert constants.dixon_constants(48) is evaluator._context(48).constants\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_all_lists_every_public_name():
+    import dixonian
+
+    public = {
+        name
+        for name, value in vars(dixonian).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert sorted(dixonian.__all__) == sorted(public)
+    assert len(dixonian.__all__) == len(set(dixonian.__all__))
 
 
 def test_sm_cm_calls_through_module_attributes(monkeypatch):

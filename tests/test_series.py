@@ -1,14 +1,13 @@
 """Coefficient layer: exact recurrence, sparsity, landmarks, evaluation."""
 
 import cmath
-import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from dixonian import ConvergenceError, eval_series, export_json, generate_series, series
+from dixonian import ConvergenceError, eval_series, generate_series, series
 from dixonian.series import DEFAULT_ORDER, MAX_ORDER, SERIES_EVAL_RADIUS, SERIES_TOL
 from conftest import assert_checks, assert_fact
 
@@ -107,15 +106,6 @@ def test_small_order_ok_near_zero():
     s, c = eval_series(generate_series(10), 0.05)
     assert abs(s - 0.05) < 1e-5
     assert abs(c - 1.0) < 1e-3
-
-
-def test_export_json():
-    pair = generate_series(7)
-    rows = json.loads(export_json(pair))
-    assert len(rows) == 8
-    assert rows[4] == {"n": 4, "s_num": "-1", "s_den": "6", "c_num": "0", "c_den": "1"}
-    assert rows[3]["c_num"] == "-1" and rows[3]["c_den"] == "3"
-    assert all(isinstance(r["s_num"], str) for r in rows)
 
 
 # --- cached tail fit and series disc ----------------------------------------
