@@ -6,6 +6,10 @@ and 3K*conj(gamma). This package evaluates them globally (exact-rational
 series, lattice reduction, duplication), inverts sm, exposes the algebraic
 identity layer including the Weierstrass bridge, and renders domain-colored
 grids.
+
+The selftest (``CheckResult``, ``list_checks``, ``run_selftest``) is loaded
+on first use of one of its names: ``import dixonian`` and evaluation never
+pay for it.
 """
 
 from .constants import (
@@ -44,10 +48,11 @@ from .identities import (
 )
 from .inverse import InverseResult, sm_inverse
 from .render import Region, ValueGrid, domain_color, grid_to_csv, sample_grid
-from .selftest import CheckResult, list_checks, run_selftest
 from .series import SeriesPair, eval_series, generate_series
 
 __version__ = "0.1.0"
+
+_SELFTEST_NAMES = ("CheckResult", "list_checks", "run_selftest")
 
 __all__ = [
     "GAMMA",
@@ -90,3 +95,15 @@ __all__ = [
     "triplicate",
     "wp",
 ]
+
+
+def __getattr__(name: str):
+    if name in _SELFTEST_NAMES:
+        from . import selftest
+
+        return getattr(selftest, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_SELFTEST_NAMES})

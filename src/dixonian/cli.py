@@ -16,7 +16,7 @@ import math
 import re
 import sys
 
-from . import render, selftest, series
+from . import render, series
 from .constants import dixon_constants
 from .errors import DixonError
 from .evaluator import cm, sm, wp
@@ -104,20 +104,20 @@ def _cmd_grid(args) -> int:
         nx=pick("nx"),
         ny=pick("ny"),
     )
-    grid = render.sample_grid(region, args.fn, order=args.order)
+    ppm = args.format == "ppm"
+    # open --out before the render, so that an unwritable path fails at once
     try:
-        if args.format == "ppm":
-            with open(args.out, "wb") as fh:
-                fh.write(render.domain_color(grid))
-        else:
-            with open(args.out, "w", encoding="ascii") as fh:
-                fh.write(render.grid_to_csv(grid))
+        with open(args.out, "wb" if ppm else "w", encoding=None if ppm else "ascii") as fh:
+            grid = render.sample_grid(region, args.fn, order=args.order)
+            fh.write(render.domain_color(grid) if ppm else render.grid_to_csv(grid))
     except OSError as exc:
         raise ValueError(f"cannot write --out: {exc}") from exc
     return 0
 
 
 def _cmd_selftest(args) -> int:
+    from . import selftest
+
     if args.list:
         for name in selftest.list_checks():
             print(name)

@@ -17,10 +17,10 @@ its conjugate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import identities, series
+from ._record import record
 from .errors import ConvergenceError
 from .quadrature import tanh_sinh
 
@@ -38,8 +38,7 @@ GAMMA_POWERS = (complex(1.0), GAMMA, GAMMA.conjugate())
 MAX_REDUCED = 32.0
 
 
-@dataclass(frozen=True)
-class DixonConstants:
+class DixonConstants(record("DixonConstants", "K gamma periods pole_reps zero_reps g2 g3")):
     """Immutable record every other module reads.
 
     ``K`` is the first positive zero of cm and ``gamma`` is GAMMA.
@@ -50,13 +49,7 @@ class DixonConstants:
     of the Weierstrass p function of the same lattice.
     """
 
-    K: float
-    gamma: complex
-    periods: tuple[complex, complex]
-    pole_reps: tuple[complex, complex, complex]
-    zero_reps: tuple[complex, complex, complex]
-    g2: float
-    g3: float
+    __slots__ = ()
 
 
 def halve_and_duplicate(pair: series.SeriesPair, y: complex) -> tuple[complex, complex]:

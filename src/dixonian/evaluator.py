@@ -13,11 +13,10 @@ Values stay plain complex numbers until the result is returned.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 from . import identities, series
+from ._record import record
 from .constants import GAMMA_POWERS, DixonConstants, dixon_constants, halve_and_duplicate
 from .errors import PoleError
 from .identities import FunctionPair
@@ -28,26 +27,16 @@ POLE_TOL = 1e-12
 NEAR_TOL = 0.05
 
 
-def _same_type_eq(self, other) -> bool:
-    return other.__class__ is self.__class__ and tuple.__eq__(self, other)
-
-
-def _same_type_ne(self, other) -> bool:
-    return not _same_type_eq(self, other)
-
-
-class EllipticValue(NamedTuple):
+class EllipticValue(record("EllipticValue", "value pole_rep", defaults=(None,))):
     """A finite complex value, or a pole marker with its lattice representative.
 
+    ``value`` is None exactly at a pole; ``pole_rep`` is None off the poles.
     Immutable, and equal only to an EllipticValue with equal fields. The
     kernel builds instances with ``tuple.__new__``, which skips the
     keyword handling of the class call.
     """
 
-    value: complex | None
-    pole_rep: complex | None = None
-
-    __eq__, __ne__, __hash__ = _same_type_eq, _same_type_ne, tuple.__hash__
+    __slots__ = ()
 
     @property
     def is_pole(self) -> bool:
@@ -62,20 +51,16 @@ class EllipticValue(NamedTuple):
         return cls(value=None, pole_rep=complex(rep))
 
 
-class LatticeReduction(NamedTuple):
+class LatticeReduction(record("LatticeReduction", "m n z_reduced")):
     """Integer lattice coordinates and the remainder in the centered cell."""
 
-    m: int
-    n: int
-    z_reduced: complex
-
-    __eq__, __ne__, __hash__ = _same_type_eq, _same_type_ne, tuple.__hash__
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class _Context:
-    constants: DixonConstants
-    pair: series.SeriesPair
+class _Context(record("_Context", "constants pair")):
+    """An order's DixonConstants and SeriesPair."""
+
+    __slots__ = ()
 
 
 @lru_cache(maxsize=8)

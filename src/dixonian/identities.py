@@ -8,8 +8,7 @@ Weierstrass bridge) and as independent cross-checks of the global evaluator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import record
 from .errors import DegenerateDenominatorError
 
 #: Below this magnitude a denominator is treated as degenerate: the target
@@ -17,20 +16,16 @@ from .errors import DegenerateDenominatorError
 DENOM_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class FunctionPair:
+class FunctionPair(record("FunctionPair", "s c")):
     """Values (s, c) = (sm(z), cm(z)) at a common argument z."""
 
-    s: complex
-    c: complex
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class WeierstrassValue:
+class WeierstrassValue(record("WeierstrassValue", "p p_prime")):
     """A point (p, p') on the curve p'^2 = 4 p^3 - 1/27."""
 
-    p: complex
-    p_prime: complex
+    __slots__ = ()
 
 
 def _require(den: complex, op: str) -> complex:

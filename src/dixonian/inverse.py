@@ -14,9 +14,9 @@ y^3/3 + ...): y is the principal cube root of 3 (1 - w gamma**-j).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import series
+from ._record import record
 from .constants import GAMMA_POWERS, dixon_constants
 from .errors import ConvergenceError
 from .evaluator import sm_cm_values
@@ -34,12 +34,10 @@ _FLAT_DERIVATIVE = 1e-9
 _BRANCH_RADIUS = 1e-9
 
 
-@dataclass(frozen=True)
-class InverseResult:
+class InverseResult(record("InverseResult", "z residual")):
     """Principal preimage and the verified forward residual |sm(z) - w|."""
 
-    z: complex
-    residual: float
+    __slots__ = ()
 
 
 def sm_inverse(w: complex, tol: float = 1e-12, *, order: int = series.DEFAULT_ORDER) -> InverseResult:

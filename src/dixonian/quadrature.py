@@ -17,8 +17,8 @@ Levels 0-6 take about 0.08 MB, all levels to MAX_LEVEL 1.2 MB.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from functools import lru_cache
-from typing import Callable
 
 from .errors import ConvergenceError
 

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import colorsys
 import math
-from dataclasses import dataclass
 
+from ._record import record
 from .evaluator import EllipticValue, sm_cm, wp
 from .series import DEFAULT_ORDER
 
@@ -24,23 +24,24 @@ _TWO_PI = 2.0 * math.pi
 SELECTORS = ("sm", "cm", "wp")
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(record("Region", "center width height nx ny")):
     """Axis-aligned rectangle of nx * ny sample points, endpoints included."""
 
-    center: complex
-    width: float
-    height: float
-    nx: int
-    ny: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.width > 0.0 and self.height > 0.0):
+    def __new__(cls, center: complex, width: float, height: float, nx: int, ny: int):
+        if not (width > 0.0 and height > 0.0):
             raise ValueError("width and height must be positive")
-        if self.nx < 1 or self.ny < 1:
+        if nx < 1 or ny < 1:
             raise ValueError("nx and ny must be at least 1")
-        if self.nx * self.ny > MAX_PIXELS:
+        if nx * ny > MAX_PIXELS:
             raise ValueError(f"grid exceeds the {MAX_PIXELS} sample cap")
+        return super().__new__(cls, center, width, height, nx, ny)
+
+    @classmethod
+    def _make(cls, iterable) -> "Region":
+        # the namedtuple default skips __new__; _replace builds through here
+        return cls(*iterable)
 
     def xs(self) -> list[float]:
         return self._axis(self.center.real, self.width, self.nx)
@@ -56,12 +57,13 @@ class Region:
         return [mid - span / 2.0 + i * step for i in range(count)]
 
 
-@dataclass(frozen=True)
-class ValueGrid:
-    """Row-major samples: values[j * nx + i] is the point (xs[i], ys[j])."""
+class ValueGrid(record("ValueGrid", "region values")):
+    """Row-major samples: values[j * nx + i] is the point (xs[i], ys[j]).
 
-    region: Region
-    values: tuple[EllipticValue, ...]
+    ``values`` is a tuple of EllipticValue.
+    """
+
+    __slots__ = ()
 
 
 def sample_grid(

@@ -15,7 +15,6 @@ time a pair is evaluated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -38,19 +37,37 @@ SERIES_TOL = 1e-13
 _FALLBACK_STEP = (1.0 / 1.7) ** 3
 
 
-@dataclass(eq=True)
 class SeriesPair:
     """Taylor coefficients of sm (``s_coeffs``) and cm (``c_coeffs``) about 0.
 
     ``s_coeffs[n]`` is the exact rational coefficient of z**n; both tuples
     run from index 0 through ``order`` inclusive. Instances are immutable by
     convention once constructed, so everything evaluation needs that depends
-    only on the coefficients is derived once, on first use.
+    only on the coefficients is derived once, on first use. Two pairs are
+    equal when their coefficients and order are; pairs are not hashable.
     """
 
-    s_coeffs: tuple[Fraction, ...]
-    c_coeffs: tuple[Fraction, ...]
-    order: int
+    __hash__ = None
+
+    def __init__(
+        self, s_coeffs: tuple[Fraction, ...], c_coeffs: tuple[Fraction, ...], order: int
+    ) -> None:
+        self.s_coeffs = s_coeffs
+        self.c_coeffs = c_coeffs
+        self.order = order
+
+    def __repr__(self) -> str:
+        return (
+            f"SeriesPair(s_coeffs={self.s_coeffs!r}, c_coeffs={self.c_coeffs!r}, "
+            f"order={self.order!r})"
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.s_coeffs, self.c_coeffs, self.order) == (
+            other.s_coeffs, other.c_coeffs, other.order
+        )
 
     @cached_property
     def _s_packed(self) -> tuple[float, ...]:

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from dixonian import render
 from dixonian.cli import main, parse_complex
 from conftest import K
 
@@ -203,6 +204,16 @@ def test_grid_unwritable_out(tmp_path, capsys):
     assert code == 2
     assert err.startswith("error: ") and str(out) in err
     assert "Traceback" not in err
+
+
+def test_grid_unwritable_out_fails_before_render(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(render, "sample_grid", lambda *a, **k: calls.append(a))
+    code, _, err = run_cli(capsys, "grid", "--fn", "sm", "--center", "0", "--width", "8",
+                           "--height", "6", "--nx", "400", "--ny", "300",
+                           "--out", str(tmp_path / "missing" / "x.ppm"))
+    assert code == 2 and err.startswith("error: cannot write --out")
+    assert calls == []
 
 
 # --- selftest -------------------------------------------------------------------------

@@ -7,8 +7,16 @@ import random
 import pytest
 
 from dixonian import (
+    DixonConstants,
     EllipticValue,
+    FunctionPair,
+    InverseResult,
+    LatticeReduction,
     PoleError,
+    Region,
+    ValueGrid,
+    WeierstrassValue,
+    evaluator,
     cm,
     reduce_to_fundamental,
     sm,
@@ -117,17 +125,55 @@ def test_elliptic_value_api():
     assert type(EllipticValue.finite(2).value) is complex and type(p.pole_rep) is complex
 
 
+_REGION = dict(center=0j, width=1.0, height=2.0, nx=3, ny=1)
+_REGION_REPR = "Region(center=0j, width=1.0, height=2.0, nx=3, ny=1)"
+
+#: every value type, with keyword fields and the repr the frozen dataclasses
+#: and NamedTuples they replace gave
+VALUE_TYPES = (
+    (EllipticValue, dict(value=0.5 + 0j, pole_rep=None), "EllipticValue(value=(0.5+0j), pole_rep=None)"),
+    (
+        LatticeReduction,
+        dict(m=1, n=-2, z_reduced=0.3 + 0j),
+        "LatticeReduction(m=1, n=-2, z_reduced=(0.3+0j))",
+    ),
+    (
+        DixonConstants,
+        dict(K=2.0, gamma=1j, periods=(3.0, 3j), pole_reps=(-2.0,), zero_reps=(0j,), g2=0.0, g3=0.5),
+        "DixonConstants(K=2.0, gamma=1j, periods=(3.0, 3j), pole_reps=(-2.0,), zero_reps=(0j,), "
+        "g2=0.0, g3=0.5)",
+    ),
+    (evaluator._Context, dict(constants="c", pair="p"), "_Context(constants='c', pair='p')"),
+    (FunctionPair, dict(s=0.5 + 0j, c=1.0), "FunctionPair(s=(0.5+0j), c=1.0)"),
+    (WeierstrassValue, dict(p=1j, p_prime=2.0), "WeierstrassValue(p=1j, p_prime=2.0)"),
+    (InverseResult, dict(z=0.5 + 0j, residual=0.0), "InverseResult(z=(0.5+0j), residual=0.0)"),
+    (Region, _REGION, _REGION_REPR),
+    (
+        ValueGrid,
+        dict(region=Region(**_REGION), values=(EllipticValue(1.0),)),
+        f"ValueGrid(region={_REGION_REPR}, values=(EllipticValue(value=1.0, pole_rep=None),))",
+    ),
+)
+
+
 def test_value_types_immutable_and_compared_by_type():
+    for cls, fields, text in VALUE_TYPES:
+        obj, same, plain = cls(**fields), cls(*fields.values()), tuple(fields.values())
+        assert repr(obj) == text
+        assert obj == same and not obj != same
+        assert hash(obj) == hash(same)
+        # as with frozen dataclasses: no equality with a plain tuple
+        assert obj != plain and not obj == plain and not plain == obj, text
+        for name in (next(iter(fields)), "extra"):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, 1)
+    # equal fields, another type
+    assert FunctionPair(1.0, 2.0) != WeierstrassValue(1.0, 2.0)
+    # the kernel builds its values with tuple.__new__, past the class call
     v, r = sm_cm(0.3)[0], reduce_to_fundamental(0.3)
     assert repr(v) == f"EllipticValue(value={v.value!r}, pole_rep=None)"
     assert repr(r) == "LatticeReduction(m=0, n=0, z_reduced=(0.3+0j))"
-    for obj, fields, first in ((v, (v.value, None), "value"), (r, (0, 0, 0.3 + 0j), "m")):
-        assert obj == type(obj)(*fields) and not obj != type(obj)(*fields)
-        assert hash(obj) == hash(type(obj)(*fields))
-        # as with the frozen dataclasses they replace: no plain-tuple equality
-        assert obj != fields and not obj == fields and not fields == obj
-        with pytest.raises(AttributeError):
-            setattr(obj, first, 1)
+    assert v == EllipticValue(v.value) and r == LatticeReduction(0, 0, 0.3 + 0j)
 
 
 def test_projections():

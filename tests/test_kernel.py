@@ -1,12 +1,13 @@
 """The sm/cm kernel: bit-identity with the identity layer, every order usable,
-one constants record per order, the package's public names, and the module
-attributes the benchmark's tracer wraps."""
+one constants record per order, the package's public names, what a cold start
+imports, and the module attributes the benchmark's tracer wraps."""
 
 import cmath
 import dataclasses
 import importlib.util
 import json
 import math
+import os
 import pathlib
 import random
 import subprocess
@@ -218,13 +219,47 @@ def test_one_constants_record_per_order():
 def test_all_lists_every_public_name():
     import dixonian
 
+    # dir() also lists the names loaded on first use, and getattr resolves
+    # each, so every name of __all__ resolves
     public = {
         name
-        for name, value in vars(dixonian).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        for name in dir(dixonian)
+        if not name.startswith("_") and not isinstance(getattr(dixonian, name), types.ModuleType)
     }
     assert sorted(dixonian.__all__) == sorted(public)
     assert len(dixonian.__all__) == len(set(dixonian.__all__))
+    code = (
+        "from dixonian import *\n"
+        "import dixonian\n"
+        "assert all(n in globals() for n in dixonian.__all__)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+#: Modules that importing the package, a first sm_cm and the CLI's eval,
+#: constants and invert must not load: importing them cost a fresh process
+#: several times the library's own work up to its first value.
+COLD_PATH_EXCLUDED = ("dataclasses", "typing", "inspect", "random", "dixonian.selftest")
+
+
+def test_cold_path_imports():
+    code = "\n".join((
+        "import sys",
+        "import dixonian",
+        "dixonian.sm_cm(0.3)",
+        "from dixonian import cli",
+        "for argv in (['eval', '--fn', 'sm', '--z', '0.3'], ['eval', '--fn', 'wp', '--z', '0.3+0.1i'],",
+        "             ['constants'], ['invert', '--w', '0.5']):",
+        "    assert cli.main(argv) == 0, argv",
+        f"loaded = [m for m in {COLD_PATH_EXCLUDED!r} if m in sys.modules]",
+        "assert not loaded, loaded",
+        "dixonian.run_selftest",
+        "assert 'dixonian.selftest' in sys.modules",
+    ))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_sm_cm_calls_through_module_attributes(monkeypatch):

@@ -15,6 +15,8 @@ def test_region_validation():
         Region(0j, 1.0, 1.0, 0, 4)
     with pytest.raises(ValueError):
         Region(0j, 1.0, 1.0, 4096, 4097)
+    with pytest.raises(ValueError):
+        Region(0j, 1.0, 1.0, 4, 4)._replace(nx=0)
 
 
 def test_selector_validation():

@@ -50,6 +50,18 @@ def test_deterministic():
     assert generate_series(16) == generate_series(16)
 
 
+def test_pair_compared_by_value_and_unhashable():
+    fresh = series._generate.__wrapped__(16)
+    assert fresh is not generate_series(16) and fresh == generate_series(16)
+    assert fresh != generate_series(17) and fresh != (fresh.s_coeffs, fresh.c_coeffs, 16)
+    with pytest.raises(TypeError):
+        hash(fresh)
+    assert repr(generate_series(1)) == (
+        "SeriesPair(s_coeffs=(Fraction(0, 1), Fraction(1, 1)), "
+        "c_coeffs=(Fraction(1, 1), Fraction(0, 1)), order=1)"
+    )
+
+
 def test_order_bounds():
     with pytest.raises(ValueError):
         generate_series(0)
