@@ -7,7 +7,10 @@ direct duplication would cancel); otherwise halve into the series disc of
 the order and duplicate back out. Outside the near-pole discs no
 duplication denominator comes near zero: one would vanish only where the
 doubled point is a pole, and the doubles of the poles lie outside the cell.
-Values stay plain complex numbers until the result is returned.
+
+One kernel, ``_pair``, runs this pipeline and returns plain complex values;
+``sm_cm`` wraps them in records, and the grid sampler runs it along each row
+and wraps only the value it shows.
 """
 
 from __future__ import annotations
@@ -27,13 +30,18 @@ POLE_TOL = 1e-12
 NEAR_TOL = 0.05
 
 
+#: tuple.__new__, bound once: looking an attribute up on a type is slow,
+#: and the kernel builds a record or two per point
+_new = tuple.__new__
+
+
 class EllipticValue(record("EllipticValue", "value pole_rep", defaults=(None,))):
     """A finite complex value, or a pole marker with its lattice representative.
 
     ``value`` is None exactly at a pole; ``pole_rep`` is None off the poles.
     Immutable, and equal only to an EllipticValue with equal fields. The
-    kernel builds instances with ``tuple.__new__``, which skips the
-    keyword handling of the class call.
+    kernel builds instances with ``_new``, which skips the keyword handling
+    of the class call.
     """
 
     __slots__ = ()
@@ -79,7 +87,7 @@ def reduce_to_fundamental(z: complex, consts: DixonConstants | None = None) -> L
     b = z.imag / w2.imag
     a = (z.real - b * w2.real) / w1.real
     m, n = round(a), round(b)
-    return tuple.__new__(LatticeReduction, (m, n, z - (m * w1 + n * w2)))
+    return _new(LatticeReduction, (m, n, z - (m * w1 + n * w2)))
 
 
 def sm_cm(z: complex, *, order: int = series.DEFAULT_ORDER) -> tuple[EllipticValue, EllipticValue]:
@@ -89,18 +97,24 @@ def sm_cm(z: complex, *, order: int = series.DEFAULT_ORDER) -> tuple[EllipticVal
     reduced argument is within POLE_TOL of a pole representative.
     """
     ctx = _context(order)
+    s, c = _pair(ctx, z)
+    if s is None:
+        marker = EllipticValue.pole(ctx.constants.pole_reps[c])
+        return marker, marker
+    return _new(EllipticValue, (s, None)), _new(EllipticValue, (c, None))
+
+
+def _pair(ctx: _Context, z: complex) -> tuple:
+    """The kernel: plain (sm, cm) at z, or (None, j) where z sits on pole j
+    (the class of ``pole_reps[j]``)."""
     zr = reduce_to_fundamental(z, ctx.constants).z_reduced
     j, w = _nearest_pole_frame(ctx, zr)
     dist = abs(w)
     if dist <= POLE_TOL:
-        marker = EllipticValue.pole(ctx.constants.pole_reps[j])
-        return marker, marker
+        return None, j
     if dist <= NEAR_TOL:
-        pair = _near_pole_pair(ctx, j, w)
-        s, c = pair.s, pair.c
-    else:
-        s, c = halve_and_duplicate(ctx.pair, zr)
-    return tuple.__new__(EllipticValue, (s, None)), tuple.__new__(EllipticValue, (c, None))
+        return _near_pole_pair(ctx, j, w)
+    return halve_and_duplicate(ctx.pair, zr)
 
 
 def sm(z: complex, *, order: int = series.DEFAULT_ORDER) -> EllipticValue:
@@ -133,7 +147,7 @@ def wp(z: complex, *, order: int = series.DEFAULT_ORDER) -> EllipticValue:
     den = 1.0 - cv.value
     if abs(den) < identities.DENOM_TOL:
         return EllipticValue.pole(complex(0.0))
-    return tuple.__new__(EllipticValue, (sv.value / (3.0 * den), None))
+    return _new(EllipticValue, (sv.value / (3.0 * den), None))
 
 
 def _nearest_pole_frame(ctx: _Context, zr: complex) -> tuple[int, complex]:

@@ -117,7 +117,8 @@ class SeriesPair:
     def halvings(self, r: float) -> int:
         """How many halvings bring the radius r inside eval_radius."""
         k = 0
-        while r > self.eval_radius:
+        radius = self.eval_radius
+        while r > radius:
             r *= 0.5
             k += 1
         return k

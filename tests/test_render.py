@@ -1,10 +1,22 @@
 """Render layer: grid sampling, PPM coloring, CSV dump, determinism."""
 
+import colorsys
 import math
 
 import pytest
 
-from dixonian import Region, domain_color, grid_to_csv, reduce_to_fundamental, sample_grid
+from dixonian import (
+    EllipticValue,
+    Region,
+    ValueGrid,
+    domain_color,
+    grid_to_csv,
+    reduce_to_fundamental,
+    sample_grid,
+    sm_cm,
+    wp,
+)
+from dixonian.render import ZERO_CLIP, _append_rgb
 from conftest import CONSTS, K, W1, W2
 
 
@@ -135,3 +147,192 @@ def test_cell_grid_pole_and_zero_clusters():
             zero_classes.add(min(range(3), key=lambda i: abs(zr - CONSTS.zero_reps[i])))
     assert pole_classes == {0, 1, 2}
     assert zero_classes == {0, 1, 2}
+
+
+# -- the row kernel: sample_grid agrees with the one-point API bit for bit ----
+
+P0, P1, P2 = CONSTS.pole_reps
+
+KERNEL_REGIONS = {
+    # odd axes whose nodes land exactly on a pole representative
+    "on -K": (Region(0j, 2.0 * K, math.sqrt(3.0) * K, 5, 3), P0),
+    "on -K*gamma": (Region(P1, 1.0, 1.0, 3, 3), P1),
+    "on -K*conj(gamma)": (Region(P2, 1.0, 1.0, 3, 3), P2),
+    # rows within 1e-3 of a pole, inside NEAR_TOL: the near-pole rescue
+    "near -K": (Region(P0 + 5e-4j, 1.6e-3, 8e-4, 9, 3), None),
+    "near -K*gamma": (Region(P1 + 3e-4, 6e-4, 1.6e-3, 5, 4), None),
+    # a row at |z| ~ 1e6: lattice reduction of a large argument
+    "far": (Region(complex(1e6, 0.25), 6.0, 0.5, 13, 1), None),
+    "1x1": (Region(0.3 + 0.2j, 1.0, 1.0, 1, 1), None),
+    "1xn": (Region(-0.4 + 0.1j, 1.0, 2.5, 1, 7), None),
+    "cell": (Region(0j, 4.5 * K, 1.5 * math.sqrt(3.0) * K, 37, 13), None),
+}
+
+
+def _bits(v):
+    # EllipticValue equality would let 0.0 == -0.0 through
+    if v.value is None:
+        return None, v.pole_rep.real.hex(), v.pole_rep.imag.hex()
+    return v.value.real.hex(), v.value.imag.hex(), v.pole_rep
+
+
+def _one_point(selector, z, order):
+    if selector == "wp":
+        return wp(z, order=order)
+    return sm_cm(z, order=order)[0 if selector == "sm" else 1]
+
+
+@pytest.mark.parametrize("selector", ["sm", "cm", "wp"])
+@pytest.mark.parametrize("name", sorted(KERNEL_REGIONS))
+def test_grid_values_match_one_point_api(name, selector):
+    region, pole = KERNEL_REGIONS[name]
+    xs, ys = region.xs(), region.ys()
+    points = [complex(x, y) for y in ys for x in xs]
+    if pole is not None:
+        assert pole in points, name  # the case this region exists for
+    for order in (48, 12):
+        grid = sample_grid(region, selector, order=order)
+        assert len(grid.values) == len(points)
+        assert all(type(v) is EllipticValue for v in grid.values)
+        want = [_bits(_one_point(selector, z, order)) for z in points]
+        assert [_bits(v) for v in grid.values] == want, (name, selector, order)
+
+
+# -- the writers against the colorsys / per-index formulation they replace ----
+
+
+def _reference_pixel(v):
+    if v.is_pole:
+        return 255, 255, 255
+    mag = abs(v.value)
+    if mag <= ZERO_CLIP:
+        return 0, 0, 0
+    hue = (math.atan2(v.value.imag, v.value.real) / (2.0 * math.pi)) % 1.0
+    x = math.log1p(mag)
+    light = 0.15 + (0.95 - 0.15) * x / (1.0 + x)
+    r, g, b = colorsys.hls_to_rgb(hue, light, 1.0)
+    return int(255.0 * r + 0.5), int(255.0 * g + 0.5), int(255.0 * b + 0.5)
+
+
+def _reference_ppm(grid):
+    header = f"P6\n{grid.region.nx} {grid.region.ny}\n255\n".encode("ascii")
+    return header + bytes(c for v in grid.values for c in _reference_pixel(v))
+
+
+def _reference_csv(grid):
+    xs, ys = grid.region.xs(), grid.region.ys()
+    nx = grid.region.nx
+    lines = ["re,im,s_re,s_im,pole"]
+    for idx, v in enumerate(grid.values):
+        z = complex(xs[idx % nx], ys[idx // nx])
+        if v.is_pole:
+            lines.append(f"{z.real:.17g},{z.imag:.17g},nan,nan,1")
+        else:
+            lines.append(f"{z.real:.17g},{z.imag:.17g},{v.value.real:.17g},{v.value.imag:.17g},0")
+    return "\n".join(lines) + "\n"
+
+
+def _hue(v):
+    return (math.atan2(v.imag, v.real) / (2.0 * math.pi)) % 1.0
+
+
+def _value_at_hue(target, mag):
+    """A value of about ``mag`` whose computed hue is exactly ``target``,
+    found by stepping one component an ulp at a time."""
+    angle = 2.0 * math.pi * target
+    v = complex(mag * math.cos(angle), mag * math.sin(angle))
+    for _ in range(200):
+        h = _hue(v)
+        if h == target:
+            return v
+        # move the angle toward the target along the tangent direction
+        step = 1 if (h < target) != (h - target > 0.5) else -1
+        re, im = v.real, v.imag
+        if abs(math.sin(angle)) < abs(math.cos(angle)):
+            v = complex(re, math.nextafter(im, step * math.copysign(math.inf, re)))
+        else:
+            v = complex(math.nextafter(re, -step * math.copysign(math.inf, im)), im)
+    raise AssertionError(f"no value found with hue {target!r}")
+
+
+def _writer_values():
+    mags = (0.05, 0.5, 1.17, 1.18, 3.0, 1e6, 1e300)  # lightness on both sides of 0.5
+    hues = (0.0, 1.0 / 6.0, 1.0 / 3.0, 0.5, 2.0 / 3.0, 5.0 / 6.0)
+    values = [_value_at_hue(h, m) for h in hues for m in mags]
+    assert {_hue(v) for v in values} == set(hues)
+    values += [
+        complex(ZERO_CLIP, 0.0),  # black
+        complex(math.nextafter(ZERO_CLIP, math.inf), 0.0),  # colored
+        complex(0.0, -ZERO_CLIP),
+        0j,
+        complex(-0.0, -0.0),
+        complex(1.0, -1e-300),  # hue rounds up to 1.0 before colorsys reduces it
+        complex(-1.0, -0.0),
+        complex(-1.0, 0.0),
+        complex(0.3, -0.0),
+        complex(-2.5, 1e-17),
+        complex(1e-300, -1e300),
+    ]
+    return [EllipticValue.finite(v) for v in values]
+
+
+WRITER_REGIONS = (
+    Region(complex(-0.0, -0.0), 1.0, 1.0, 1, 1),
+    Region(complex(0.0, -0.0), 2.0, 1.0, 3, 1),
+    Region(complex(-0.0, 0.0), 1.0, 2.0, 1, 4),
+    Region(0j, 2.0, 2.0, 5, 5),
+    Region(complex(-3.25, 1e6), 0.5, 1e-9, 4, 3),
+)
+
+
+@pytest.mark.parametrize("region", WRITER_REGIONS, ids=lambda r: f"{r.nx}x{r.ny}")
+def test_writers_match_reference(region):
+    pool = _writer_values() + [EllipticValue.pole(P0), EllipticValue.pole(P1)]
+    n = region.nx * region.ny
+    for start in range(0, len(pool), n):
+        chunk = pool[start : start + n]
+        chunk += pool[: n - len(chunk)]
+        grid = ValueGrid(region, tuple(chunk))
+        assert domain_color(grid) == _reference_ppm(grid)
+        assert grid_to_csv(grid) == _reference_csv(grid)
+
+
+def _neighbours(x, n):
+    """x and the n doubles on each side of it."""
+    out, lo, hi = [x], x, x
+    for _ in range(n):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        out += [lo, hi]
+    return out
+
+
+def _rounding_edges():
+    """(hue, light) pairs at which a channel's 255 * c + 0.5 falls on or within
+    a few ulps of an integer, so that a change of one ulp in c moves a byte."""
+    # m2 = 2 * light below 0.5 and m1 = 2 * light - m2 above it hit byte
+    # midpoints at these lightnesses; the boundary hues give c = m1 or m2
+    lights = [(2 * k + 1) / 1020 for k in range(77, 255)]
+    lights += [(1.0 + (2 * k + 1) / 510) / 2 for k in range(0, 230)]
+    lights += _neighbours(0.5, 3)
+    hues = [h for b in (0.0, 1 / 6, 1 / 3, 0.5, 2 / 3, 5 / 6) for h in _neighbours(b, 2)]
+    pairs = [(h, l) for l in lights for h in hues]
+    # on the rising ramp of the green channel, c = m1 + (m2 - m1) * 6 * hue:
+    # solve for the hue of each byte midpoint and take its neighbours
+    for light in [0.15 + 0.8 * i / 97 for i in range(98)] + lights[::7]:
+        m2 = light * 2.0 if light <= 0.5 else light + 1.0 - light
+        m1 = 2.0 * light - m2
+        for n in range(256):
+            hue = ((n + 0.5) / 255.0 - m1) / (6.0 * (m2 - m1))
+            if 0.0 <= hue < 1 / 6:
+                pairs += [(h, light) for h in _neighbours(hue, 2)]
+    return pairs
+
+
+def test_append_rgb_matches_colorsys_at_rounding_edges():
+    edges = _rounding_edges()
+    assert len(edges) > 20000
+    for hue, light in edges:
+        got = bytearray()
+        _append_rgb(got.append, hue, light)
+        want = bytes(int(255.0 * c + 0.5) for c in colorsys.hls_to_rgb(hue, light, 1.0))
+        assert bytes(got) == want, (hue.hex(), light.hex())
