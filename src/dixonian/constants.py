@@ -31,10 +31,9 @@ GAMMA = complex(-0.5, math.sqrt(3.0) / 2.0)
 #: = gamma**-1, so ``GAMMA_POWERS[j].conjugate()`` is gamma**-j.
 GAMMA_POWERS = (complex(1.0), GAMMA, GAMMA.conjugate())
 
-#: The centered cell lies within 3K*sqrt(3)/2 < 4.6 of 0, but from |z| of
-#: about 1e16 the reduction leaves rounding errors of several units in the
-#: reduced argument. Beyond this bound (|z| past about 1e17) the argument is
-#: lost altogether, and evaluation raises rather than halving it.
+#: The centered cell lies within 3K*sqrt(3)/2 < 4.6 of 0. halve_and_duplicate
+#: takes reduced arguments (the evaluator reduces every z first, and rejects
+#: parts beyond evaluator.MAX_ARGUMENT); a larger one is refused, not halved.
 MAX_REDUCED = 32.0
 
 

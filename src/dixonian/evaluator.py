@@ -15,7 +15,6 @@ and wraps only the value it shows.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 from . import identities, series
@@ -28,6 +27,10 @@ from .identities import FunctionPair
 POLE_TOL = 1e-12
 #: Closer than this to a pole: evaluate through the 2K translation.
 NEAR_TOL = 0.05
+#: Largest |Re z| and |Im z| the reduction accepts. From 2**45 on, one ulp
+#: of z (2**-7) exceeds 1e-3 of the period 3K, so the reduced argument says
+#: little about the point meant; from about 1e17 it comes out exactly 0.
+MAX_ARGUMENT = 2.0 ** 45
 
 
 #: tuple.__new__, bound once: looking an attribute up on a type is slow,
@@ -77,10 +80,15 @@ def _context(order: int) -> _Context:
 
 
 def reduce_to_fundamental(z: complex, consts: DixonConstants | None = None) -> LatticeReduction:
-    """Split z = m*w1 + n*w2 + z_reduced with z_reduced in the centered cell."""
+    """Split z = m*w1 + n*w2 + z_reduced with z_reduced in the centered cell.
+
+    A part of z beyond MAX_ARGUMENT in magnitude, or not finite, raises
+    ValueError.
+    """
     z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError(f"non-finite argument {z}")
+    # also false for NaN and the infinities
+    if not (abs(z.real) <= MAX_ARGUMENT and abs(z.imag) <= MAX_ARGUMENT):
+        raise ValueError(f"cannot reduce {z}: each part must be finite and at most 2**45 in magnitude")
     if consts is None:
         consts = dixon_constants(series.DEFAULT_ORDER)
     w1, w2 = consts.periods

@@ -1,4 +1,4 @@
-"""Exact Taylor coefficients of sm and cm about 0, and their local evaluation.
+"""Taylor coefficients of sm and cm about 0, and their local evaluation.
 
 sm and cm solve cm' = -sm^2, sm' = cm^2 with cm(0) = 1, sm(0) = 0. Equating
 powers of z in the two equations gives a triangular recurrence over the
@@ -7,17 +7,20 @@ rationals:
     (n+1) * s[n+1] = sum_{k=0..n} c[k] * c[n-k]
     (n+1) * c[n+1] = -sum_{k=0..n} s[k] * s[n-k]
 
-Coefficients are kept as exact `fractions.Fraction` values so the local
-solution is ground truth; conversion to binary64 happens once, the first
-time a pair is evaluated.
+Its coefficients are the same in every process, so evaluation reads their
+correctly rounded doubles from the checked-in table ``_tables`` (through
+MAX_ORDER), and a pair of order n takes a prefix of it. The exact
+``fractions.Fraction`` coefficients, the ground truth the table is derived
+from and tested against, are built from the recurrence only when a caller
+reads them.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cached_property, lru_cache
 
+from ._tables import P_COEFFS, Q_COEFFS
 from .errors import ConvergenceError
 
 DEFAULT_ORDER = 48
@@ -41,20 +44,33 @@ class SeriesPair:
     """Taylor coefficients of sm (``s_coeffs``) and cm (``c_coeffs``) about 0.
 
     ``s_coeffs[n]`` is the exact rational coefficient of z**n; both tuples
-    run from index 0 through ``order`` inclusive. Instances are immutable by
-    convention once constructed, so everything evaluation needs that depends
-    only on the coefficients is derived once, on first use. Two pairs are
-    equal when their coefficients and order are; pairs are not hashable.
+    run from index 0 through ``order`` inclusive, and are built from the
+    recurrence the first time either is read. Evaluation never reads them:
+    it takes the order's prefix of the binary64 table. Everything else
+    evaluation needs is derived from that prefix once, on first use. Two
+    pairs are equal when their orders are, and so their coefficients; pairs
+    are not hashable.
     """
 
     __hash__ = None
 
-    def __init__(
-        self, s_coeffs: tuple[Fraction, ...], c_coeffs: tuple[Fraction, ...], order: int
-    ) -> None:
-        self.s_coeffs = s_coeffs
-        self.c_coeffs = c_coeffs
+    def __init__(self, order: int) -> None:
         self.order = order
+        # sm(z) = z * P(z^3) and cm(z) = Q(z^3) in binary64
+        self._s_packed = P_COEFFS[: (order + 2) // 3]
+        self._c_packed = Q_COEFFS[: order // 3 + 1]
+
+    @cached_property
+    def _exact(self) -> tuple[tuple, tuple]:
+        return _recurrence(self.order)
+
+    @property
+    def s_coeffs(self) -> tuple:
+        return self._exact[0]
+
+    @property
+    def c_coeffs(self) -> tuple:
+        return self._exact[1]
 
     def __repr__(self) -> str:
         return (
@@ -65,19 +81,7 @@ class SeriesPair:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.s_coeffs, self.c_coeffs, self.order) == (
-            other.s_coeffs, other.c_coeffs, other.order
-        )
-
-    @cached_property
-    def _s_packed(self) -> tuple[float, ...]:
-        # sm(z) = z * P(z^3); these are P's coefficients in binary64
-        return tuple(float(a) for a in self.s_coeffs[1::3])
-
-    @cached_property
-    def _c_packed(self) -> tuple[float, ...]:
-        # cm(z) = Q(z^3)
-        return tuple(float(a) for a in self.c_coeffs[0::3])
+        return self.order == other.order
 
     @cached_property
     def _horner_steps(self) -> tuple[float | None, tuple[tuple[float, float], ...]]:
@@ -125,9 +129,10 @@ class SeriesPair:
 
 
 def generate_series(order: int = DEFAULT_ORDER) -> SeriesPair:
-    """Exact coefficients 0..order from the defining recurrence.
+    """The series pair of the order: a prefix of the binary64 table, with
+    the exact coefficients 0..order built from the recurrence on first read.
 
-    Each order is generated once per process; later calls return the same
+    Each order's pair is made once per process; later calls return the same
     pair. ``order`` outside 1..MAX_ORDER is a usage error.
     """
     if not 1 <= order <= MAX_ORDER:
@@ -137,6 +142,13 @@ def generate_series(order: int = DEFAULT_ORDER) -> SeriesPair:
 
 @lru_cache(maxsize=None, typed=True)
 def _generate(order: int) -> SeriesPair:
+    return SeriesPair(order)
+
+
+def _recurrence(order: int) -> tuple[tuple, tuple]:
+    """The exact coefficients 0..order of sm and cm, as Fractions."""
+    from fractions import Fraction
+
     s = [Fraction(0)] * (order + 1)
     c = [Fraction(0)] * (order + 1)
     c[0] = Fraction(1)
@@ -148,7 +160,7 @@ def _generate(order: int) -> SeriesPair:
             s[n + 1] = sum(c[k] * c[n - k] for k in range(0, n + 1, 3)) / (n + 1)
         elif n % 3 == 2:
             c[n + 1] = -sum(s[k] * s[n - k] for k in range(1, n + 1, 3)) / (n + 1)
-    return SeriesPair(tuple(s), tuple(c), order)
+    return tuple(s), tuple(c)
 
 
 def eval_series(pair: SeriesPair, z: complex) -> tuple[complex, complex]:

@@ -84,6 +84,13 @@ def test_eval_complex_argument(capsys):
 
 # --- constants --------------------------------------------------------------------
 
+@pytest.mark.parametrize("z", ["1e300+1e300i", "1.7e308+1.7e308i", "1.234567e17"])
+def test_eval_beyond_reduction_exits_2(capsys, z):
+    code, out, err = run_cli(capsys, "eval", "--fn", "sm", "--z", z)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "2**45" in err
+
+
 def test_constants_json(capsys):
     code, out, _ = run_cli(capsys, "constants")
     assert code == 0

@@ -154,8 +154,22 @@ def test_duplicate_values_is_duplicate():
 
 def test_reduction_beyond_cell_raises():
     # from about |z| = 1e17 the double-precision reduction loses the argument
-    with pytest.raises(ValueError):
-        sm_cm(1.7e308)
+    for z in (1.7e308, 1.234567e17, complex(1e300, 1e300), complex(1.7e308, 1.7e308)):
+        with pytest.raises(ValueError, match=r"2\*\*45"):
+            sm_cm(z)
+
+
+def test_max_argument_is_the_bound():
+    # one ulp of 2**45 exceeds 1e-3 of the period; the bound itself is accepted
+    big = evaluator.MAX_ARGUMENT
+    assert big == 2.0 ** 45 and math.ulp(big) > 1e-3 * 3.0 * K > math.ulp(big / 2.0)
+    for z in (complex(big, 0.0), complex(-big, big), complex(0.0, -big)):
+        assert abs(reduce_to_fundamental(z).z_reduced) < 4.6
+        sm_cm(z)
+    for z in (math.nextafter(big, math.inf), complex(0.0, -math.nextafter(big, math.inf)),
+              complex(math.inf, 0.0), complex(0.0, math.nan)):
+        with pytest.raises(ValueError):
+            reduce_to_fundamental(z)
 
 
 @pytest.mark.parametrize("order", range(1, MAX_ORDER + 1))
@@ -239,8 +253,15 @@ def test_all_lists_every_public_name():
 
 #: Modules that importing the package, a first sm_cm and the CLI's eval,
 #: constants and invert must not load: importing them cost a fresh process
-#: several times the library's own work up to its first value.
-COLD_PATH_EXCLUDED = ("dataclasses", "typing", "inspect", "random", "dixonian.selftest")
+#: several times the library's own work up to its first value. fractions
+#: (with decimal and numbers) serves only the exact coefficients, which
+#: evaluation never reads.
+COLD_PATH_EXCLUDED = (
+    "dataclasses", "typing", "inspect", "random", "dixonian.selftest", "fractions", "decimal", "numbers",
+)
+#: Not loaded by the package and a first sm_cm, the benchmark's set-up; the
+#: CLI loads re through argparse and json.
+SETUP_EXCLUDED = ("re", "enum")
 
 
 def test_cold_path_imports():
@@ -248,6 +269,8 @@ def test_cold_path_imports():
         "import sys",
         "import dixonian",
         "dixonian.sm_cm(0.3)",
+        f"loaded = [m for m in {SETUP_EXCLUDED!r} if m in sys.modules]",
+        "assert not loaded, loaded",
         "from dixonian import cli",
         "for argv in (['eval', '--fn', 'sm', '--z', '0.3'], ['eval', '--fn', 'wp', '--z', '0.3+0.1i'],",
         "             ['constants'], ['invert', '--w', '0.5']):",

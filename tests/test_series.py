@@ -1,13 +1,20 @@
-"""Coefficient layer: exact recurrence, sparsity, landmarks, evaluation."""
+"""Coefficient layer: exact recurrence, sparsity, landmarks, the binary64
+table, evaluation.
+
+``python tests/test_series.py`` (with ``src`` on the path) prints the
+binary64 table from the exact recurrence, as ``src/dixonian/_tables.py``
+holds it.
+"""
 
 import cmath
 import math
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from dixonian import ConvergenceError, eval_series, generate_series, series
+from dixonian import ConvergenceError, _tables, eval_series, generate_series, series
 from dixonian.series import DEFAULT_ORDER, MAX_ORDER, SERIES_EVAL_RADIUS, SERIES_TOL
 from conftest import assert_checks, assert_fact
 
@@ -60,6 +67,50 @@ def test_pair_compared_by_value_and_unhashable():
         "SeriesPair(s_coeffs=(Fraction(0, 1), Fraction(1, 1)), "
         "c_coeffs=(Fraction(1, 1), Fraction(0, 1)), order=1)"
     )
+
+
+def test_exact_coefficients_built_on_first_read():
+    # evaluation reads only the binary64 table; the Fractions are built once
+    fresh = series._generate.__wrapped__(12)
+    eval_series(fresh, 0.05 + 0.01j)
+    assert fresh.eval_radius > 0.0 and "_exact" not in vars(fresh)
+    assert fresh.s_coeffs == generate_series(12).s_coeffs and "_exact" in vars(fresh)
+    assert fresh.c_coeffs is fresh.c_coeffs
+
+
+# --- the binary64 table -------------------------------------------------------
+
+def _rounded_recurrence():
+    """P's and Q's coefficients through MAX_ORDER, each exact coefficient
+    rounded to the nearest double."""
+    pair = generate_series(MAX_ORDER)
+    return tuple(float(a) for a in pair.s_coeffs[1::3]), tuple(float(a) for a in pair.c_coeffs[0::3])
+
+
+def table_text():
+    """The table's two tuples, as ``_tables.py`` writes them."""
+    blocks = (
+        "\n".join((f"{name} = (", *(f"    {v!r}," for v in values), ")"))
+        for name, values in zip(("P_COEFFS", "Q_COEFFS"), _rounded_recurrence())
+    )
+    return "\n\n".join(blocks) + "\n"
+
+
+def test_table_is_the_rounded_recurrence():
+    p, q = _rounded_recurrence()
+    assert len(p) == len(q) == 22
+    for table, want in ((_tables.P_COEFFS, p), (_tables.Q_COEFFS, q)):
+        assert all(type(a) is float for a in table)
+        assert [a.hex() for a in table] == [a.hex() for a in want]
+    text = pathlib.Path(_tables.__file__).read_text()
+    assert text.endswith("\n\n" + table_text())
+
+
+@pytest.mark.parametrize("order", range(1, MAX_ORDER + 1))
+def test_packed_prefix_is_the_orders_rounded_coefficients(order):
+    pair = generate_series(order)
+    assert [a.hex() for a in pair._s_packed] == [float(a).hex() for a in pair.s_coeffs[1::3]]
+    assert [a.hex() for a in pair._c_packed] == [float(a).hex() for a in pair.c_coeffs[0::3]]
 
 
 def test_order_bounds():
@@ -251,3 +302,7 @@ def test_sparse_recurrence_matches_dense():
         assert pair.s_coeffs == tuple(s[: order + 1])
         assert pair.c_coeffs == tuple(c[: order + 1])
         assert all(type(a) is Fraction for a in pair.s_coeffs + pair.c_coeffs)
+
+
+if __name__ == "__main__":
+    print(table_text(), end="")
