@@ -87,6 +87,8 @@ def _cell_preset(order: int) -> dict:
 
 
 def _cmd_grid(args) -> int:
+    # an order outside 1..64 raises here, before --out is opened
+    dixon_constants(args.order)
     preset = _cell_preset(args.order) if args.preset == "cell" else {}
 
     def pick(name):
@@ -105,7 +107,9 @@ def _cmd_grid(args) -> int:
         ny=pick("ny"),
     )
     ppm = args.format == "ppm"
-    # open --out before the render, so that an unwritable path fails at once
+    # open --out before the render, so that an unwritable path fails at once;
+    # the order and the region corners are checked before this point, so a
+    # grid that evaluation would refuse leaves an existing file as it was
     try:
         with open(args.out, "wb" if ppm else "w", encoding=None if ppm else "ascii") as fh:
             grid = render.sample_grid(region, args.fn, order=args.order)

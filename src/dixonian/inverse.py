@@ -1,14 +1,20 @@
 """Inversion of sm on its principal domain.
 
-The initial guess integrates (1 - sigma^3)^(-2/3) along the straight segment
-from 0 to w with the principal-valued power (holomorphic throughout the open
-unit disc), then Newton steps against the forward evaluator polish the
-residual down to tolerance. The returned preimage is the principal one: the
-value continuous along rays from 0.
+The seed integrates (1 - sigma^3)^(-2/3) along the straight segment from 0
+to w with the principal-valued power (holomorphic throughout the open unit
+disc), by tanh-sinh stopped at the first level it checks (81 integrand
+calls). The seed only has to land in Newton's basin: Newton steps against
+the forward evaluator then bring the residual |sm(z) - w| down to ``tol``,
+in one to three residual evaluations across the disc. The returned preimage
+is the principal one, the value continuous along rays from 0; it is as
+accurate as the residual makes it, about tol / |cm(z)|^2, which grows next
+to the branch points.
 
-Next to a branch point gamma**j, where the integrand blows up, the guess
+Next to a branch point gamma**j, where the integrand blows up, the seed
 comes instead from sm(gamma**j (K - y)) = gamma**j cm(y) = gamma**j (1 -
-y^3/3 + ...): y is the principal cube root of 3 (1 - w gamma**-j).
+y^3/3 + ...): y is the principal cube root of 3 (1 - w gamma**-j). On the
+unit circle only the six points +-gamma**j are in the domain, solved
+exactly.
 """
 
 from __future__ import annotations
@@ -24,13 +30,21 @@ from .quadrature import tanh_sinh
 
 NEWTON_MAX_ITER = 50
 
-#: Newton cannot improve the iterate once |cm^2| is this small (w at the
-#: branch point 1, where z = K and cm vanishes).
+#: Newton cannot improve the iterate once |cm^2| is this small (w at a
+#: branch point gamma**j, where z = gamma**j K and cm vanishes).
 _FLAT_DERIVATIVE = 1e-9
 
-#: Within this distance of a branch point the quadrature guess stops
-#: converging (from about 1e-12); the cube-root guess is then off by about
-#: |y|^6 / 18 <= 5e-19 in w.
+#: The quadrature seed only has to land in Newton's basin, and Newton then
+#: meets ``tol``; at this tolerance tanh_sinh stops at the first level it
+#: checks (level 3, 81 integrand calls).
+_SEED_TOL = 1e-3
+
+#: Within this distance of a branch point the cube-root seed replaces the
+#: quadrature: it costs no integrand calls and is off by about
+#: |y|^6 / 18 <= 5e-19 in w. The other two preimages near gamma**j K lie
+#: sqrt(3)|y| away, and the quadrature seed's error grows against |y| toward
+#: the branch point: at most 1.8% of |y| at 1e-9 and 13% at 1e-15, over five
+#: directions to each branch point.
 _BRANCH_RADIUS = 1e-9
 
 
@@ -43,9 +57,11 @@ class InverseResult(record("InverseResult", "z residual")):
 def sm_inverse(w: complex, tol: float = 1e-12, *, order: int = series.DEFAULT_ORDER) -> InverseResult:
     """Solve sm(z) = w for the principal z.
 
-    Defined for |w| < 1, and for real w with |w| = 1 (the endpoint w = 1
-    maps to K, w = -1 to -K/2). Raises ConvergenceError with the best
-    residual if Newton fails to reach ``tol`` in NEWTON_MAX_ITER steps.
+    Defined for |w| < 1 and, on the unit circle, for the six points
+    +-gamma**j: the branch point gamma**j maps to gamma**j K and -gamma**j
+    to -gamma**j K / 2 (w = 1 to K, w = -1 to -K/2). Every other |w| >= 1
+    raises ValueError. Raises ConvergenceError with the best residual if
+    Newton fails to reach ``tol`` in NEWTON_MAX_ITER steps.
     """
     w = complex(w)
     if not (math.isfinite(w.real) and math.isfinite(w.imag)):
@@ -56,13 +72,11 @@ def sm_inverse(w: complex, tol: float = 1e-12, *, order: int = series.DEFAULT_OR
     if w == 0:
         return InverseResult(complex(0.0), 0.0)
     if abs(w) >= 1.0:
-        if w.imag != 0.0 or abs(w.real) != 1.0:
-            raise ValueError("sm_inverse requires |w| < 1, or real w with |w| = 1")
-        z = complex(consts.K if w.real > 0 else -consts.K / 2.0, 0.0)
+        z = _unit_circle_preimage(w, consts.K)
     else:
         z = _branch_guess(w, consts.K)
         if z is None:
-            z = w * tanh_sinh(lambda x, _: (1.0 - (w * x) ** 3) ** (-2.0 / 3.0), tol=1e-11)
+            z = w * tanh_sinh(lambda x, _: (1.0 - (w * x) ** 3) ** (-2.0 / 3.0), tol=_SEED_TOL)
 
     best_r = math.inf
     for _ in range(NEWTON_MAX_ITER):
@@ -90,3 +104,14 @@ def _branch_guess(w: complex, K: float) -> complex | None:
             y = (3.0 * (1.0 - w * b.conjugate())) ** (1.0 / 3.0)
             return b * (K - y)
     return None
+
+
+def _unit_circle_preimage(w: complex, K: float) -> complex:
+    """gamma**j K at the branch point w = gamma**j, -gamma**j K / 2 at
+    w = -gamma**j; every other |w| >= 1 is outside the principal domain."""
+    for b in GAMMA_POWERS:
+        if w == b:
+            return b * K
+        if w == -b:
+            return -b * K / 2.0
+    raise ValueError("sm_inverse requires |w| < 1, or w = +-gamma**j on the unit circle")

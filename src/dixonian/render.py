@@ -14,7 +14,7 @@ from itertools import chain
 from ._record import record
 # sample_grid calls the kernel for sm and cm; sm_cm stays a module attribute
 # because the benchmark's tracer wraps render.sm_cm and render.wp
-from .evaluator import EllipticValue, _context, _new, _pair, sm_cm, wp  # noqa: F401
+from .evaluator import MAX_ARGUMENT, EllipticValue, _context, _new, _pair, sm_cm, wp  # noqa: F401
 from .series import DEFAULT_ORDER
 
 MAX_PIXELS = 4096 * 4096
@@ -38,6 +38,12 @@ class Region(record("Region", "center width height nx ny")):
             raise ValueError("nx and ny must be at least 1")
         if nx * ny > MAX_PIXELS:
             raise ValueError(f"grid exceeds the {MAX_PIXELS} sample cap")
+        # each axis is monotone, so its ends bound every sample; checked here,
+        # a grid that evaluation would refuse fails before any output is opened
+        for mid, span, count in ((center.real, width, nx), (center.imag, height, ny)):
+            axis = cls._axis(mid, span, count)
+            if not (abs(axis[0]) <= MAX_ARGUMENT and abs(axis[-1]) <= MAX_ARGUMENT):
+                raise ValueError("grid corners must be finite and at most 2**45 in magnitude in each part")
         return super().__new__(cls, center, width, height, nx, ny)
 
     @classmethod

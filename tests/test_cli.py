@@ -223,6 +223,25 @@ def test_grid_unwritable_out_fails_before_render(tmp_path, capsys, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("flag", [("--order", "99"), ("--center", "1e14")], ids=["order", "center"])
+@pytest.mark.parametrize("existing", [b"P6\n1 1\n255\nabc", None], ids=["existing", "absent"])
+def test_grid_refused_before_out_is_opened(tmp_path, capsys, flag, existing):
+    # an order or a region that evaluation would refuse exits 2 and leaves
+    # --out as it was: byte-identical if it existed, absent if it did not
+    out = tmp_path / "keep.ppm"
+    if existing is not None:
+        out.write_bytes(existing)
+    argv = {"--center": "0", "--width": "1", "--height": "1", "--nx": "4", "--ny": "3"}
+    argv.update([flag])
+    code, _, err = run_cli(capsys, "grid", "--fn", "sm", *(a for kv in argv.items() for a in kv),
+                           "--out", str(out))
+    assert code == 2 and err.startswith("error: ")
+    if existing is None:
+        assert not out.exists()
+    else:
+        assert out.read_bytes() == existing
+
+
 # --- selftest -------------------------------------------------------------------------
 
 def test_selftest_list(capsys):

@@ -26,10 +26,10 @@ _POLES = (complex(-_K, 0.0), -_K * _GAMMA, -_K * _GAMMA.conjugate())
 GOLDEN = {
     "sm_cm": "2ad203b504aeee9d4efa68b017b4150a563ac542c7de855de0b285d6710b39d0",
     "wp": "e29288de0d1bcd705cfda8e8194d2653242032063c53fefba460b20d60462ffb",
-    "sm_inverse": "b835cc497c4c95a4768a783546d836c5076835fef060a58b6b79803ba3b820b6",
+    "sm_inverse": "57f19a7247e91492f119ceba8e418cbca7c52f036dcad53bd192c0b7971b9c18",
     "ppm": "b5ac17f2876090738da14b64f0d1878900ce55de345bdbc25fc92fbdf8bf22dd",
     "csv": "f7c7511d252790b769debdebd8bec2639982af1c0491e708a93d848ce2043a68",
-    "selftest": "895b929f0609e7f173fe89b809921b4325df235416eae374d35176114a0c450a",
+    "selftest": "eae97a4a496374147ef2d421e26e13f336fcf7d7dc559a2b60d437d9cfdf0ce5",
 }
 
 

@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from dixonian import sm_inverse
+from dixonian import inverse, quadrature, sm_inverse
+from dixonian.evaluator import sm_cm_values
 from conftest import GAMMA, K, assert_checks, values, worst
 
 
@@ -56,6 +57,13 @@ def test_gamma_homogeneity():
     for _ in range(50):
         w = cmath.rect(rng.uniform(0.1, 0.85), rng.uniform(0.0, 2.0 * math.pi))
         assert abs(sm_inverse(GAMMA * w).z - GAMMA * sm_inverse(w).z) <= 1e-10
+    # the six exact points +-gamma**j of the unit circle: gamma**j K and
+    # -gamma**j K / 2, rotated from sm_inverse(1) = K and sm_inverse(-1) = -K/2
+    for b in (1.0, GAMMA, GAMMA.conjugate()):
+        for w, z in ((b, b * K), (-b, -b * K / 2.0)):
+            r = sm_inverse(w)
+            assert r.z == z, (w, r.z)
+            assert r.residual <= 1e-12
 
 
 @pytest.mark.parametrize("distance", [1e-12, 1e-15])
@@ -74,7 +82,10 @@ def test_solves_next_to_branch_points(j, distance):
 
 
 def test_domain_errors():
-    for bad in (1.2, -1.5, complex(1.0, 0.1), GAMMA, complex(math.nan, 0.0)):
+    # |w| >= 1 is refused except at the six points +-gamma**j
+    off_gamma = complex(GAMMA.real, math.nextafter(GAMMA.imag, 2.0))
+    for bad in (1.2, -1.5, complex(1.0, 0.1), 1j, -1j, 1.2 * GAMMA, off_gamma, -off_gamma,
+                complex(math.nan, 0.0)):
         with pytest.raises(ValueError):
             sm_inverse(bad)
 
@@ -104,8 +115,6 @@ def test_residual_is_forward_error():
 def test_solve_calls_through_module_globals(monkeypatch):
     # per-layer timing wraps inverse.tanh_sinh and inverse.sm_cm_values; a
     # solve must reach both through those names for the wrappers to see it
-    from dixonian import inverse
-
     calls = {"tanh_sinh": 0, "sm_cm_values": 0}
 
     def counted(name):
@@ -123,3 +132,63 @@ def test_solve_calls_through_module_globals(monkeypatch):
     assert abs(values(r.z)[0] - (0.4 - 0.3j)) <= 1e-12
     assert calls["tanh_sinh"] == 1
     assert calls["sm_cm_values"] >= 1
+
+
+def _sweep_targets():
+    # 1e-9..0.9 from each branch point (mantissas 1, 3, 5, 7, 9 per decade,
+    # five directions, those with |w| < 1), seeded disc points, and rings
+    # out to 1e-5 from the unit circle
+    branch = [
+        b * (1.0 - m * 10.0 ** -e * cmath.exp(1j * theta))
+        for b in (1.0, GAMMA, GAMMA.conjugate())
+        for e in range(1, 10)
+        for m in (1, 3, 5, 7, 9)
+        for theta in (0.0, 0.7, -0.7, 1.4, -1.4)
+    ]
+    rng = random.Random(14)
+    disc = [cmath.rect(0.999999 * math.sqrt(rng.random()), rng.uniform(0.0, 2.0 * math.pi)) for _ in range(2000)]
+    rings = [cmath.rect(r, 2.0 * math.pi * k / 48) for r in (0.99, 0.999, 0.9999, 0.99999) for k in range(48)]
+    return [w for w in branch if abs(w) < 1.0] + disc + rings
+
+
+def _tight_seed_solve(w, tol):
+    # the quadrature converged to 1e-11 before Newton: the principal
+    # preimage this test holds the cheaper seed to
+    z = w * quadrature.tanh_sinh(lambda x, _: (1.0 - (w * x) ** 3) ** (-2.0 / 3.0), tol=1e-11)
+    for _ in range(inverse.NEWTON_MAX_ITER):
+        s, c = sm_cm_values(z)
+        if abs(s - w) <= tol:
+            return z
+        z = z - (s - w) / (c * c)
+    raise AssertionError(f"reference Newton did not converge at {w}")
+
+
+def test_seed_sweep(monkeypatch):
+    # the quadrature seed stops at tanh-sinh's first checked level and
+    # Newton meets tol from it, on the principal branch
+    tol = 1e-12
+    calls = {"sm_cm_values": 0, "integrand": 0}
+
+    def counted_values(*args, **kwargs):
+        calls["sm_cm_values"] += 1
+        return sm_cm_values(*args, **kwargs)
+
+    def counted_tanh_sinh(f, tol):
+        def g(x, omx):
+            calls["integrand"] += 1
+            return f(x, omx)
+
+        return quadrature.tanh_sinh(g, tol)
+
+    monkeypatch.setattr(inverse, "sm_cm_values", counted_values)
+    monkeypatch.setattr(inverse, "tanh_sinh", counted_tanh_sinh)
+    targets = _sweep_targets()
+    assert len(targets) == 2849
+    for w in targets:
+        calls.update(sm_cm_values=0, integrand=0)
+        r = sm_inverse(w, tol)
+        assert r.residual <= tol, w
+        assert calls["sm_cm_values"] <= 3, (w, calls)
+        assert calls["integrand"] <= 81, (w, calls)
+        c = sm_cm_values(r.z)[1]
+        assert abs(r.z - _tight_seed_solve(w, tol)) <= 2.0 * tol / abs(c * c) + 1e-13, w

@@ -29,6 +29,14 @@ def test_region_validation():
         Region(0j, 1.0, 1.0, 4096, 4097)
     with pytest.raises(ValueError):
         Region(0j, 1.0, 1.0, 4, 4)._replace(nx=0)
+    # every sample must be reducible: each part within evaluator.MAX_ARGUMENT
+    edge = 2.0 ** 45
+    Region(complex(edge, -edge), 1.0, 1.0, 1, 1)
+    Region(complex(edge - 1.0, 1.0 - edge), 2.0, 2.0, 5, 3)
+    for bad in [(complex(edge - 1.0), 4.0, 1.0, 3, 1), (complex(0.0, -edge), 1.0, 1.0, 2, 2),
+                (1e14 + 0j, 1.0, 1.0, 4, 3), (0j, math.inf, 1.0, 4, 3), (complex(0.0, math.nan), 1.0, 1.0, 1, 1)]:
+        with pytest.raises(ValueError, match="2\\*\\*45"):
+            Region(*bad)
 
 
 def test_selector_validation():
