@@ -4,8 +4,9 @@ Subcommands: eval, constants, invert, grid, selftest. Machine-readable JSON
 goes to stdout (grid writes a PPM or CSV file instead); diagnostics go to
 stderr. Exit status: 0 success, 1 failed checks or evaluation failure,
 2 usage errors (an unwritable grid --out among them). Every subcommand but
-selftest takes --order, the series order (default 48); an order outside
-1..64 is a usage error.
+selftest takes --order, the highest power of z the series keeps (default
+48). Every accepted order, 27..64, shares one K and one series disc; any
+other order is a usage error.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ _NUMBER = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+]?\d+)?"
 _COMPLEX = re.compile(rf"^([-+]?{_NUMBER})(([-+]{_NUMBER})i)?$")
 
 _TOL_RANGE = (1e-14, 1e-2)
+
+_ORDER_HELP = f"series order, {series.MIN_ORDER}..{series.MAX_ORDER} (default {series.DEFAULT_ORDER})"
 
 
 def parse_complex(text: str) -> complex:
@@ -87,7 +90,7 @@ def _cell_preset(order: int) -> dict:
 
 
 def _cmd_grid(args) -> int:
-    # an order outside 1..64 raises here, before --out is opened
+    # an order outside 27..64 raises here, before --out is opened
     dixon_constants(args.order)
     preset = _cell_preset(args.order) if args.preset == "cell" else {}
 
@@ -147,19 +150,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate sm, cm or wp at a point")
     p_eval.add_argument("--fn", choices=("sm", "cm", "wp"), required=True)
     p_eval.add_argument("--z", type=parse_complex, required=True, help="complex literal a, a+bi or a-bi")
-    p_eval.add_argument(
-        "--order", type=int, default=series.DEFAULT_ORDER, help="series order (default 48, max 64)"
-    )
+    p_eval.add_argument("--order", type=int, default=series.DEFAULT_ORDER, help=_ORDER_HELP)
     p_eval.set_defaults(func=_cmd_eval)
 
     p_const = sub.add_parser("constants", help="print K, gamma, periods and invariants as JSON")
-    p_const.add_argument("--order", type=int, default=series.DEFAULT_ORDER)
+    p_const.add_argument("--order", type=int, default=series.DEFAULT_ORDER, help=_ORDER_HELP)
     p_const.set_defaults(func=_cmd_constants)
 
     p_inv = sub.add_parser("invert", help="principal preimage of sm")
     p_inv.add_argument("--w", type=parse_complex, required=True)
-    p_inv.add_argument("--tol", type=float, default=1e-10, help="target residual (1e-14..1e-2)")
-    p_inv.add_argument("--order", type=int, default=series.DEFAULT_ORDER)
+    p_inv.add_argument(
+        "--tol",
+        type=float,
+        default=1e-10,
+        help="target residual |sm(z) - w| (1e-14..1e-2); z is then accurate to about "
+        "residual / |cm(z)|^2, which grows next to the branch points",
+    )
+    p_inv.add_argument("--order", type=int, default=series.DEFAULT_ORDER, help=_ORDER_HELP)
     p_inv.set_defaults(func=_cmd_invert)
 
     p_grid = sub.add_parser("grid", help="sample a rectangle and write a PPM or CSV file")
@@ -172,7 +179,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_grid.add_argument("--ny", type=int)
     p_grid.add_argument("--out", required=True)
     p_grid.add_argument("--format", choices=("ppm", "csv"), default="ppm")
-    p_grid.add_argument("--order", type=int, default=series.DEFAULT_ORDER)
+    p_grid.add_argument("--order", type=int, default=series.DEFAULT_ORDER, help=_ORDER_HELP)
     p_grid.set_defaults(func=_cmd_grid)
 
     p_self = sub.add_parser("selftest", help="run the built-in verification suite")

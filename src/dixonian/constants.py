@@ -1,8 +1,9 @@
 """Fundamental constants: K, gamma, the period lattice, poles and zeros.
 
 K (the first positive zero of cm, 1.76663875...) is located with the
-library's own machinery: halving into the series disc of the order, series
-evaluation and duplication back out cover the bracket (1.5, 2.0). The
+library's own machinery: halving into the series disc, series evaluation and
+duplication back out cover the bracket (1.5, 2.0). Every accepted series
+order finds the same double. The
 defining singular integral over (0, 1) is computed independently as a
 cross-check only. Everything is computed once and frozen.
 
@@ -56,7 +57,7 @@ def halve_and_duplicate(pair: series.SeriesPair, y: complex) -> tuple[complex, c
     there and duplicate back out.
 
     The evaluator's kernel and K's root-finder (two halvings for
-    1.5 <= t <= 2.0 at the default order) both run through here.
+    1.5 <= t <= 2.0) both run through here.
     """
     a = abs(y)
     if a > MAX_REDUCED:

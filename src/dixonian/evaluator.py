@@ -3,14 +3,14 @@
 Pipeline: reduce the argument modulo the period lattice to the cell centered
 at 0; report a pole if the reduced point sits on one; rescue near-pole
 arguments through the 2K translation identity (full relative accuracy where
-direct duplication would cancel); otherwise halve into the series disc of
-the order and duplicate back out. Outside the near-pole discs no
-duplication denominator comes near zero: one would vanish only where the
-doubled point is a pole, and the doubles of the poles lie outside the cell.
+direct duplication would cancel); otherwise halve into the series disc and
+duplicate back out. Outside the near-pole discs no duplication denominator
+comes near zero: one would vanish only where the doubled point is a pole,
+and the doubles of the poles lie outside the cell.
 
 One kernel, ``_pair``, runs this pipeline and returns plain complex values;
-``sm_cm`` wraps them in records, and the grid sampler runs it along each row
-and wraps only the value it shows.
+``sm_cm`` and ``wp`` wrap them in records, and the grid sampler runs it along
+each row and wraps only the value it shows.
 """
 
 from __future__ import annotations
@@ -148,14 +148,17 @@ def wp(z: complex, *, order: int = series.DEFAULT_ORDER) -> EllipticValue:
     the simple poles of sm and cm, where s/(3(1 - c)) has the limit
     gamma**j / 3.
     """
-    sv, cv = sm_cm(z, order=order)
-    if sv.value is None:
-        j = _context(order).constants.pole_reps.index(sv.pole_rep)
-        return EllipticValue.finite(GAMMA_POWERS[j] / 3.0)
-    den = 1.0 - cv.value
+    return _wp_of_pair(*_pair(_context(order), z))
+
+
+def _wp_of_pair(s, c) -> EllipticValue:
+    """wp from the kernel's plain (sm, cm), or from its (None, j) on pole j."""
+    if s is None:
+        return _new(EllipticValue, (GAMMA_POWERS[c] / 3.0, None))
+    den = 1.0 - c
     if abs(den) < identities.DENOM_TOL:
         return EllipticValue.pole(complex(0.0))
-    return _new(EllipticValue, (sv.value / (3.0 * den), None))
+    return _new(EllipticValue, (s / (3.0 * den), None))
 
 
 def _nearest_pole_frame(ctx: _Context, zr: complex) -> tuple[int, complex]:
@@ -183,7 +186,6 @@ def _nearest_pole_frame(ctx: _Context, zr: complex) -> tuple[int, complex]:
 def _near_pole_pair(ctx: _Context, j: int, w: complex) -> FunctionPair:
     # zr = gamma**j * (2K + w) modulo the lattice, with |w| < NEAR_TOL, so
     # s(zr) = gamma**j * (-c(w)/s(w)) and c(zr) = 1/s(w); s(w) ~ w carries
-    # full relative accuracy this close to 0. (Only orders whose series disc
-    # is smaller than NEAR_TOL halve w.)
-    s, c = halve_and_duplicate(ctx.pair, w)
+    # full relative accuracy this close to 0, inside the series disc
+    s, c = series.eval_series(ctx.pair, w)
     return FunctionPair(GAMMA_POWERS[j] * (-c / s), 1.0 / s)

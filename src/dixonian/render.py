@@ -12,9 +12,11 @@ import math
 from itertools import chain
 
 from ._record import record
-# sample_grid calls the kernel for sm and cm; sm_cm stays a module attribute
-# because the benchmark's tracer wraps render.sm_cm and render.wp
-from .evaluator import MAX_ARGUMENT, EllipticValue, _context, _new, _pair, sm_cm, wp  # noqa: F401
+# sample_grid calls the kernel; sm_cm and wp stay module attributes because
+# the benchmark's tracer wraps render.sm_cm and render.wp
+from .evaluator import (  # noqa: F401
+    MAX_ARGUMENT, EllipticValue, _context, _new, _pair, _wp_of_pair, sm_cm, wp,
+)
 from .series import DEFAULT_ORDER
 
 MAX_PIXELS = 4096 * 4096
@@ -80,10 +82,9 @@ def sample_grid(
     """Evaluate the selected function over the region, row by row, at the
     series ``order``.
 
-    ``sm`` and ``cm`` run the evaluator's kernel along each row, with the
-    context looked up once, and wrap only the selected value in a record;
-    ``wp`` calls ``wp`` point by point. The values are bit for bit those of
-    ``sm_cm`` and ``wp``.
+    Every selector runs the evaluator's kernel along each row, with the
+    context looked up once, and wraps only the selected value in a record.
+    The values are bit for bit those of ``sm_cm`` and ``wp``.
 
     ``workers`` must be at least 1 and changes nothing: rows run in order on
     the calling thread, since evaluation is pure Python and holds the
@@ -94,19 +95,19 @@ def sample_grid(
         raise ValueError(f"selector must be one of {SELECTORS}, got {selector!r}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    xs, ys = region.xs(), region.ys()
-    if selector == "wp":
-        values = (wp(complex(x, y), order=order) for y in ys for x in xs)
-    else:
-        rows = _kernel_rows(_context(order), xs, ys, 0 if selector == "sm" else 1)
-        values = chain.from_iterable(rows)
-    return ValueGrid(region, tuple(values))
+    rows = _kernel_rows(_context(order), region.xs(), region.ys(), selector)
+    return ValueGrid(region, tuple(chain.from_iterable(rows)))
 
 
-def _kernel_rows(ctx, xs: list[float], ys: list[float], pick: int):
-    """One list of records per row, of member ``pick`` (0 for sm, 1 for cm)
-    of the kernel's pairs; the three pole markers are built once. Rows are
+def _kernel_rows(ctx, xs: list[float], ys: list[float], selector: str):
+    """One list of records per row, of the selected function at the kernel's
+    pairs; for sm and cm the three pole markers are built once. Rows are
     chained into the grid's tuple, so no whole-grid list is built."""
+    if selector == "wp":
+        for y in ys:
+            yield [_wp_of_pair(*_pair(ctx, complex(x, y))) for x in xs]
+        return
+    pick = 0 if selector == "sm" else 1
     poles = [EllipticValue.pole(rep) for rep in ctx.constants.pole_reps]
     for y in ys:
         yield [

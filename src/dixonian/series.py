@@ -17,27 +17,25 @@ reads them.
 
 from __future__ import annotations
 
-import math
 from functools import cached_property, lru_cache
 
 from ._tables import P_COEFFS, Q_COEFFS
-from .errors import ConvergenceError
 
 DEFAULT_ORDER = 48
 MAX_ORDER = 64
+#: Smallest accepted order: from here through MAX_ORDER every order
+#: root-finds the default order's K to the bit, and its dropped tail stays
+#: within SERIES_TOL on the whole SERIES_EVAL_RADIUS disc; tests/test_series.py
+#: derives both. Order 26 already finds a K one ulp off.
+MIN_ORDER = 27
 
 #: Radius of the disc on which truncated evaluation is permitted. Chosen
 #: inside the guaranteed-existence radius 2**(-2/3) = 0.62996..., leaving
-#: ample tail margin at the default order.
+#: tail margin at every accepted order.
 SERIES_EVAL_RADIUS = 0.5
 
-#: Bound on the truncation error of eval_series.
+#: Bound on the truncation error of eval_series at every accepted order.
 SERIES_TOL = 1e-13
-
-#: Conservative lower bound on the convergence radius (the nearest poles sit
-#: at distance K = 1.7666... from 0); used only when a measured coefficient
-#: ratio is unavailable.
-_FALLBACK_STEP = (1.0 / 1.7) ** 3
 
 
 class SeriesPair:
@@ -95,34 +93,10 @@ class SeriesPair:
         extra = len(c_rev) - len(s_rev)
         return (c_rev[0] if extra else None), tuple(zip(s_rev, c_rev[extra:]))
 
-    @cached_property
-    def _tail_fits(self) -> tuple[tuple[float, int, float], ...]:
-        """(|a|, power of z, decay step per power of z**3) of the last nonzero
-        retained term, for sm and then cm."""
-        return _tail_fit(self._s_packed, 1), _tail_fit(self._c_packed, 0)
-
-    @cached_property
-    def eval_radius(self) -> float:
-        """Largest radius <= SERIES_EVAL_RADIUS at which the tail bound meets
-        SERIES_TOL: evaluation at this tolerance works anywhere inside it."""
-        if _tail_bound(self, SERIES_EVAL_RADIUS) <= SERIES_TOL:
-            return SERIES_EVAL_RADIUS
-        # the bound grows with r: bisect down to adjacent doubles
-        lo, hi = 0.0, SERIES_EVAL_RADIUS
-        while True:
-            mid = 0.5 * (lo + hi)
-            if mid in (lo, hi):
-                return lo
-            if _tail_bound(self, mid) <= SERIES_TOL:
-                lo = mid
-            else:
-                hi = mid
-
     def halvings(self, r: float) -> int:
-        """How many halvings bring the radius r inside eval_radius."""
+        """How many halvings bring the radius r inside SERIES_EVAL_RADIUS."""
         k = 0
-        radius = self.eval_radius
-        while r > radius:
+        while r > SERIES_EVAL_RADIUS:
             r *= 0.5
             k += 1
         return k
@@ -133,10 +107,10 @@ def generate_series(order: int = DEFAULT_ORDER) -> SeriesPair:
     the exact coefficients 0..order built from the recurrence on first read.
 
     Each order's pair is made once per process; later calls return the same
-    pair. ``order`` outside 1..MAX_ORDER is a usage error.
+    pair. ``order`` outside MIN_ORDER..MAX_ORDER is a usage error.
     """
-    if not 1 <= order <= MAX_ORDER:
-        raise ValueError(f"series order must be in 1..{MAX_ORDER}, got {order}")
+    if not MIN_ORDER <= order <= MAX_ORDER:
+        raise ValueError(f"series order must be in {MIN_ORDER}..{MAX_ORDER}, got {order}")
     return _generate(order)
 
 
@@ -167,27 +141,14 @@ def eval_series(pair: SeriesPair, z: complex) -> tuple[complex, complex]:
     """Evaluate the truncated series at z, for |z| <= SERIES_EVAL_RADIUS.
 
     Horner evaluation in u = z**3 (two of every three coefficients vanish).
-    The truncation error is bounded by a geometric tail fitted to the decay
-    of the retained coefficients, with a 2x guard. The bound grows with |z|
-    and stays within SERIES_TOL up to the pair's ``eval_radius`` and no
-    farther, so it is computed only beyond that radius, where it exceeds
-    SERIES_TOL and ConvergenceError is raised, signalling the order is too
-    small. A |z| beyond SERIES_EVAL_RADIUS, or not a number, raises
-    ValueError.
+    At every accepted order the dropped tail stays within SERIES_TOL on the
+    whole disc; tests/test_series.py certifies it. A |z| beyond
+    SERIES_EVAL_RADIUS, or not a number, raises ValueError.
     """
     z = complex(z)
     r = abs(z)
-    if not r <= pair.eval_radius:
-        if not r <= SERIES_EVAL_RADIUS:
-            raise ValueError(
-                f"|z| = {r:.6g} exceeds the series evaluation radius {SERIES_EVAL_RADIUS}"
-            )
-        tail = _tail_bound(pair, r)
-        raise ConvergenceError(
-            f"series order {pair.order} cannot meet tol {SERIES_TOL:.1e} at |z| = {r:.3g} "
-            f"(tail bound {tail:.1e})",
-            residual=tail,
-        )
+    if not r <= SERIES_EVAL_RADIUS:
+        raise ValueError(f"|z| = {r:.6g} exceeds the series evaluation radius {SERIES_EVAL_RADIUS}")
     u = z * z * z
     c_top, steps = pair._horner_steps
     s = c = 0j
@@ -197,27 +158,3 @@ def eval_series(pair: SeriesPair, z: complex) -> tuple[complex, complex]:
         s = s * u + a
         c = c * u + b
     return s * z, c
-
-
-def _tail_fit(packed: tuple[float, ...], offset: int) -> tuple[float, int, float]:
-    # packed[0] is 1 for both sm and cm, so a nonzero term always exists
-    nonzero = [i for i, a in enumerate(packed) if a != 0.0]
-    last = nonzero[-1]
-    if len(nonzero) >= 2:
-        prev = nonzero[-2]
-        step = abs(packed[last] / packed[prev]) ** (1.0 / (last - prev))
-    else:
-        step = _FALLBACK_STEP
-    return abs(packed[last]), 3 * last + offset, step
-
-
-def _tail_bound(pair: SeriesPair, r: float) -> float:
-    """Bound on the dropped terms of sm and cm at radius r: each last term
-    times the geometric sum x + x^2 + ... of its decay, with a 2x guard."""
-    bound = 0.0
-    for coeff, power, step in pair._tail_fits:
-        x = step * r ** 3
-        if x >= 1.0:
-            return math.inf
-        bound = max(bound, 2.0 * (coeff * r ** power) * x / (1.0 - x))
-    return bound

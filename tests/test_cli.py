@@ -180,22 +180,23 @@ def test_grid_honours_order(tmp_path, capsys):
 
     base = ["grid", "--fn", "sm", "--center", "0.5+0.3i", "--width", "1", "--height", "1",
             "--nx", "3", "--ny", "3", "--format", "csv"]
-    out2, out48 = tmp_path / "o2.csv", tmp_path / "o48.csv"
-    assert run_cli(capsys, *base, "--order", "2", "--out", str(out2))[0] == 0
+    out27, out48 = tmp_path / "o27.csv", tmp_path / "o48.csv"
+    assert run_cli(capsys, *base, "--order", "27", "--out", str(out27))[0] == 0
     assert run_cli(capsys, *base, "--out", str(out48))[0] == 0
-    text = out2.read_text()
+    text = out27.read_text()
+    # order 27 differs from order 48 in the last bits of one of these pixels
     assert text != out48.read_text()
     for line in text.splitlines()[1:]:
         re_, im, s_re, s_im, pole = line.split(",")
-        v = sm(complex(float(re_), float(im)), order=2).value
+        v = sm(complex(float(re_), float(im)), order=27).value
         assert (s_re, s_im, pole) == (f"{v.real:.17g}", f"{v.imag:.17g}", "0")
 
-    # the cell preset is framed with the order's own K
-    out = tmp_path / "cell2.csv"
+    # the cell preset is framed with the one K every accepted order shares
+    out = tmp_path / "cell27.csv"
     assert run_cli(capsys, "grid", "--fn", "sm", "--preset", "cell", "--nx", "2", "--ny", "2",
-                   "--format", "csv", "--order", "2", "--out", str(out))[0] == 0
+                   "--format", "csv", "--order", "27", "--out", str(out))[0] == 0
     first = out.read_text().splitlines()[1].split(",")
-    assert float(first[0]) == -4.5 * dixon_constants(2).K / 2.0
+    assert float(first[0]) == -4.5 * dixon_constants(27).K / 2.0 == -4.5 * dixon_constants().K / 2.0
 
 
 def test_grid_missing_flags(capsys):
@@ -223,7 +224,9 @@ def test_grid_unwritable_out_fails_before_render(tmp_path, capsys, monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("flag", [("--order", "99"), ("--center", "1e14")], ids=["order", "center"])
+@pytest.mark.parametrize(
+    "flag", [("--order", "99"), ("--order", "26"), ("--center", "1e14")], ids=["order", "low-order", "center"]
+)
 @pytest.mark.parametrize("existing", [b"P6\n1 1\n255\nabc", None], ids=["existing", "absent"])
 def test_grid_refused_before_out_is_opened(tmp_path, capsys, flag, existing):
     # an order or a region that evaluation would refuse exits 2 and leaves
@@ -275,15 +278,21 @@ def test_order_flag(capsys):
     assert abs(json.loads(out)["re"] - 0.29865690917573373) < 1e-12
     code, _, err = run_cli(capsys, "eval", "--fn", "sm", "--z", "0.3", "--order", "100")
     assert code == 2
-    assert "series order must be in 1..64, got 100" in err
+    assert "series order must be in 27..64, got 100" in err
 
 
-def test_small_order_usable(capsys):
-    # order 10 halves into its own, smaller series disc
-    code, out, _ = run_cli(capsys, "eval", "--fn", "sm", "--z", "0.45", "--order", "10")
+def test_small_order_usable(tmp_path, capsys):
+    # the smallest accepted order evaluates on the same disc and K as the
+    # default; each subcommand that takes --order refuses the order below
+    code, out, _ = run_cli(capsys, "eval", "--fn", "sm", "--z", "0.45", "--order", "27")
     assert code == 0
     _, ref, _ = run_cli(capsys, "eval", "--fn", "sm", "--z", "0.45")
-    assert abs(json.loads(out)["re"] - json.loads(ref)["re"]) <= 1e-11
+    assert abs(json.loads(out)["re"] - json.loads(ref)["re"]) <= 1e-13
+    for argv in (("eval", "--fn", "sm", "--z", "0.45"), ("constants",), ("invert", "--w", "0.5"),
+                 ("grid", "--fn", "wp", "--preset", "cell", "--out", str(tmp_path / "wp.ppm"))):
+        code, out, err = run_cli(capsys, *argv, "--order", "26")
+        assert (code, out) == (2, "") and "series order must be in 27..64, got 26" in err, argv
+    assert not (tmp_path / "wp.ppm").exists()
 
 
 def test_entry_point_subprocess():

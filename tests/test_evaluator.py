@@ -25,7 +25,7 @@ from dixonian import (
     wp,
 )
 from dixonian.selftest import _cell_points, _ivp_errors, _periodicity, _ray_points, _reality
-from conftest import ALL_SHIFTS, CONSTS, GAMMA, K, TOL, W1, W2, assert_checks, assert_fact, values
+from conftest import ALL_SHIFTS, CONSTS, GAMMA, K, TOL, W1, W2, assert_fact, values
 
 
 # --- lattice reduction -----------------------------------------------------
@@ -74,10 +74,6 @@ def test_origin():
     s, c = values(0.0)
     assert s == 0
     assert c == 1
-
-
-def test_cardinal_table():
-    assert_checks("cardinal_values")
 
 
 def test_quartic_point():
@@ -225,31 +221,7 @@ def test_derivatives_finite_difference():
         assert max(err for err, _ in _ivp_errors(z)) <= 1e-6
 
 
-# --- zeros, residues, boundary geometry -------------------------------------
-
-def test_zeros():
-    assert_checks("zeros")
-
-
-def test_residues_sm():
-    assert_checks("residues_sm")
-
-
-def test_residue_cm():
-    assert_checks("residue_cm")
-
-
-def test_triangle_edges_unit_modulus():
-    assert_checks("triangle_boundary")
-
-
-def test_imaginary_axis_unit_modulus():
-    assert_checks("imaginary_axis")
-
-
-def test_hexagon_edge():
-    assert_checks("hexagon_edge")
-
+# --- boundary geometry -------------------------------------------------------
 
 def test_reality_rays():
     assert max(map(_reality, _ray_points(12))) <= TOL["reality_rays"]

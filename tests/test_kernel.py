@@ -1,6 +1,7 @@
-"""The sm/cm kernel: bit-identity with the identity layer, every order usable,
-one constants record per order, the package's public names, what a cold start
-imports, and the module attributes the benchmark's tracer wraps."""
+"""The sm/cm kernel: bit-identity with the identity layer, every accepted
+order usable, one constants record per order, the package's public names,
+what a cold start imports, and the module attributes the benchmark's tracer
+wraps."""
 
 import cmath
 import dataclasses
@@ -38,7 +39,7 @@ from dixonian import (
 from dixonian.constants import GAMMA_POWERS
 from dixonian.evaluator import NEAR_TOL, POLE_TOL, _context, _nearest_pole_frame
 from dixonian.identities import duplicate_values
-from dixonian.series import MAX_ORDER, SERIES_EVAL_RADIUS
+from dixonian.series import MAX_ORDER, MIN_ORDER, SERIES_EVAL_RADIUS
 from dixonian.selftest import _cell_points
 from conftest import CONSTS, K, W1, W2
 
@@ -120,7 +121,7 @@ def test_duplication_denominators_bounded_over_cell():
     # NEAR_TOL discs no duplication the kernel runs comes near DENOM_TOL
     # (1e-8): the smallest denominator, about 0.14, sits on the disc about -K.
     n = 17
-    for order in range(1, MAX_ORDER + 1):
+    for order in range(MIN_ORDER, MAX_ORDER + 1):
         ctx = _context(order)
         w1, w2 = ctx.constants.periods
         pts = [(i / (n - 1) - 0.5) * w1 + (j / (n - 1) - 0.5) * w2 for i in range(n) for j in range(n)]
@@ -174,14 +175,28 @@ def test_max_argument_is_the_bound():
 
 @pytest.mark.parametrize("order", range(1, MAX_ORDER + 1))
 def test_every_order_usable(order):
-    consts = dixon_constants(order)
-    assert abs(consts.K - K) <= 1e-9
+    # every accepted order shares the default order's K and agrees with it
+    # within 1e-13 (bit for bit from order 34); every other order is refused
+    # by each entry point that takes one
+    if order < MIN_ORDER:
+        region = render.Region(0j, 1.0, 1.0, 2, 2)
+        for call in (
+            lambda: dixon_constants(order),
+            lambda: sm_cm(0.3, order=order),
+            lambda: evaluator.wp(0.3, order=order),
+            lambda: inverse.sm_inverse(0.3, order=order),
+            lambda: render.sample_grid(region, "sm", order=order),
+            lambda: render.sample_grid(region, "wp", order=order),
+        ):
+            with pytest.raises(ValueError, match=f"series order must be in {MIN_ORDER}..{MAX_ORDER}"):
+                call()
+        return
+    assert dixon_constants(order).K.hex() == K.hex()
     for z in (0.1, 0.45 + 0.2j, 1.0, -K + 0.03, 2.5 - 1.5j, 40.0 + 3.0j):
         s, c = sm_cm(z, order=order)
         s48, c48 = sm_cm(z)
-        tol = 1e-5 if order <= 3 else 1e-8 if order < 27 else 1e-12
-        assert abs(s.value - s48.value) <= tol * max(1.0, abs(s48.value))
-        assert abs(c.value - c48.value) <= tol * max(1.0, abs(c48.value))
+        assert abs(s.value - s48.value) <= 1e-13 * max(1.0, abs(s48.value))
+        assert abs(c.value - c48.value) <= 1e-13 * max(1.0, abs(c48.value))
 
 
 # --- what benchmarks/run.py and benchmarks/tracer.py read -----------------------
