@@ -215,6 +215,29 @@ def test_tail_bound_met_inside_eval_radius(order):
         assert dropped <= bounds[-1]
 
 
+TAIL_RADII = (0.0, 1e-5, 6.26e-5, 1e-3, 0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.45, 0.5)
+
+
+@pytest.mark.parametrize("order", range(1, MAX_ORDER + 1))
+def test_cached_tail_bound_matches_per_call_fit(order):
+    # the certificate is fitted on a fresh pair; eval_series reads the cached
+    # one, which must carry the same table. At every radius of the disc the
+    # bound meets SERIES_TOL and the cached pair's values honour it against
+    # the longest series
+    if order < MIN_ORDER:
+        return _refused(order)
+    cached, fresh = generate_series(order), series.SeriesPair(order)
+    assert cached._s_packed == fresh._s_packed and cached._c_packed == fresh._c_packed
+    full = generate_series(MAX_ORDER)
+    for r in TAIL_RADII:
+        bound = tail_bound(order, r)
+        assert bound <= SERIES_TOL
+        for z in (complex(r, 0.0), cmath.rect(r, 0.7), complex(-0.0, -r)):
+            got, want = eval_series(cached, z), eval_series(full, z)
+            for a, b in zip(got, want):
+                assert abs(a - b) <= bound + 4 * math.ulp(1.0)
+
+
 @pytest.mark.parametrize("order", range(1, MAX_ORDER + 1))
 def test_eval_radius_is_largest_that_meets_tol(order):
     # every accepted order evaluates on the one SERIES_EVAL_RADIUS disc, out
