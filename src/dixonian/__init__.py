@@ -7,9 +7,12 @@ series, lattice reduction, duplication), inverts sm, exposes the algebraic
 identity layer including the Weierstrass bridge, and renders domain-colored
 grids.
 
-The selftest (``CheckResult``, ``list_checks``, ``run_selftest``) is loaded
-on first use of one of its names: ``import dixonian`` and evaluation never
-pay for it.
+``import dixonian`` loads only what sm, cm and wp need: K comes from a
+table, not a root-finding. The inverse (``sm_inverse``, ``InverseResult``),
+the renderer (``Region``, ``ValueGrid``, ``sample_grid``, ``domain_color``,
+``grid_to_csv``) and the selftest (``CheckResult``, ``list_checks``,
+``run_selftest``) are loaded on first use of one of their names, and the
+quadrature on first use of the inverse or of ``compute_K_quadrature``.
 """
 
 from .constants import (
@@ -46,13 +49,16 @@ from .identities import (
     translate_2K,
     triplicate,
 )
-from .inverse import InverseResult, sm_inverse
-from .render import Region, ValueGrid, domain_color, grid_to_csv, sample_grid
 from .series import SeriesPair, eval_series, generate_series
 
 __version__ = "0.1.0"
 
-_SELFTEST_NAMES = ("CheckResult", "list_checks", "run_selftest")
+#: The names loaded on first use, by the submodule that defines them.
+_LAZY = {
+    **dict.fromkeys(("InverseResult", "sm_inverse"), "inverse"),
+    **dict.fromkeys(("Region", "ValueGrid", "domain_color", "grid_to_csv", "sample_grid"), "render"),
+    **dict.fromkeys(("CheckResult", "list_checks", "run_selftest"), "selftest"),
+}
 
 __all__ = [
     "GAMMA",
@@ -98,12 +104,14 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    if name in _SELFTEST_NAMES:
-        from . import selftest
-
-        return getattr(selftest, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # __import__ with a from-list returns the submodule itself
+    value = getattr(__import__(module, globals(), None, (name,), 1), name)
+    globals()[name] = value
+    return value
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *_SELFTEST_NAMES})
+    return sorted({*globals(), *_LAZY})

@@ -6,9 +6,13 @@ correctly rounded double of the exact rational from the recurrence in
 ``series``. An order n keeps the prefixes of (n + 2) // 3 and n // 3 + 1
 values.
 
+``K``, the first positive zero of cm, is the double that every accepted
+order root-finds from these coefficients (``constants.compute_K_root``); the
+library reads it from here instead of finding it in every process.
+
 Generated, not edited: ``python tests/test_series.py`` (with ``src`` on the
-path) prints this table from the exact recurrence, and the test suite
-requires every entry to match it bit for bit.
+path) prints this table from the exact recurrence and K's root-finding, and
+the test suite requires every entry to match it bit for bit.
 """
 
 P_COEFFS = (
@@ -60,3 +64,5 @@ Q_COEFFS = (
     2.5183052391856133e-15,
     -4.567358614080117e-16,
 )
+
+K = float.fromhex("0x1.c4426fe852836p+0")

@@ -6,7 +6,8 @@ stderr. Exit status: 0 success, 1 failed checks or evaluation failure,
 2 usage errors (an unwritable grid --out among them). Every subcommand but
 selftest takes --order, the highest power of z the series keeps (default
 48). Every accepted order, 27..64, shares one K and one series disc; any
-other order is a usage error.
+other order is a usage error. The inverse, the renderer and the selftest are
+imported only by the subcommands that use them.
 """
 
 from __future__ import annotations
@@ -17,11 +18,10 @@ import math
 import re
 import sys
 
-from . import render, series
+from . import series
 from .constants import dixon_constants
 from .errors import DixonError
 from .evaluator import cm, sm, wp
-from .inverse import sm_inverse
 
 _NUMBER = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+]?\d+)?"
 _COMPLEX = re.compile(rf"^([-+]?{_NUMBER})(([-+]{_NUMBER})i)?$")
@@ -73,6 +73,8 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_invert(args) -> int:
+    from .inverse import sm_inverse
+
     result = sm_inverse(args.w, tol=_check_tol(args.tol), order=args.order)
     print(json.dumps({"re": result.z.real, "im": result.z.imag, "residual": result.residual}))
     return 0
@@ -90,6 +92,8 @@ def _cell_preset(order: int) -> dict:
 
 
 def _cmd_grid(args) -> int:
+    from . import render
+
     # an order outside 27..64 raises here, before --out is opened
     dixon_constants(args.order)
     preset = _cell_preset(args.order) if args.preset == "cell" else {}

@@ -15,11 +15,9 @@ each row and wraps only the value it shows.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from . import identities, series
-from ._record import record
-from .constants import GAMMA_POWERS, DixonConstants, dixon_constants, halve_and_duplicate
+from ._record import memo, record
+from .constants import CONSTANTS, GAMMA_POWERS, DixonConstants, dixon_constants, halve_and_duplicate
 from .errors import PoleError
 from .identities import FunctionPair
 
@@ -55,11 +53,11 @@ class EllipticValue(record("EllipticValue", "value pole_rep", defaults=(None,)))
 
     @classmethod
     def finite(cls, v: complex) -> "EllipticValue":
-        return cls(value=complex(v))
+        return _new(cls, (complex(v), None))
 
     @classmethod
     def pole(cls, rep: complex) -> "EllipticValue":
-        return cls(value=None, pole_rep=complex(rep))
+        return _new(cls, (None, complex(rep)))
 
 
 class LatticeReduction(record("LatticeReduction", "m n z_reduced")):
@@ -74,8 +72,13 @@ class _Context(record("_Context", "constants pair")):
     __slots__ = ()
 
 
-@lru_cache(maxsize=8)
+@memo
 def _context(order: int) -> _Context:
+    """An order's context, by ``_context[order]`` (or ``_context(order)``).
+
+    A float equal to a stored order would find its entry, so the entry
+    points refuse a non-int order before they look it up.
+    """
     return _Context(constants=dixon_constants(order), pair=series.generate_series(order))
 
 
@@ -90,7 +93,7 @@ def reduce_to_fundamental(z: complex, consts: DixonConstants | None = None) -> L
     if not (abs(z.real) <= MAX_ARGUMENT and abs(z.imag) <= MAX_ARGUMENT):
         raise ValueError(f"cannot reduce {z}: each part must be finite and at most 2**45 in magnitude")
     if consts is None:
-        consts = dixon_constants(series.DEFAULT_ORDER)
+        consts = CONSTANTS
     w1, w2 = consts.periods
     b = z.imag / w2.imag
     a = (z.real - b * w2.real) / w1.real
@@ -104,7 +107,9 @@ def sm_cm(z: complex, *, order: int = series.DEFAULT_ORDER) -> tuple[EllipticVal
     Each result is finite or a pole marker; poles are reported when the
     reduced argument is within POLE_TOL of a pole representative.
     """
-    ctx = _context(order)
+    if order.__class__ is not int:
+        series.check_order(order)
+    ctx = _context[order]
     s, c = _pair(ctx, z)
     if s is None:
         marker = EllipticValue.pole(ctx.constants.pole_reps[c])
@@ -148,7 +153,9 @@ def wp(z: complex, *, order: int = series.DEFAULT_ORDER) -> EllipticValue:
     the simple poles of sm and cm, where s/(3(1 - c)) has the limit
     gamma**j / 3.
     """
-    return _wp_of_pair(*_pair(_context(order), z))
+    if order.__class__ is not int:
+        series.check_order(order)
+    return _wp_of_pair(*_pair(_context[order], z))
 
 
 def _wp_of_pair(s, c) -> EllipticValue:
@@ -188,4 +195,4 @@ def _near_pole_pair(ctx: _Context, j: int, w: complex) -> FunctionPair:
     # s(zr) = gamma**j * (-c(w)/s(w)) and c(zr) = 1/s(w); s(w) ~ w carries
     # full relative accuracy this close to 0, inside the series disc
     s, c = series.eval_series(ctx.pair, w)
-    return FunctionPair(GAMMA_POWERS[j] * (-c / s), 1.0 / s)
+    return _new(FunctionPair, (GAMMA_POWERS[j] * (-c / s), 1.0 / s))

@@ -17,9 +17,8 @@ Levels 0-6 take about 0.08 MB, all levels to MAX_LEVEL 1.2 MB.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
-from functools import lru_cache
 
+from ._record import memo
 from .errors import ConvergenceError
 
 _HALF_PI = math.pi / 2.0
@@ -29,8 +28,9 @@ _T_MAX = 5.0  # weight * (1-x)^(-2/3) is ~1e-34 here; further nodes are noise
 MAX_LEVEL = 10
 
 
-def tanh_sinh(f: Callable[[float, float], complex], tol: float = 1e-12) -> complex:
-    """Integrate ``f(x, 1 - x)`` over (0, 1).
+def tanh_sinh(f, tol: float = 1e-12) -> complex:
+    """Integrate ``f(x, 1 - x)`` over (0, 1); ``f`` takes two floats and
+    returns a complex (or float) value.
 
     The trapezoid step in the transformed variable is halved until two
     successive estimates agree within ``tol``. Raises ConvergenceError
@@ -60,7 +60,7 @@ def tanh_sinh(f: Callable[[float, float], complex], tol: float = 1e-12) -> compl
     )
 
 
-@lru_cache(maxsize=None)
+@memo
 def _level_nodes(level: int) -> tuple[tuple[float, ...], ...]:
     """The nodes a level adds, in summation order: (w, x, 1 - x) for each t
     at level 0, (w, x, 1 - x) at +t then at -t for each pair after it."""

@@ -17,7 +17,7 @@ from ._record import record
 from .evaluator import (  # noqa: F401
     MAX_ARGUMENT, EllipticValue, _context, _new, _pair, _wp_of_pair, sm_cm, wp,
 )
-from .series import DEFAULT_ORDER
+from .series import DEFAULT_ORDER, check_order
 
 MAX_PIXELS = 4096 * 4096
 
@@ -95,7 +95,7 @@ def sample_grid(
         raise ValueError(f"selector must be one of {SELECTORS}, got {selector!r}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    rows = _kernel_rows(_context(order), region.xs(), region.ys(), selector)
+    rows = _kernel_rows(_context(check_order(order)), region.xs(), region.ys(), selector)
     return ValueGrid(region, tuple(chain.from_iterable(rows)))
 
 

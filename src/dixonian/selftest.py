@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import identities, series
-from .constants import GAMMA_POWERS, DixonConstants, compute_K_quadrature, compute_K_root, dixon_constants
+from .constants import CONSTANTS, GAMMA_POWERS, compute_K_quadrature, compute_K_root
 from .evaluator import sm_cm_values, wp
 from .identities import FunctionPair
 from .inverse import sm_inverse
@@ -107,10 +107,6 @@ def run_selftest(names: list[str] | None = None) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 # sampling helpers
 
-def _constants() -> DixonConstants:
-    return dixon_constants(series.DEFAULT_ORDER)
-
-
 def _values(z: complex) -> tuple[complex, complex]:
     return sm_cm_values(z)
 
@@ -121,7 +117,7 @@ def _pair_at(z: complex) -> FunctionPair:
 
 def _cell_points(rng: random.Random, count: int, pole_margin: float = 0.05) -> list[complex]:
     """Uniform points of the centered cell, at least ``pole_margin`` from the poles."""
-    k = _constants()
+    k = CONSTANTS
     w1, w2 = k.periods
     pts: list[complex] = []
     while len(pts) < count:
@@ -245,7 +241,7 @@ def _check_k_agreement() -> float:
 
 @_register("cardinal_values", 1e-10)
 def _check_cardinals() -> float:
-    k = _constants()
+    k = CONSTANTS
     half = 2.0 ** (-1.0 / 3.0)
     sK, cK = _values(k.K)
     sh, ch = _values(k.K / 2.0)
@@ -263,7 +259,7 @@ def _check_cardinals() -> float:
 def _pole_probes() -> list[complex]:
     """One point 1e-9 from each pole representative, in a seeded direction."""
     rng = random.Random(202)
-    return [rep + cmath.rect(1e-9, rng.uniform(0.0, 2.0 * math.pi)) for rep in _constants().pole_reps]
+    return [rep + cmath.rect(1e-9, rng.uniform(0.0, 2.0 * math.pi)) for rep in CONSTANTS.pole_reps]
 
 
 @_register("pole_probe", 1e-8)
@@ -305,7 +301,7 @@ _SHIFTS = ((1, 0), (0, 1), (-1, -1), (2, -1), (-2, 2))
 
 @_sampled("periodicity", 1e-9, 505, 100)
 def _periodicity(z: complex, shifts: Sequence[tuple[int, int]] = _SHIFTS) -> float:
-    w1, w2 = _constants().periods
+    w1, w2 = CONSTANTS.periods
     s, c = _values(z)
     worst = 0.0
     for m, n in shifts:
@@ -324,7 +320,7 @@ def _conjugation(z: complex) -> float:
 @_sampled("negation_symmetry", 1e-10, 707, 150)
 def _negation(z: complex) -> float | None:
     # the zeros of cm: K * gamma**j
-    K = _constants().K
+    K = CONSTANTS.K
     if _near(z, [K * g for g in GAMMA_POWERS]):
         return None
     s, c = _values(z)
@@ -334,7 +330,7 @@ def _negation(z: complex) -> float | None:
 
 @_sampled("rotation_symmetry", 1e-10, 808, 150)
 def _rotation(z: complex) -> float:
-    g = _constants().gamma
+    g = CONSTANTS.gamma
     s, c = _values(z)
     sg, cg = _values(g * z)
     return max(abs(sg - g * s), abs(cg - c))
@@ -343,13 +339,13 @@ def _rotation(z: complex) -> float:
 @_sampled("reflection_identity", 1e-10, 909, 150)
 def _reflection(z: complex) -> float:
     s, c = _values(z)
-    sr, cr = _values(_constants().K - z)
+    sr, cr = _values(CONSTANTS.K - z)
     return max(abs(sr - c), abs(cr - s))
 
 
 @_sampled("translation_2k", 1e-10, 1010, 150)
 def _translation(z: complex) -> float | None:
-    k = _constants()
+    k = CONSTANTS
     if _near(z, k.zero_reps):
         return None
     s, c = _values(z)
@@ -359,7 +355,7 @@ def _translation(z: complex) -> float | None:
 
 @_register("zeros", 1e-9)
 def _check_zeros() -> float:
-    k = _constants()
+    k = CONSTANTS
     w1, w2 = k.periods
     worst = 0.0
     for rep in k.zero_reps:
@@ -379,7 +375,7 @@ def _ring_average(p: complex, component: int, radius: float = 1e-4) -> complex:
 
 @_register("residues_sm", 1e-5)
 def _check_residues_sm() -> float:
-    k = _constants()
+    k = CONSTANTS
     _, g, gbar = GAMMA_POWERS
     targets = [
         (complex(-k.K), complex(-1.0)),
@@ -397,13 +393,13 @@ def _check_residues_sm() -> float:
 
 @_register("residue_cm", 1e-5)
 def _check_residue_cm() -> float:
-    k = _constants()
+    k = CONSTANTS
     return abs(_ring_average(complex(-k.K), 1) - 1.0)
 
 
 @_register("triangle_boundary", 1e-9)
 def _check_triangle() -> float:
-    k = _constants()
+    k = CONSTANTS
     verts = [k.K * g for g in GAMMA_POWERS]
     worst = 0.0
     for a, b in zip(verts, verts[1:] + verts[:1]):
@@ -428,7 +424,7 @@ def _check_imaginary_axis() -> float:
 def _check_hexagon_edge() -> float:
     # edge from K toward -K*conj(gamma) = K + K*gamma; sm is real there and
     # cm lies on the line gamma * R; stop short of the pole at the far vertex
-    k = _constants()
+    k = CONSTANTS
     _, g, gbar = GAMMA_POWERS
     worst = 0.0
     for i in range(100):
@@ -462,7 +458,7 @@ def _check_reality_rays() -> float:
 def _check_quartic_root() -> float:
     # sigma = sm(-K/4)**3 is the unique root of the quartic in the unit disc;
     # doubling -K/4 forces sm(-K/2)**3 = -1
-    k = _constants()
+    k = CONSTANTS
     s, _ = _values(-k.K / 4.0)
     sigma = s * s * s
     quartic = 1.0 + 10.0 * sigma - 12.0 * sigma ** 2 + 4.0 * sigma ** 3 - 2.0 * sigma ** 4
@@ -527,7 +523,7 @@ def _weierstrass(z: complex) -> float | None:
 def _wp_periodicity(z: complex) -> float | None:
     if abs(z) < _LATTICE_MARGIN:
         return None
-    w1, w2 = _constants().periods
+    w1, w2 = CONSTANTS.periods
     base = wp(z).value
     return max(abs(wp(z + shift).value - base) for shift in (w1, w2, w1 + w2))
 
@@ -542,7 +538,7 @@ def _inverse_roundtrip(w: complex) -> float:
 
 @_register("inverse_landmarks", 1e-7)
 def _check_inverse_landmarks() -> float:
-    k = _constants()
+    k = CONSTANTS
     return max(
         abs(sm_inverse(1.0).z - k.K),
         abs(sm_inverse(2.0 ** (-1.0 / 3.0)).z - k.K / 2.0),

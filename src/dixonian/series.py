@@ -17,8 +17,7 @@ reads them.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
-
+from ._record import memo
 from ._tables import P_COEFFS, Q_COEFFS
 
 DEFAULT_ORDER = 48
@@ -44,10 +43,9 @@ class SeriesPair:
     ``s_coeffs[n]`` is the exact rational coefficient of z**n; both tuples
     run from index 0 through ``order`` inclusive, and are built from the
     recurrence the first time either is read. Evaluation never reads them:
-    it takes the order's prefix of the binary64 table. Everything else
-    evaluation needs is derived from that prefix once, on first use. Two
-    pairs are equal when their orders are, and so their coefficients; pairs
-    are not hashable.
+    it takes the order's prefix of the binary64 table, and the Horner steps
+    built from it. Two pairs are equal when their orders are, and so their
+    coefficients; pairs are not hashable.
     """
 
     __hash__ = None
@@ -57,18 +55,29 @@ class SeriesPair:
         # sm(z) = z * P(z^3) and cm(z) = Q(z^3) in binary64
         self._s_packed = P_COEFFS[: (order + 2) // 3]
         self._c_packed = Q_COEFFS[: order // 3 + 1]
+        # the coefficients of P and Q from the top down, paired for one loop;
+        # Q has as many as P or one more, and that extra top coefficient
+        # comes first, on its own (None when there is none)
+        s_rev, c_rev = self._s_packed[::-1], self._c_packed[::-1]
+        extra = len(c_rev) - len(s_rev)
+        self._horner_steps = (c_rev[0] if extra else None), tuple(zip(s_rev, c_rev[extra:]))
 
-    @cached_property
-    def _exact(self) -> tuple[tuple, tuple]:
-        return _recurrence(self.order)
+    def _exact_coeffs(self) -> tuple[tuple, tuple]:
+        # not a __getattr__: a class with one leaves every attribute read of
+        # its instances unspecialized, and the kernel reads the pair's
+        # attributes on every call
+        exact = self.__dict__.get("_exact")
+        if exact is None:
+            exact = self._exact = _recurrence(self.order)
+        return exact
 
     @property
     def s_coeffs(self) -> tuple:
-        return self._exact[0]
+        return self._exact_coeffs()[0]
 
     @property
     def c_coeffs(self) -> tuple:
-        return self._exact[1]
+        return self._exact_coeffs()[1]
 
     def __repr__(self) -> str:
         return (
@@ -81,18 +90,6 @@ class SeriesPair:
             return NotImplemented
         return self.order == other.order
 
-    @cached_property
-    def _horner_steps(self) -> tuple[float | None, tuple[tuple[float, float], ...]]:
-        """Coefficients of P and Q from the top down, paired for one loop.
-
-        Q has as many coefficients as P or one more; that extra top
-        coefficient of Q comes first, on its own (None when there is none).
-        """
-        s_rev = self._s_packed[::-1]
-        c_rev = self._c_packed[::-1]
-        extra = len(c_rev) - len(s_rev)
-        return (c_rev[0] if extra else None), tuple(zip(s_rev, c_rev[extra:]))
-
     def halvings(self, r: float) -> int:
         """How many halvings bring the radius r inside SERIES_EVAL_RADIUS."""
         k = 0
@@ -102,21 +99,27 @@ class SeriesPair:
         return k
 
 
+def check_order(order: int) -> int:
+    """``order`` itself if it is an accepted series order: TypeError unless
+    it is an int, ValueError outside MIN_ORDER..MAX_ORDER."""
+    if not isinstance(order, int):
+        raise TypeError(f"series order must be an int, got {type(order).__name__} {order!r}")
+    if not MIN_ORDER <= order <= MAX_ORDER:
+        raise ValueError(f"series order must be in {MIN_ORDER}..{MAX_ORDER}, got {order}")
+    return order
+
+
 def generate_series(order: int = DEFAULT_ORDER) -> SeriesPair:
     """The series pair of the order: a prefix of the binary64 table, with
     the exact coefficients 0..order built from the recurrence on first read.
 
     Each order's pair is made once per process; later calls return the same
-    pair. ``order`` outside MIN_ORDER..MAX_ORDER is a usage error.
+    pair. An order that ``check_order`` refuses is a usage error.
     """
-    if not MIN_ORDER <= order <= MAX_ORDER:
-        raise ValueError(f"series order must be in {MIN_ORDER}..{MAX_ORDER}, got {order}")
-    return _generate(order)
+    return _generate[check_order(order)]
 
 
-@lru_cache(maxsize=None, typed=True)
-def _generate(order: int) -> SeriesPair:
-    return SeriesPair(order)
+_generate = memo(SeriesPair)
 
 
 def _recurrence(order: int) -> tuple[tuple, tuple]:

@@ -233,15 +233,57 @@ def test_traced_attributes_exist():
 
 
 def test_one_constants_record_per_order():
-    # the evaluator, the selftest and the default reduction share one cache
-    # entry; a fresh interpreter starts from an empty cache
+    # every accepted order, the evaluator, the selftest and the default
+    # reduction share the one record built from the tabulated K; the
+    # benchmark times a fresh build through __wrapped__
     code = (
-        "from dixonian import constants, evaluator, reduce_to_fundamental, run_selftest, sm\n"
+        "from dixonian import constants, dixon_constants, evaluator, reduce_to_fundamental, run_selftest, sm\n"
         "sm(0.3); run_selftest(); reduce_to_fundamental(1.0)\n"
-        "assert constants.dixon_constants.cache_info().currsize == 1\n"
-        "assert constants.dixon_constants(48) is evaluator._context(48).constants\n"
+        "records = [dixon_constants(), dixon_constants(48), dixon_constants(order=48), dixon_constants(27),\n"
+        "           evaluator._context(48).constants, evaluator._context(64).constants]\n"
+        "assert all(r is constants.CONSTANTS for r in records)\n"
+        "assert constants.CONSTANTS.K.hex() == '0x1.c4426fe852836p+0'\n"
+        "fresh = dixon_constants.__wrapped__(48)\n"
+        "assert fresh == constants.CONSTANTS and fresh is not constants.CONSTANTS\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+#: Each entry point that takes a series order, called with one.
+NON_INT_ORDER_CODE = """\
+from dixonian import Region, dixon_constants, generate_series, sample_grid, sm, sm_cm, sm_inverse, wp
+
+region = Region(0j, 1.0, 1.0, 2, 2)
+calls = (
+    generate_series, dixon_constants, lambda o: dixon_constants(order=o), lambda o: sm_cm(0.3, order=o),
+    lambda o: sm(0.3, order=o), lambda o: wp(0.3, order=o), lambda o: sm_inverse(0.3, order=o),
+    lambda o: sample_grid(region, "sm", order=o), lambda o: sample_grid(region, "wp", order=o),
+)
+
+
+def refused():
+    for order in (48.0, 27.0, 64.0, "48", None):
+        for call in calls:
+            try:
+                call(order)
+            except TypeError as exc:
+                assert str(exc) == f"series order must be an int, got {type(order).__name__} {order!r}", exc
+            else:
+                raise AssertionError(f"order {order!r} accepted")
+
+
+refused()
+sm_cm(0.3), sm_cm(0.3, order=27), wp(0.3, order=64), sm_inverse(0.3), sample_grid(region, "sm")
+refused()
+"""
+
+
+def test_non_int_order_refused():
+    # a float equal to an order whose context or pair is already stored
+    # would find it: every entry point refuses a non-int order, both in a
+    # fresh interpreter and after the orders were used
+    proc = subprocess.run([sys.executable, "-c", NON_INT_ORDER_CODE], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -274,9 +316,13 @@ def test_all_lists_every_public_name():
 COLD_PATH_EXCLUDED = (
     "dataclasses", "typing", "inspect", "random", "dixonian.selftest", "fractions", "decimal", "numbers",
 )
+#: Loaded on first use of one of their names (the quadrature with the
+#: inverse): never by the package and sm, cm and wp, nor by the CLI's eval
+#: and constants.
+LOADED_ON_FIRST_USE = ("dixonian.inverse", "dixonian.render", "dixonian.quadrature")
 #: Not loaded by the package and a first sm_cm, the benchmark's set-up; the
-#: CLI loads re through argparse and json.
-SETUP_EXCLUDED = ("re", "enum")
+#: CLI loads them through argparse, json and re.
+SETUP_EXCLUDED = ("re", "enum", "functools", "collections", *LOADED_ON_FIRST_USE)
 
 
 def test_cold_path_imports():
@@ -288,12 +334,20 @@ def test_cold_path_imports():
         "assert not loaded, loaded",
         "from dixonian import cli",
         "for argv in (['eval', '--fn', 'sm', '--z', '0.3'], ['eval', '--fn', 'wp', '--z', '0.3+0.1i'],",
-        "             ['constants'], ['invert', '--w', '0.5']):",
+        "             ['constants']):",
         "    assert cli.main(argv) == 0, argv",
+        f"loaded = [m for m in {LOADED_ON_FIRST_USE + COLD_PATH_EXCLUDED!r} if m in sys.modules]",
+        "assert not loaded, loaded",
+        "assert cli.main(['invert', '--w', '0.5']) == 0",
         f"loaded = [m for m in {COLD_PATH_EXCLUDED!r} if m in sys.modules]",
         "assert not loaded, loaded",
+        "assert 'dixonian.render' not in sys.modules",
         "dixonian.run_selftest",
         "assert 'dixonian.selftest' in sys.modules",
+        "from dixonian import *",
+        "import dixonian.render",
+        "assert sample_grid is dixonian.render.sample_grid and sm_inverse is dixonian.inverse.sm_inverse",
+        "assert all(name in globals() for name in dixonian.__all__)",
     ))
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True)
@@ -314,7 +368,6 @@ def test_sm_cm_calls_through_module_attributes(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    sm_cm(0.3)  # K's root-finding also calls eval_series: build it first
     counting(series, "eval_series")
     counting(evaluator, "reduce_to_fundamental")
     for fn in (sm_cm, evaluator.wp):

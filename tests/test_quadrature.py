@@ -135,25 +135,36 @@ def test_tables_hold_the_nodes_in_summation_order():
         assert all(v > 0.0 for v in got)
 
 
-def test_each_level_built_once_up_to_the_level_reached():
-    quadrature._level_nodes.cache_clear()
+@pytest.fixture
+def built(monkeypatch):
+    """The levels whose tables get built, in order, from an empty memo."""
+    levels = []
+    build = quadrature._level_nodes.__wrapped__
+
+    def counting(level):
+        levels.append(level)
+        return build(level)
+
+    monkeypatch.setattr(quadrature._level_nodes, "__wrapped__", counting)
+    quadrature._level_nodes.clear()
+    return levels
+
+
+def test_each_level_built_once_up_to_the_level_reached(built):
     _, level = reference_tanh_sinh(_k_integrand, 1e-11)
     tanh_sinh(_k_integrand, tol=1e-11)
-    info = quadrature._level_nodes.cache_info()
-    assert info.currsize == info.misses == level + 1
+    assert built == list(range(level + 1)) and len(quadrature._level_nodes) == level + 1
     tanh_sinh(_k_integrand, tol=1e-11)
-    assert quadrature._level_nodes.cache_info().misses == level + 1
+    assert len(built) == level + 1
 
-    quadrature._level_nodes.cache_clear()
+    quadrature._level_nodes.clear()
     with pytest.raises(ConvergenceError):
         tanh_sinh(BRANCH_SIDE, tol=1e-11)
-    assert quadrature._level_nodes.cache_info().currsize == MAX_LEVEL + 1
+    assert sorted(quadrature._level_nodes) == list(range(MAX_LEVEL + 1))
 
 
-def test_disc_solves_cache_at_most_five_levels():
-    quadrature._level_nodes.cache_clear()
+def test_disc_solves_cache_at_most_five_levels(built):
     rng = random.Random(17)
     for _ in range(50):
         sm_inverse(cmath.rect(0.9 * math.sqrt(rng.random()), rng.uniform(0.0, 2.0 * math.pi)))
-    info = quadrature._level_nodes.cache_info()
-    assert info.currsize == info.misses <= 5
+    assert len(built) == len(set(built)) == len(quadrature._level_nodes) <= 5

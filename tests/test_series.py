@@ -2,8 +2,8 @@
 table, evaluation.
 
 ``python tests/test_series.py`` (with ``src`` on the path) prints the
-binary64 table from the exact recurrence, as ``src/dixonian/_tables.py``
-holds it.
+binary64 table from the exact recurrence, and K from its root-finding, as
+``src/dixonian/_tables.py`` holds them.
 """
 
 import cmath
@@ -86,11 +86,12 @@ def _rounded_recurrence():
 
 
 def table_text():
-    """The table's two tuples, as ``_tables.py`` writes them."""
-    blocks = (
+    """The table's two tuples and K, as ``_tables.py`` writes them."""
+    blocks = [
         "\n".join((f"{name} = (", *(f"    {v!r}," for v in values), ")"))
         for name, values in zip(("P_COEFFS", "Q_COEFFS"), _rounded_recurrence())
-    )
+    ]
+    blocks.append(f'K = float.fromhex("{compute_K_root(DEFAULT_ORDER).hex()}")')
     return "\n\n".join(blocks) + "\n"
 
 
@@ -100,6 +101,7 @@ def test_table_is_the_rounded_recurrence():
     for table, want in ((_tables.P_COEFFS, p), (_tables.Q_COEFFS, q)):
         assert all(type(a) is float for a in table)
         assert [a.hex() for a in table] == [a.hex() for a in want]
+    assert type(_tables.K) is float
     text = pathlib.Path(_tables.__file__).read_text()
     assert text.endswith("\n\n" + table_text())
 
@@ -266,8 +268,8 @@ def test_eval_series_checks_outside_shortcut(order):
 
 def test_min_order_is_derived(monkeypatch):
     # MIN_ORDER is the smallest order from which every order root-finds the
-    # default order's K to the bit and meets SERIES_TOL on the disc
-    k = compute_K_root(DEFAULT_ORDER).hex()
+    # tabulated K to the bit and meets SERIES_TOL on the disc
+    k = _tables.K.hex()
     assert k == "0x1.c4426fe852836p+0"
 
     def shares_k_and_disc(order):
