@@ -76,7 +76,14 @@ def _cmd_invert(args) -> int:
     from .inverse import sm_inverse
 
     result = sm_inverse(args.w, tol=_check_tol(args.tol), order=args.order)
-    print(json.dumps({"re": result.z.real, "im": result.z.imag, "residual": result.residual}))
+    r = result.residual
+    # sm(z + d) - sm(z) = cm(z)**2 d + ..., and d**3 / 3 times gamma**j at the
+    # branch point gamma**j, where cm vanishes: the error of z to first order
+    # in the term that dominates
+    cubic = (3.0 * r) ** (1.0 / 3.0)
+    c2 = abs(cm(result.z, order=args.order).value) ** 2
+    z_err = min(r / c2, cubic) if c2 else cubic
+    print(json.dumps({"re": result.z.real, "im": result.z.imag, "residual": r, "z_err": z_err}))
     return 0
 
 
@@ -168,7 +175,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=float,
         default=1e-10,
         help="target residual |sm(z) - w| (1e-14..1e-2); z is then accurate to about "
-        "residual / |cm(z)|^2, which grows next to the branch points",
+        "residual / |cm(z)|^2, which grows next to the branch points and is printed as z_err",
     )
     p_inv.add_argument("--order", type=int, default=series.DEFAULT_ORDER, help=_ORDER_HELP)
     p_inv.set_defaults(func=_cmd_invert)

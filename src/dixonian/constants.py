@@ -18,8 +18,6 @@ branch-point guess, the selftest) reads it from here, and rotates back by
 its conjugate.
 """
 
-from __future__ import annotations
-
 import math
 
 from . import _tables, identities, series

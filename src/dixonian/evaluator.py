@@ -9,11 +9,9 @@ comes near zero: one would vanish only where the doubled point is a pole,
 and the doubles of the poles lie outside the cell.
 
 One kernel, ``_pair``, runs this pipeline and returns plain complex values;
-``sm_cm`` and ``wp`` wrap them in records, and the grid sampler runs it along
-each row and wraps only the value it shows.
+``sm_cm`` and ``wp`` wrap them in records, and the grid sampler anchors its
+rows on it, stepping between anchors by the addition theorem.
 """
-
-from __future__ import annotations
 
 from . import identities, series
 from ._record import memo, record

@@ -6,8 +6,6 @@ evaluated from scratch. They serve both as user-facing building blocks
 Weierstrass bridge) and as independent cross-checks of the global evaluator.
 """
 
-from __future__ import annotations
-
 from ._record import record
 from .errors import DegenerateDenominatorError
 

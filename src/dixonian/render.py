@@ -1,5 +1,16 @@
 """Grid sampling and domain-colored output for sm, cm, and the lattice wp.
 
+Grid rows come from the addition theorem. A row's first pixel, and every
+pixel of a grid where stepping is off, runs the evaluator's kernel; a later
+pixel is one addition step (s, c) + (sm h, cm h) from its left neighbour,
+h being the region's column spacing. The kernel re-anchors on the pixel's
+own coordinate after STEPS_PER_ANCHOR steps, after a pole marker, where the
+step's denominator is below STEP_MIN_DEN, and wherever the left or the
+stepped pair lies outside |sm|, |cm| <= STEP_MAX or within STEP_LATTICE_GAP
+of cm = 1. Values therefore differ from ``sm_cm`` and ``wp`` only in the
+last bits (the tests bound the difference by 2e-13 * max(1, |v|)); pole
+pixels, and the grids where stepping is off, are theirs bit for bit.
+
 Output is binary PPM (P6, maxval 255): hue encodes phase (hue angle =
 arg/2pi), lightness grows with log(1 + |v|) mapped into [0.15, 0.95]. Pole
 pixels are pure white, values of magnitude <= 1e-9 pure black. Identical
@@ -17,9 +28,31 @@ from ._record import record
 from .evaluator import (  # noqa: F401
     MAX_ARGUMENT, EllipticValue, _context, _new, _pair, _wp_of_pair, sm_cm, wp,
 )
-from .series import DEFAULT_ORDER, check_order
+from .series import DEFAULT_ORDER, SERIES_EVAL_RADIUS, check_order
 
 MAX_PIXELS = 4096 * 4096
+
+#: A row steps at most this many pixels from one kernel anchor ...
+STEPS_PER_ANCHOR = 16
+#: ... and steps only from and to pairs with |sm|, |cm| <= STEP_MAX and
+#: |1 - cm| > STEP_LATTICE_GAP. Beyond STEP_MAX the pixel nears a pole,
+#: where the kernel keeps full relative accuracy (its near-pole rescue
+#: starts at |sm| >= 1 / NEAR_TOL = 20); within STEP_LATTICE_GAP of cm = 1
+#: it nears a lattice point, where wp = sm / (3 (1 - cm)) magnifies the
+#: error of cm.
+STEP_MAX = 4.0
+STEP_LATTICE_GAP = 0.25
+#: A step whose denominator s c (sm h)**2 + cm h is smaller than this in
+#: magnitude goes to the kernel instead. The step's rounding error grows as
+#: the denominator shrinks, and where x - 2h is a pole the denominator and
+#: the numerators all vanish. From a pair inside the bounds it stays above
+#: 0.9 for every h up to 0.078, so only wider columns meet this.
+STEP_MIN_DEN = 0.9
+#: Stepping is off for the whole grid when a corner coordinate exceeds this
+#: in magnitude (one ulp of 64 is 1.4e-14; past it, only the kernel at each
+#: pixel's own double keeps the 1e-12 contract), when the column spacing
+#: exceeds SERIES_EVAL_RADIUS, and for a single column.
+STEP_MAX_COORD = 64.0
 
 ZERO_CLIP = 1e-9
 _L_MIN, _L_MAX = 0.15, 0.95
@@ -82,9 +115,12 @@ def sample_grid(
     """Evaluate the selected function over the region, row by row, at the
     series ``order``.
 
-    Every selector runs the evaluator's kernel along each row, with the
-    context looked up once, and wraps only the selected value in a record.
-    The values are bit for bit those of ``sm_cm`` and ``wp``.
+    Every selector takes its values from the same (sm, cm) rows, which step
+    along each row by the addition theorem and re-anchor on the evaluator's
+    kernel (see the module docstring), and wraps only the selected value in
+    a record. Pole markers, each row's first pixel and every pixel of a grid
+    where stepping is off are bit for bit those of ``sm_cm`` and ``wp``;
+    the tests hold every other value within 2e-13 * max(1, |v|) of theirs.
 
     ``workers`` must be at least 1 and changes nothing: rows run in order on
     the calling thread, since evaluation is pure Python and holds the
@@ -95,25 +131,54 @@ def sample_grid(
         raise ValueError(f"selector must be one of {SELECTORS}, got {selector!r}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    rows = _kernel_rows(_context(check_order(order)), region.xs(), region.ys(), selector)
-    return ValueGrid(region, tuple(chain.from_iterable(rows)))
-
-
-def _kernel_rows(ctx, xs: list[float], ys: list[float], selector: str):
-    """One list of records per row, of the selected function at the kernel's
-    pairs; for sm and cm the three pole markers are built once. Rows are
-    chained into the grid's tuple, so no whole-grid list is built."""
-    if selector == "wp":
-        for y in ys:
-            yield [_wp_of_pair(*_pair(ctx, complex(x, y))) for x in xs]
-        return
-    pick = 0 if selector == "sm" else 1
+    ctx = _context(check_order(order))
+    rows = _pair_rows(ctx, region)
+    # a pole pair is (None, j); its three sm and cm markers are built once
     poles = [EllipticValue.pole(rep) for rep in ctx.constants.pole_reps]
+    if selector == "sm":
+        values = ([poles[c] if s is None else _new(EllipticValue, (s, None)) for s, c in row] for row in rows)
+    elif selector == "cm":
+        values = ([poles[c] if s is None else _new(EllipticValue, (c, None)) for s, c in row] for row in rows)
+    else:
+        values = ([_wp_of_pair(s, c) for s, c in row] for row in rows)
+    # rows are chained into the grid's tuple, so no whole-grid list is built
+    return ValueGrid(region, tuple(chain.from_iterable(values)))
+
+
+def _pair_rows(ctx, region: Region):
+    """One list per row of the kernel's plain (sm, cm), or (None, j) on pole
+    j, stepped along the row by the addition theorem where that is on."""
+    xs, ys = region.xs(), region.ys()
+    # the Region's own step (xs[1] - xs[0] would carry an ulp of |x|); a
+    # single column has none
+    h = region.width / (region.nx - 1) if region.nx > 1 else math.inf
+    if h > SERIES_EVAL_RADIUS or max(abs(xs[0]), abs(xs[-1]), abs(ys[0]), abs(ys[-1])) > STEP_MAX_COORD:
+        for y in ys:
+            yield [_pair(ctx, complex(x, y)) for x in xs]
+        return
+    sh, ch = _pair(ctx, complex(h))
+    sh2, chsh, ch2 = sh * sh, ch * sh, ch * ch
+    top, gap, least, every = STEP_MAX, STEP_LATTICE_GAP, STEP_MIN_DEN, STEPS_PER_ANCHOR
     for y in ys:
-        yield [
-            poles[pair[1]] if pair[0] is None else _new(EllipticValue, (pair[pick], None))
-            for pair in [_pair(ctx, complex(x, y)) for x in xs]
-        ]
+        row = []
+        append = row.append
+        steps = 0
+        for x in xs:
+            if steps:
+                # identities.add of (s, c) at x - h and (sm h, cm h), inline,
+                # with the products of sm h and cm h formed once
+                den = s * c * sh2 + ch
+                if abs(den) >= least:
+                    s, c = (s + c * c * chsh) / den, (c * ch2 - s * s * sh) / den
+                    if abs(s) <= top and abs(c) <= top and abs(1.0 - c) > gap:
+                        append((s, c))
+                        steps -= 1
+                        continue
+            pair = s, c = _pair(ctx, complex(x, y))
+            append(pair)
+            # the next pixel steps only from a pair inside the bounds
+            steps = every if s is not None and abs(s) <= top and abs(c) <= top and abs(1.0 - c) > gap else 0
+        yield row
 
 
 _POLE_PX = b"\xff\xff\xff"

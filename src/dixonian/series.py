@@ -15,8 +15,6 @@ from and tested against, are built from the recurrence only when a caller
 reads them.
 """
 
-from __future__ import annotations
-
 from ._record import memo
 from ._tables import P_COEFFS, Q_COEFFS
 

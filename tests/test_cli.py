@@ -131,6 +131,26 @@ def test_invert_next_to_branch_point(capsys):
     assert abs(complex(data["re"], data["im"]) - (K - y)) <= 0.1 * y
 
 
+def test_invert_reports_error_of_z(capsys):
+    from dixonian import sm_inverse
+
+    w = 0.9999999
+    code, out, _ = run_cli(capsys, "invert", "--w", str(w))
+    assert code == 0
+    data = json.loads(out)
+    assert set(data) == {"re", "im", "residual", "z_err"}
+    # the reflection z = K - u with sm(u) = (1 - w**3)**(1/3), a well
+    # conditioned solve next to 0
+    y = ((1.0 - w) * (1.0 + w + w * w)) ** (1.0 / 3.0)
+    err = abs(complex(data["re"], data["im"]) - (K - sm_inverse(y, tol=1e-15).z))
+    assert 1e-7 < err < 1e-5
+    assert err / 2.0 <= data["z_err"] <= 2.0 * err
+    # at the branch point itself cm(z) vanishes, and the cubic term bounds z_err
+    data = json.loads(run_cli(capsys, "invert", "--w", "1")[1])
+    assert data["z_err"] <= (3.0 * data["residual"]) ** (1.0 / 3.0)
+    assert json.loads(run_cli(capsys, "invert", "--w", "0")[1])["z_err"] == 0.0
+
+
 def test_invert_domain_error(capsys):
     code, _, err = run_cli(capsys, "invert", "--w", "1.5")
     assert code == 2
@@ -186,10 +206,16 @@ def test_grid_honours_order(tmp_path, capsys):
     text = out27.read_text()
     # order 27 differs from order 48 in the last bits of one of these pixels
     assert text != out48.read_text()
-    for line in text.splitlines()[1:]:
+    for idx, line in enumerate(text.splitlines()[1:]):
         re_, im, s_re, s_im, pole = line.split(",")
         v = sm(complex(float(re_), float(im)), order=27).value
-        assert (s_re, s_im, pole) == (f"{v.real:.17g}", f"{v.imag:.17g}", "0")
+        assert pole == "0"
+        if idx % 3 == 0:
+            # each row's first pixel is the kernel's, to the bit
+            assert (s_re, s_im) == (f"{v.real:.17g}", f"{v.imag:.17g}")
+        else:
+            # later pixels may step from their left neighbour
+            assert abs(complex(float(s_re), float(s_im)) - v) <= 2e-13 * max(1.0, abs(v))
 
     # the cell preset is framed with the one K every accepted order shares
     out = tmp_path / "cell27.csv"

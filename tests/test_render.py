@@ -157,24 +157,36 @@ def test_cell_grid_pole_and_zero_clusters():
     assert zero_classes == {0, 1, 2}
 
 
-# -- the row kernel: sample_grid agrees with the one-point API bit for bit ----
+# -- the grid rows against the one-point API ---------------------------------
 
 P0, P1, P2 = CONSTS.pole_reps
 
+#: region, the pole representative it must sample, and whether its rows step
+#: by the addition theorem (otherwise every pixel runs the kernel)
 KERNEL_REGIONS = {
-    # odd axes whose nodes land exactly on a pole representative
-    "on -K": (Region(0j, 2.0 * K, math.sqrt(3.0) * K, 5, 3), P0),
-    "on -K*gamma": (Region(P1, 1.0, 1.0, 3, 3), P1),
-    "on -K*conj(gamma)": (Region(P2, 1.0, 1.0, 3, 3), P2),
+    # odd axes whose nodes land exactly on a pole representative; the column
+    # spacing of "on -K", K/2, exceeds the series disc
+    "on -K": (Region(0j, 2.0 * K, math.sqrt(3.0) * K, 5, 3), P0, False),
+    "on -K*gamma": (Region(P1, 1.0, 1.0, 3, 3), P1, True),
+    "on -K*conj(gamma)": (Region(P2, 1.0, 1.0, 3, 3), P2, True),
+    # a pole two columns left of a stepped pixel, where the addition
+    # theorem's denominator vanishes with its numerators
+    "right of -K": (Region(P0 + 1.0, 2.0, 1.0, 5, 3), P0, True),
+    "right of -K*gamma": (Region(P1 + 1.0, 2.0, 1.0, 5, 3), P1, True),
     # rows within 1e-3 of a pole, inside NEAR_TOL: the near-pole rescue
-    "near -K": (Region(P0 + 5e-4j, 1.6e-3, 8e-4, 9, 3), None),
-    "near -K*gamma": (Region(P1 + 3e-4, 6e-4, 1.6e-3, 5, 4), None),
-    # a row at |z| ~ 1e6: lattice reduction of a large argument
-    "far": (Region(complex(1e6, 0.25), 6.0, 0.5, 13, 1), None),
-    "1x1": (Region(0.3 + 0.2j, 1.0, 1.0, 1, 1), None),
-    "1xn": (Region(-0.4 + 0.1j, 1.0, 2.5, 1, 7), None),
-    "cell": (Region(0j, 4.5 * K, 1.5 * math.sqrt(3.0) * K, 37, 13), None),
+    "near -K": (Region(P0 + 5e-4j, 1.6e-3, 8e-4, 9, 3), None, True),
+    "near -K*gamma": (Region(P1 + 3e-4, 6e-4, 1.6e-3, 5, 4), None, True),
+    # rows at |z| ~ 1e6: lattice reduction of a large argument, where a
+    # corner beyond STEP_MAX_COORD turns stepping off
+    "far": (Region(complex(1e6, 0.25), 6.0, 0.5, 13, 1), None, False),
+    "far 200x1": (Region(complex(1e6, 0.25), 6.0, 0.5, 200, 1), None, False),
+    "1x1": (Region(0.3 + 0.2j, 1.0, 1.0, 1, 1), None, False),
+    "1xn": (Region(-0.4 + 0.1j, 1.0, 2.5, 1, 7), None, False),
+    "cell": (Region(0j, 4.5 * K, 1.5 * math.sqrt(3.0) * K, 37, 13), None, True),
 }
+
+#: a stepped value lies within this of the one-point API's, times max(1, |v|)
+STEP_BOUND = 2e-13
 
 
 def _bits(v):
@@ -193,7 +205,10 @@ def _one_point(selector, z, order):
 @pytest.mark.parametrize("selector", ["sm", "cm", "wp"])
 @pytest.mark.parametrize("name", sorted(KERNEL_REGIONS))
 def test_grid_values_match_one_point_api(name, selector):
-    region, pole = KERNEL_REGIONS[name]
+    """Pole markers, each row's first pixel and every pixel of a grid whose
+    rows do not step are the one-point API's bits; a stepped pixel lies
+    within STEP_BOUND * max(1, |v|) of its value."""
+    region, pole, stepped = KERNEL_REGIONS[name]
     xs, ys = region.xs(), region.ys()
     points = [complex(x, y) for y in ys for x in xs]
     if pole is not None:
@@ -202,8 +217,92 @@ def test_grid_values_match_one_point_api(name, selector):
         grid = sample_grid(region, selector, order=order)
         assert len(grid.values) == len(points)
         assert all(type(v) is EllipticValue for v in grid.values)
-        want = [_bits(_one_point(selector, z, order)) for z in points]
-        assert [_bits(v) for v in grid.values] == want, (name, selector, order)
+        for idx, (z, got) in enumerate(zip(points, grid.values)):
+            want = _one_point(selector, z, order)
+            if want.value is None or not stepped or idx % region.nx == 0:
+                assert _bits(got) == _bits(want), (name, selector, order, z)
+            else:
+                assert got.value is not None, (name, selector, order, z)
+                assert abs(got.value - want.value) <= STEP_BOUND * max(1.0, abs(want.value)), (
+                    name, selector, order, z)
+
+
+def _anchors(monkeypatch, region, selector="sm"):
+    """The points at which sample_grid ran the kernel, in order."""
+    from dixonian import render
+
+    calls = []
+
+    def recording(ctx, z):
+        calls.append(z)
+        return kernel(ctx, z)
+
+    kernel = render._pair
+    monkeypatch.setattr(render, "_pair", recording)
+    grid = sample_grid(region, selector)
+    monkeypatch.undo()
+    return grid, calls
+
+
+def test_rows_step_between_anchors(monkeypatch):
+    from dixonian.render import STEP_LATTICE_GAP, STEP_MAX, STEPS_PER_ANCHOR
+
+    region = Region(0j, 4.5 * K, 1.5 * math.sqrt(3.0) * K, 181, 61)
+    grid, calls = _anchors(monkeypatch, region)
+    # the first call is (sm h, cm h) at the column spacing
+    assert calls[0] == complex(region.width / (region.nx - 1))
+    anchored = set(calls[1:])
+    assert len(anchored) == len(calls) - 1
+    xs, ys = region.xs(), region.ys()
+    nx = region.nx
+    for j, y in enumerate(ys):
+        steps = 0
+        for i, x in enumerate(xs):
+            z = complex(x, y)
+            if z in anchored:
+                steps = 0
+                continue
+            steps += 1
+            assert i > 0 and steps <= STEPS_PER_ANCHOR, z
+            # stepped from a pair inside the bounds, to a pair inside them
+            assert grid.values[j * nx + i - 1].value is not None, z
+            for point in (complex(xs[i - 1], y), z):
+                s, c = sm_cm(point)
+                assert abs(s.value) <= STEP_MAX + 1e-9 and abs(c.value) <= STEP_MAX + 1e-9, point
+                assert abs(1.0 - c.value) > STEP_LATTICE_GAP - 1e-9, point
+    # the kernel runs at about a sixth of the pixels of the cell framing
+    assert len(anchored) < 0.2 * len(grid.values)
+
+
+def test_grids_without_stepping_run_the_kernel_everywhere(monkeypatch):
+    # a single column, a column spacing beyond the series disc, and a corner
+    # part beyond STEP_MAX_COORD, in x and in y
+    for region in (
+        Region(0.25 + 0.5j, 1.0, 2.0, 1, 40),
+        Region(0.5j, 20.0 * 0.5000001, 1.0, 21, 2),
+        Region(complex(70.0, 0.25), 6.0, 0.5, 200, 1),
+        Region(complex(0.5, -64.25), 6.0, 0.5, 200, 2),
+    ):
+        _, calls = _anchors(monkeypatch, region)
+        assert calls == [complex(x, y) for y in region.ys() for x in region.xs()]
+    # at the limits themselves the rows step
+    for region in (Region(0.5j, 10.0, 1.0, 21, 2), Region(complex(61.0, 0.25), 6.0, 0.5, 200, 1)):
+        _, calls = _anchors(monkeypatch, region)
+        assert len(calls) < region.nx * region.ny
+
+
+def test_cube_identity_on_the_cell_framing():
+    # the benchmark pairs the sm grid's CSV with a separately sampled cm grid
+    region = Region(0j, 4.5 * K, 1.5 * math.sqrt(3.0) * K, 400, 300)
+    sms = sample_grid(region, "sm").values
+    cms = sample_grid(region, "cm").values
+    for s, c in zip(sms, cms):
+        if s.value is None:
+            assert c == s
+            continue
+        s, c = s.value, c.value
+        scale = max(1.0, abs(s) ** 3, abs(c) ** 3)
+        assert abs(s * s * s + c * c * c - 1.0) / scale <= 1e-12, (s, c)
 
 
 # -- the writers against the colorsys / per-index formulation they replace ----
