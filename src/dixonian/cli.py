@@ -77,12 +77,19 @@ def _cmd_invert(args) -> int:
 
     result = sm_inverse(args.w, tol=_check_tol(args.tol), order=args.order)
     r = result.residual
-    # sm(z + d) - sm(z) = cm(z)**2 d + ..., and d**3 / 3 times gamma**j at the
-    # branch point gamma**j, where cm vanishes: the error of z to first order
-    # in the term that dominates
-    cubic = (3.0 * r) ** (1.0 / 3.0)
-    c2 = abs(cm(result.z, order=args.order).value) ** 2
-    z_err = min(r / c2, cubic) if c2 else cubic
+    if abs(args.w) >= 1.0:
+        # one of the six points +-gamma**j, whose z is the closed form
+        # gamma**j K or -gamma**j K / 2: the residual is only the rounding of
+        # sm(z), which the cube root below would turn into an error of 1e-5
+        z_err = 0.0
+    else:
+        # sm(z + d) - sm(z) = cm(z)**2 d + ..., and d**3 / 3 times gamma**j
+        # at the branch point gamma**j, where cm vanishes: the error of z to
+        # first order in the term that dominates. Next to a branch point the
+        # rounding of sm(z) is a real error of z, and stays in
+        cubic = (3.0 * r) ** (1.0 / 3.0)
+        c2 = abs(cm(result.z, order=args.order).value) ** 2
+        z_err = min(r / c2, cubic) if c2 else cubic
     print(json.dumps({"re": result.z.real, "im": result.z.imag, "residual": r, "z_err": z_err}))
     return 0
 

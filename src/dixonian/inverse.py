@@ -1,12 +1,21 @@
 """Inversion of sm on its principal domain.
 
-The seed integrates (1 - sigma^3)^(-2/3) along the straight segment from 0
-to w with the principal-valued power (holomorphic throughout the open unit
-disc), by tanh-sinh stopped at the first level it checks (81 integrand
-calls). The seed only has to land in Newton's basin: Newton steps against
-the forward evaluator then bring the residual |sm(z) - w| down to ``tol``,
-in one to three residual evaluations across the disc. The returned preimage
-is the principal one, the value continuous along rays from 0; it is as
+sm^-1(w) is the integral of (1 - t^3)^(-2/3) from 0 to w, whose Taylor
+series is w 2F1(1/3, 2/3; 4/3; w^3) = sum a_n w^(3n+1) with a_n =
+(2/3)_n / (n! (3n+1)) (DLMF 15.2). For |w| <= SERIES_SEED_RADIUS the seed is
+that series, one Horner pass in w^3 over the tabulated a_0..a_64
+(``_tables.INVERSE_COEFFS``): the a_n decrease, so the dropped tail is at
+most a_65 x^65 / (1 - x) with x = |w|^3, which stays within binary64's unit
+roundoff 2^-53 on that disc (tests/test_series.py certifies the radius).
+
+Farther out the seed integrates (1 - sigma^3)^(-2/3) along the straight
+segment from 0 to w with the principal-valued power (holomorphic throughout
+the open unit disc), by tanh-sinh stopped at the first level it checks (81
+integrand calls). That seed only has to land in Newton's basin. Either way
+Newton steps against the forward evaluator then bring the residual
+|sm(z) - w| down to ``tol``: the series seed meets it at the first residual
+evaluation, the quadrature seed in one to three. The returned preimage is
+the principal one, the value continuous along rays from 0; it is as
 accurate as the residual makes it, about tol / |cm(z)|^2, which grows next
 to the branch points.
 
@@ -23,12 +32,20 @@ import math
 
 from . import series
 from ._record import record
+from ._tables import INVERSE_COEFFS
 from .constants import GAMMA_POWERS, dixon_constants
 from .errors import ConvergenceError
 from .evaluator import sm_cm_values
 from .quadrature import tanh_sinh
 
 NEWTON_MAX_ITER = 50
+
+#: Largest |w| whose seed is the series: up to 0.854 the tail it drops past
+#: a_64 stays within 2^-53.
+SERIES_SEED_RADIUS = 0.85
+
+#: a_64 .. a_0, the order the Horner pass reads them in.
+_SERIES_SEED_STEPS = INVERSE_COEFFS[::-1]
 
 #: Newton cannot improve the iterate once |cm^2| is this small (w at a
 #: branch point gamma**j, where z = gamma**j K and cm vanishes).
@@ -71,7 +88,13 @@ def sm_inverse(w: complex, tol: float = 1e-12, *, order: int = series.DEFAULT_OR
     consts = dixon_constants(order)
     if w == 0:
         return InverseResult(complex(0.0), 0.0)
-    if abs(w) >= 1.0:
+    if abs(w) <= SERIES_SEED_RADIUS:
+        u = w * w * w
+        acc = 0j
+        for a in _SERIES_SEED_STEPS:
+            acc = acc * u + a
+        z = w * acc
+    elif abs(w) >= 1.0:
         z = _unit_circle_preimage(w, consts.K)
     else:
         z = _branch_guess(w, consts.K)

@@ -177,9 +177,12 @@ _LATTICE_MARGIN = 0.35
 def _check_series_recurrence() -> float:
     pair = series.generate_series()
     s, c = pair.s_coeffs, pair.c_coeffs
+    # a product with a zero factor is exactly zero, so skipping it leaves
+    # every sum as it is; a coefficient that should vanish and does not
+    # still takes part
     for n in range(pair.order):
-        cc = sum(c[k] * c[n - k] for k in range(n + 1))
-        ss = sum(s[k] * s[n - k] for k in range(n + 1))
+        cc = sum(c[k] * c[n - k] for k in range(n + 1) if c[k] and c[n - k])
+        ss = sum(s[k] * s[n - k] for k in range(n + 1) if s[k] and s[n - k])
         if (n + 1) * s[n + 1] != cc or (n + 1) * c[n + 1] != -ss:
             return 1.0
     return 0.0

@@ -8,7 +8,7 @@ import pytest
 
 from dixonian import render
 from dixonian.cli import main, parse_complex
-from conftest import K
+from conftest import GAMMA, K
 
 
 def run_cli(capsys, *argv):
@@ -145,9 +145,18 @@ def test_invert_reports_error_of_z(capsys):
     err = abs(complex(data["re"], data["im"]) - (K - sm_inverse(y, tol=1e-15).z))
     assert 1e-7 < err < 1e-5
     assert err / 2.0 <= data["z_err"] <= 2.0 * err
-    # at the branch point itself cm(z) vanishes, and the cubic term bounds z_err
-    data = json.loads(run_cli(capsys, "invert", "--w", "1")[1])
-    assert data["z_err"] <= (3.0 * data["residual"]) ** (1.0 / 3.0)
+    # at the branch points 1 and gamma themselves cm(z) vanishes; z is the
+    # closed form gamma**j K, and the residual's rounding implies no error
+    for w in ("1", f"{GAMMA.real!r}+{GAMMA.imag!r}i"):
+        data = json.loads(run_cli(capsys, "invert", f"--w={w}")[1])
+        assert 0.0 < data["residual"] <= 4e-16
+        assert data["z_err"] <= 1e-15, (w, data)
+    # 1e-13 from gamma the same rounding is a real error of z: 4.04e-9
+    # against a 50-digit w 2F1(1/3, 2/3; 4/3; w^3)
+    w = GAMMA * (1.0 - 1e-13)
+    data = json.loads(run_cli(capsys, "invert", f"--w={w.real!r}+{w.imag!r}i")[1])
+    assert data["residual"] <= 4e-16
+    assert 4.04e-9 <= data["z_err"] <= 1e-7
     assert json.loads(run_cli(capsys, "invert", "--w", "0")[1])["z_err"] == 0.0
 
 

@@ -26,7 +26,7 @@ _POLES = (complex(-_K, 0.0), -_K * _GAMMA, -_K * _GAMMA.conjugate())
 GOLDEN = {
     "sm_cm": "2ad203b504aeee9d4efa68b017b4150a563ac542c7de855de0b285d6710b39d0",
     "wp": "e29288de0d1bcd705cfda8e8194d2653242032063c53fefba460b20d60462ffb",
-    "sm_inverse": "57f19a7247e91492f119ceba8e418cbca7c52f036dcad53bd192c0b7971b9c18",
+    "sm_inverse": "0a696c7e1916f88fb9fb72ad977bb0eed134621a4d048cf8341a53f3c3c48340",
     "ppm": "b5ac17f2876090738da14b64f0d1878900ce55de345bdbc25fc92fbdf8bf22dd",
     "csv": "1d14efca3b91fbdf26f0538b5dd06af108860e49a96c1d2d5358ac3a983a8144",
     "selftest": "eae97a4a496374147ef2d421e26e13f336fcf7d7dc559a2b60d437d9cfdf0ce5",

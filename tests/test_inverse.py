@@ -107,10 +107,10 @@ def test_residual_is_forward_error():
     assert abs(values(r.z)[0] - (0.3 + 0.2j)) == pytest.approx(r.residual, abs=1e-15)
 
 
-def test_solve_calls_through_module_globals(monkeypatch):
+def _count_module_calls(monkeypatch, *names):
     # per-layer timing wraps inverse.tanh_sinh and inverse.sm_cm_values; a
-    # solve must reach both through those names for the wrappers to see it
-    calls = {"tanh_sinh": 0, "sm_cm_values": 0}
+    # solve must reach them through those names for the wrappers to see it
+    calls = dict.fromkeys(names, 0)
 
     def counted(name):
         real = getattr(inverse, name)
@@ -121,11 +121,31 @@ def test_solve_calls_through_module_globals(monkeypatch):
 
         return wrapper
 
-    for name in calls:
+    for name in names:
         monkeypatch.setattr(inverse, name, counted(name))
-    r = sm_inverse(0.4 - 0.3j)
-    assert abs(values(r.z)[0] - (0.4 - 0.3j)) <= 1e-12
+    return calls
+
+
+def test_solve_calls_through_module_globals(monkeypatch):
+    # a target in the annulus SERIES_SEED_RADIUS < |w| < 1, away from the
+    # branch points, takes the quadrature seed
+    calls = _count_module_calls(monkeypatch, "tanh_sinh", "sm_cm_values")
+    w = 0.6 + 0.7j
+    assert inverse.SERIES_SEED_RADIUS < abs(w) < 1.0
+    r = sm_inverse(w)
+    assert abs(values(r.z)[0] - w) <= 1e-12
     assert calls["tanh_sinh"] == 1
+    assert calls["sm_cm_values"] >= 1
+
+
+def test_disc_solve_takes_series_seed(monkeypatch):
+    # inside SERIES_SEED_RADIUS the seed is the series: no quadrature, and
+    # the residual still goes through inverse.sm_cm_values
+    calls = _count_module_calls(monkeypatch, "tanh_sinh", "sm_cm_values")
+    w = 0.4 - 0.3j
+    r = sm_inverse(w)
+    assert abs(values(r.z)[0] - w) <= 1e-12
+    assert calls["tanh_sinh"] == 0
     assert calls["sm_cm_values"] >= 1
 
 
@@ -160,7 +180,9 @@ def _tight_seed_solve(w, tol):
 
 def test_seed_sweep(monkeypatch):
     # the quadrature seed stops at tanh-sinh's first checked level and
-    # Newton meets tol from it, on the principal branch
+    # Newton meets tol from it, on the principal branch; inside
+    # SERIES_SEED_RADIUS the series seed meets tol at the first residual
+    # evaluation, without the quadrature
     tol = 1e-12
     calls = {"sm_cm_values": 0, "integrand": 0}
 
@@ -179,11 +201,16 @@ def test_seed_sweep(monkeypatch):
     monkeypatch.setattr(inverse, "tanh_sinh", counted_tanh_sinh)
     targets = _sweep_targets()
     assert len(targets) == 2849
+    in_disc = 0
     for w in targets:
         calls.update(sm_cm_values=0, integrand=0)
         r = sm_inverse(w, tol)
         assert r.residual <= tol, w
         assert calls["sm_cm_values"] <= 3, (w, calls)
         assert calls["integrand"] <= 81, (w, calls)
+        if abs(w) <= inverse.SERIES_SEED_RADIUS:
+            in_disc += 1
+            assert calls == {"sm_cm_values": 1, "integrand": 0}, (w, calls)
         c = sm_cm_values(r.z)[1]
         assert abs(r.z - _tight_seed_solve(w, tol)) <= 2.0 * tol / abs(c * c) + 1e-13, w
+    assert in_disc > 1000

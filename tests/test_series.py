@@ -2,7 +2,8 @@
 table, evaluation.
 
 ``python tests/test_series.py`` (with ``src`` on the path) prints the
-binary64 table from the exact recurrence, and K from its root-finding, as
+binary64 table from the exact recurrence, the inverse's series from its
+exact coefficients, and K from its root-finding, as
 ``src/dixonian/_tables.py`` holds them.
 """
 
@@ -14,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from dixonian import _tables, compute_K_root, eval_series, generate_series, series
+from dixonian import _tables, compute_K_root, eval_series, generate_series, inverse, series
 from dixonian.series import DEFAULT_ORDER, MAX_ORDER, MIN_ORDER, SERIES_EVAL_RADIUS, SERIES_TOL
 from conftest import assert_checks, assert_fact
 
@@ -85,11 +86,32 @@ def _rounded_recurrence():
     return tuple(float(a) for a in pair.s_coeffs[1::3]), tuple(float(a) for a in pair.c_coeffs[0::3])
 
 
+#: a_0 .. a_64: the terms of the inverse's series seed that ``_tables.py``
+#: holds.
+INVERSE_TERMS = 65
+
+
+def _inverse_coefficients(count):
+    """a_0 .. a_(count-1) of sm^-1(w) = sum a_n w^(3n+1), the exact
+    (2/3)_n / (n! (3n+1)) of w 2F1(1/3, 2/3; 4/3; w^3)."""
+    coeffs, rising = [], Fraction(1)
+    for n in range(count):
+        coeffs.append(rising / (3 * n + 1))
+        rising *= (Fraction(2, 3) + n) / (n + 1)
+    return coeffs
+
+
+def _rounded_inverse():
+    """a_0 .. a_64, each rounded to the nearest double."""
+    return tuple(float(a) for a in _inverse_coefficients(INVERSE_TERMS))
+
+
 def table_text():
-    """The table's two tuples and K, as ``_tables.py`` writes them."""
+    """The table's three tuples and K, as ``_tables.py`` writes them."""
+    names = ("P_COEFFS", "Q_COEFFS", "INVERSE_COEFFS")
     blocks = [
         "\n".join((f"{name} = (", *(f"    {v!r}," for v in values), ")"))
-        for name, values in zip(("P_COEFFS", "Q_COEFFS"), _rounded_recurrence())
+        for name, values in zip(names, (*_rounded_recurrence(), _rounded_inverse()))
     ]
     blocks.append(f'K = float.fromhex("{compute_K_root(DEFAULT_ORDER).hex()}")')
     return "\n\n".join(blocks) + "\n"
@@ -98,7 +120,9 @@ def table_text():
 def test_table_is_the_rounded_recurrence():
     p, q = _rounded_recurrence()
     assert len(p) == len(q) == 22
-    for table, want in ((_tables.P_COEFFS, p), (_tables.Q_COEFFS, q)):
+    inv = _rounded_inverse()
+    assert len(inv) == INVERSE_TERMS
+    for table, want in ((_tables.P_COEFFS, p), (_tables.Q_COEFFS, q), (_tables.INVERSE_COEFFS, inv)):
         assert all(type(a) is float for a in table)
         assert [a.hex() for a in table] == [a.hex() for a in want]
     assert type(_tables.K) is float
@@ -282,6 +306,25 @@ def test_min_order_is_derived(monkeypatch):
     assert tail_bound(MIN_ORDER - 1, SERIES_EVAL_RADIUS) <= SERIES_TOL
     assert compute_K_root(MIN_ORDER - 1).hex() == "0x1.c4426fe852837p+0"
     assert not shares_k_and_disc(MIN_ORDER - 1)
+
+
+def test_inverse_seed_radius_is_derived():
+    # SERIES_SEED_RADIUS lies inside the largest disc, 0.854 to three digits,
+    # on which the terms the inverse's series seed drops past a_64 sum to at
+    # most 2^-53, binary64's unit roundoff.
+    # a_(n+1) / a_n = (3n+1)(3n+2) / ((3n+3)(3n+4)) < 1 for every n, so the
+    # dropped terms sum to at most a_65 x^65 / (1 - x) at x = |w|^3
+    a = _inverse_coefficients(INVERSE_TERMS + 1)
+    for n in range(INVERSE_TERMS):
+        assert a[n + 1] / a[n] == Fraction((3 * n + 1) * (3 * n + 2), (3 * n + 3) * (3 * n + 4)) < 1
+
+    def tail(radius):
+        x = Fraction(radius) ** 3
+        return a[INVERSE_TERMS] * x ** INVERSE_TERMS / (1 - x)
+
+    roundoff = Fraction(1, 2 ** 53)
+    assert tail(inverse.SERIES_SEED_RADIUS) <= tail(0.854) <= roundoff < tail(0.855)
+    assert len(_tables.INVERSE_COEFFS) == INVERSE_TERMS
 
 
 def test_default_order_keeps_half_disc():
