@@ -14,7 +14,8 @@ pixels, and the grids where stepping is off, are theirs bit for bit.
 Output is binary PPM (P6, maxval 255): hue encodes phase (hue angle =
 arg/2pi), lightness grows with log(1 + |v|) mapped into [0.15, 0.95]. Pole
 pixels are pure white, values of magnitude <= 1e-9 pure black. Identical
-grids color to identical bytes regardless of worker count.
+grids color to identical bytes. Rows run in order on the calling thread, so
+``sample_grid``'s ``workers`` changes nothing.
 """
 
 from __future__ import annotations

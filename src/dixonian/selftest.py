@@ -1,13 +1,13 @@
 """Built-in verification suite: the registry of analytic facts.
 
 Every analytic fact the library promises is stated here once, as a named
-check that reports a measured residual against a default tolerance. A
-sampled fact is a residual at one sample (a point of the centered cell, a
-pair of them, or a point of a disc), kept in ``_FACTS``: the selftest reduces
-it over a small seeded sample, and the test suite over larger ones. The CLI
-``selftest`` subcommand runs every check and renders a pass/fail table;
-``run_selftest`` is the programmatic entry. Every sample reads the constants
-of the default series order, the one the evaluator uses.
+check: a residual reduced by ``_worst`` over its points (a fixed list, or
+seeded draws of its domain that the test suite repeats at larger counts
+through ``_sample``) against a default tolerance. ``_worst`` returns NaN at
+the first NaN term, so a NaN value fails its check. The CLI ``selftest``
+subcommand runs every check and renders a pass/fail table; ``run_selftest``
+is the programmatic entry. Every check reads the constants of the default
+series order, the one the evaluator uses.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ from __future__ import annotations
 import cmath
 import math
 import random
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
 
 from . import identities, series
 from .constants import CONSTANTS, GAMMA_POWERS, compute_K_quadrature, compute_K_root
@@ -44,49 +44,10 @@ class CheckResult:
     tol: float
 
 
-class Fact:
-    """An analytic fact as a residual at one sample.
-
-    ``draw(rng)`` returns the arguments of one sample. ``residual`` returns
-    None for a sample outside the fact's domain (too near a zero of one of
-    its denominators), and another sample is drawn in its place.
-    """
-
-    # a plain class: building a dataclass would add about 1 ms to the import
-    __slots__ = ("residual", "draw")
-
-    def __init__(
-        self,
-        residual: Callable[..., float | None],
-        draw: Callable[[random.Random], Sequence[complex]],
-    ) -> None:
-        self.residual = residual
-        self.draw = draw
-
-    def worst(self, rng: random.Random, count: int) -> float:
-        """Largest residual over ``count`` samples from the domain."""
-        worst = 0.0
-        done = 0
-        while done < count:
-            r = self.residual(*self.draw(rng))
-            if r is not None:
-                worst = max(worst, r)
-                done += 1
-        return worst
-
-
 _CHECKS: list[Check] = []
 
-#: The sampled facts, by the name of the check that samples them.
-_FACTS: dict[str, Fact] = {}
-
-
-def _register(name: str, tol: float):
-    def deco(fn):
-        _CHECKS.append(Check(name, tol, fn))
-        return fn
-
-    return deco
+#: The residual, draw and points per sample of each sampled check, by name.
+_DOMAINS: dict[str, tuple] = {}
 
 
 def list_checks() -> list[str]:
@@ -94,14 +55,37 @@ def list_checks() -> list[str]:
 
 
 def run_selftest(names: list[str] | None = None) -> list[CheckResult]:
-    """Run all (or the named) checks against their default tolerances."""
+    """Run all (or the named) checks against their default tolerances.
+
+    A name that is no check raises ValueError and a bare string TypeError,
+    so that a misspelt name cannot pass by running nothing.
+    """
+    if isinstance(names, str):
+        raise TypeError(f"names must be a list of check names, not the string {names!r}")
+    unknown = set(names or ()).difference(list_checks())
+    if unknown:
+        raise ValueError(f"unknown selftest checks: {', '.join(sorted(unknown))}")
     results = []
     for check in _CHECKS:
-        if names is not None and check.name not in names:
-            continue
-        residual = check.fn()
-        results.append(CheckResult(check.name, residual <= check.tol, residual, check.tol))
+        if names is None or check.name in names:
+            residual = check.fn()
+            results.append(CheckResult(check.name, residual <= check.tol, residual, check.tol))
     return results
+
+
+def _worst(terms: Iterable) -> float:
+    """The largest of ``terms``, or NaN at the first NaN term (``max`` keeps
+    a larger term that comes before a NaN). A term that is not a float is an
+    iterable of terms, reduced the same way."""
+    worst = 0.0
+    for term in terms:
+        if type(term) is not float:
+            term = _worst(term)
+        if term > worst:
+            worst = term
+        elif term != term:  # NaN
+            return term
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -109,10 +93,6 @@ def run_selftest(names: list[str] | None = None) -> list[CheckResult]:
 
 def _values(z: complex) -> tuple[complex, complex]:
     return sm_cm_values(z)
-
-
-def _pair_at(z: complex) -> FunctionPair:
-    return FunctionPair(*_values(z))
 
 
 def _cell_points(rng: random.Random, count: int, pole_margin: float = 0.05) -> list[complex]:
@@ -128,41 +108,61 @@ def _cell_points(rng: random.Random, count: int, pole_margin: float = 0.05) -> l
     return pts
 
 
-def _cell_point(rng: random.Random) -> list[complex]:
-    return _cell_points(rng, 1)
+def _disc(radius: float) -> Callable[[random.Random, int], list[complex]]:
+    """Draw of points uniform in modulus and argument over |z| <= ``radius``."""
 
-
-def _cell_pair(rng: random.Random) -> list[complex]:
-    return _cell_points(rng, 2)
-
-
-def _disc(radius: float) -> Callable[[random.Random], tuple[complex]]:
-    def draw(rng: random.Random) -> tuple[complex]:
-        return (cmath.rect(rng.uniform(0.0, radius), rng.uniform(0.0, 2.0 * math.pi)),)
+    def draw(rng: random.Random, count: int) -> list[complex]:
+        return [cmath.rect(rng.uniform(0.0, radius), rng.uniform(0.0, 2.0 * math.pi)) for _ in range(count)]
 
     return draw
 
 
-def _near(z: complex, loci: Sequence[complex]) -> bool:
+def _near(z: complex, loci: Iterable[complex]) -> bool:
     return min(abs(z - q) for q in loci) < 0.05
 
 
-def _sampled(
+def _check(
     name: str,
     tol: float,
-    seed: int,
-    count: int,
-    draw: Callable[[random.Random], Sequence[complex]] = _cell_point,
+    points: Iterable | None = None,
+    *,
+    seed: int = 0,
+    count: int = 0,
+    draw: Callable[[random.Random, int], list[complex]] = _cell_points,
+    arity: int = 1,
 ):
-    """Register a residual as a fact, and as a check reducing it over
-    ``count`` samples drawn from ``random.Random(seed)``."""
+    """Register ``residual`` as check ``name``: the worst of its terms at
+    each of ``points``, over ``count`` samples of ``arity`` points
+    ``draw(rng, arity)`` with rng seeded ``seed`` (``_sample``), or of its
+    terms alone."""
 
     def deco(residual):
-        fact = _FACTS[name] = Fact(residual, draw)
-        _CHECKS.append(Check(name, tol, lambda: fact.worst(random.Random(seed), count)))
+        def fn() -> float:
+            if count:
+                return _sample(name, seed, count)
+            return _worst((residual(),) if points is None else map(residual, points))
+
+        if count:
+            _DOMAINS[name] = residual, draw, arity
+        _CHECKS.append(Check(name, tol, fn))
         return residual
 
     return deco
+
+
+def _sample(name: str, seed: int, count: int) -> float:
+    """The worst residual of the sampled check ``name`` over ``count``
+    samples of its domain drawn from ``random.Random(seed)``. A residual of
+    None marks a sample outside the domain (too near a zero of one of its
+    denominators), and another is drawn in its place."""
+    residual, draw, arity = _DOMAINS[name]
+    rng = random.Random(seed)
+    terms = []
+    while len(terms) < count:
+        term = residual(*draw(rng, arity))
+        if term is not None:
+            terms.append(term)
+    return _worst(terms)
 
 
 #: (1 - cm) ~ z^3/3 cancels near the lattice points, so the Weierstrass
@@ -173,7 +173,7 @@ _LATTICE_MARGIN = 0.35
 # ---------------------------------------------------------------------------
 # series layer
 
-@_register("series_recurrence", 0.0)
+@_check("series_recurrence", 0.0)
 def _check_series_recurrence() -> float:
     pair = series.generate_series()
     s, c = pair.s_coeffs, pair.c_coeffs
@@ -188,7 +188,7 @@ def _check_series_recurrence() -> float:
     return 0.0
 
 
-@_register("series_mod3_sparsity", 0.0)
+@_check("series_mod3_sparsity", 0.0)
 def _check_series_sparsity() -> float:
     pair = series.generate_series()
     for n in range(pair.order + 1):
@@ -199,7 +199,7 @@ def _check_series_sparsity() -> float:
     return 0.0
 
 
-@_register("series_landmarks", 0.0)
+@_check("series_landmarks", 0.0)
 def _check_series_landmarks() -> float:
     pair = series.generate_series()
     expected = {
@@ -218,7 +218,7 @@ def _check_series_landmarks() -> float:
     return 0.0
 
 
-@_sampled("series_cube_identity", 1e-12, 101, 300, _disc(0.5))
+@_check("series_cube_identity", 1e-12, seed=101, count=300, draw=_disc(0.5))
 def _series_cube(z: complex) -> float:
     s, c = series.eval_series(series.generate_series(), z)
     return abs(s * s * s + c * c * c - 1.0)
@@ -227,36 +227,34 @@ def _series_cube(z: complex) -> float:
 # ---------------------------------------------------------------------------
 # constants layer
 
-@_register("k_value_root", 1e-8)
+@_check("k_value_root", 1e-8)
 def _check_k_root() -> float:
     return abs(compute_K_root() - K_REFERENCE)
 
 
-@_register("k_value_quadrature", 1e-8)
+@_check("k_value_quadrature", 1e-8)
 def _check_k_quadrature() -> float:
     return abs(compute_K_quadrature() - K_REFERENCE)
 
 
-@_register("k_cross_agreement", 1e-9)
+@_check("k_cross_agreement", 1e-9)
 def _check_k_agreement() -> float:
     return abs(compute_K_root() - compute_K_quadrature())
 
 
-@_register("cardinal_values", 1e-10)
-def _check_cardinals() -> float:
-    k = CONSTANTS
-    half = 2.0 ** (-1.0 / 3.0)
-    sK, cK = _values(k.K)
-    sh, ch = _values(k.K / 2.0)
-    sn, cn = _values(-k.K / 2.0)
-    return max(
-        abs(sK - 1.0),
-        abs(cK),
-        abs(sh - half),
-        abs(ch - half),
-        abs(sn + 1.0),
-        abs(cn - 2.0 ** (1.0 / 3.0)),
-    )
+#: (z, sm(z), cm(z)) at K, K/2 and -K/2
+_CARDINALS = [
+    (CONSTANTS.K, 1.0, 0.0),
+    (CONSTANTS.K / 2.0, 2.0 ** (-1.0 / 3.0), 2.0 ** (-1.0 / 3.0)),
+    (-CONSTANTS.K / 2.0, -1.0, 2.0 ** (1.0 / 3.0)),
+]
+
+
+@_check("cardinal_values", 1e-10, _CARDINALS)
+def _cardinal(point: tuple[float, float, float]) -> tuple[float, float]:
+    z, s_want, c_want = point
+    s, c = _values(z)
+    return abs(s - s_want), abs(c - c_want)
 
 
 def _pole_probes() -> list[complex]:
@@ -265,15 +263,15 @@ def _pole_probes() -> list[complex]:
     return [rep + cmath.rect(1e-9, rng.uniform(0.0, 2.0 * math.pi)) for rep in CONSTANTS.pole_reps]
 
 
-@_register("pole_probe", 1e-8)
-def _check_pole_probe() -> float:
-    return max(1.0 / abs(_values(z)[0]) for z in _pole_probes())
+@_check("pole_probe", 1e-8, _pole_probes())
+def _pole_probe(z: complex) -> float:
+    return 1.0 / abs(_values(z)[0])
 
 
 # ---------------------------------------------------------------------------
 # global evaluator
 
-@_sampled("cube_identity_cell", 1e-10, 303, 400)
+@_check("cube_identity_cell", 1e-10, seed=303, count=400)
 def _cube(z: complex) -> float:
     s, c = _values(z)
     return abs(s * s * s + c * c * c - 1.0)
@@ -291,81 +289,79 @@ def _ivp_errors(z: complex) -> tuple[tuple[float, complex], tuple[float, complex
     return (abs(ds - c0 * c0), c0 * c0), (abs(dc + s0 * s0), s0 * s0)
 
 
-@_sampled("ivp_derivatives", 1e-6, 404, 150)
-def _ivp(z: complex) -> float:
+@_check("ivp_derivatives", 1e-6, seed=404, count=150)
+def _ivp(z: complex) -> list[float]:
     # relative to the derivative where it exceeds 1: it grows like d^-2
     # toward the poles, and the h^2 truncation error with it
-    return max(err / max(1.0, abs(d)) for err, d in _ivp_errors(z))
+    return [err / max(1.0, abs(d)) for err, d in _ivp_errors(z)]
 
 
 #: The lattice shifts (m, n) of the periodicity check.
 _SHIFTS = ((1, 0), (0, 1), (-1, -1), (2, -1), (-2, 2))
 
 
-@_sampled("periodicity", 1e-9, 505, 100)
-def _periodicity(z: complex, shifts: Sequence[tuple[int, int]] = _SHIFTS) -> float:
+@_check("periodicity", 1e-9, seed=505, count=100)
+def _periodicity(z: complex, shifts: Iterable[tuple[int, int]] = _SHIFTS) -> list[tuple[float, float]]:
     w1, w2 = CONSTANTS.periods
     s, c = _values(z)
-    worst = 0.0
-    for m, n in shifts:
-        s2, c2 = _values(z + m * w1 + n * w2)
-        worst = max(worst, abs(s2 - s), abs(c2 - c))
-    return worst
+    shifted = [_values(z + m * w1 + n * w2) for m, n in shifts]
+    return [(abs(s2 - s), abs(c2 - c)) for s2, c2 in shifted]
 
 
-@_sampled("conjugation_symmetry", 1e-10, 606, 150)
-def _conjugation(z: complex) -> float:
+@_check("conjugation_symmetry", 1e-10, seed=606, count=150)
+def _conjugation(z: complex) -> tuple[float, float]:
     s, c = _values(z)
     sb, cb = _values(z.conjugate())
-    return max(abs(sb - s.conjugate()), abs(cb - c.conjugate()))
+    return abs(sb - s.conjugate()), abs(cb - c.conjugate())
 
 
-@_sampled("negation_symmetry", 1e-10, 707, 150)
-def _negation(z: complex) -> float | None:
+@_check("negation_symmetry", 1e-10, seed=707, count=150)
+def _negation(z: complex) -> tuple[float, float] | None:
     # the zeros of cm: K * gamma**j
     K = CONSTANTS.K
     if _near(z, [K * g for g in GAMMA_POWERS]):
         return None
     s, c = _values(z)
     sn, cn = _values(-z)
-    return max(abs(cn - 1.0 / c), abs(sn + s / c))
+    return abs(cn - 1.0 / c), abs(sn + s / c)
 
 
-@_sampled("rotation_symmetry", 1e-10, 808, 150)
-def _rotation(z: complex) -> float:
+@_check("rotation_symmetry", 1e-10, seed=808, count=150)
+def _rotation(z: complex) -> tuple[float, float]:
     g = CONSTANTS.gamma
     s, c = _values(z)
     sg, cg = _values(g * z)
-    return max(abs(sg - g * s), abs(cg - c))
+    return abs(sg - g * s), abs(cg - c)
 
 
-@_sampled("reflection_identity", 1e-10, 909, 150)
-def _reflection(z: complex) -> float:
+@_check("reflection_identity", 1e-10, seed=909, count=150)
+def _reflection(z: complex) -> tuple[float, float]:
     s, c = _values(z)
     sr, cr = _values(CONSTANTS.K - z)
-    return max(abs(sr - c), abs(cr - s))
+    return abs(sr - c), abs(cr - s)
 
 
-@_sampled("translation_2k", 1e-10, 1010, 150)
-def _translation(z: complex) -> float | None:
+@_check("translation_2k", 1e-10, seed=1010, count=150)
+def _translation(z: complex) -> tuple[float, float] | None:
     k = CONSTANTS
     if _near(z, k.zero_reps):
         return None
     s, c = _values(z)
     st, ct = _values(2.0 * k.K + z)
-    return max(abs(ct - 1.0 / s), abs(st + c / s))
+    return abs(ct - 1.0 / s), abs(st + c / s)
 
 
-@_register("zeros", 1e-9)
-def _check_zeros() -> float:
-    k = CONSTANTS
-    w1, w2 = k.periods
-    worst = 0.0
-    for rep in k.zero_reps:
-        for m, n in ((0, 0), (1, 0), (0, 1)):
-            s, _ = _values(rep + m * w1 + n * w2)
-            worst = max(worst, abs(s))
-    return worst
+#: The zero representatives and their shifts by one period of each kind.
+_ZEROS = [
+    rep + m * CONSTANTS.periods[0] + n * CONSTANTS.periods[1]
+    for rep in CONSTANTS.zero_reps
+    for m, n in ((0, 0), (1, 0), (0, 1))
+]
+
+
+@_check("zeros", 1e-9, _ZEROS)
+def _zero(z: complex) -> float:
+    return abs(_values(z)[0])
 
 
 def _ring_average(p: complex, component: int, radius: float = 1e-4) -> complex:
@@ -376,8 +372,8 @@ def _ring_average(p: complex, component: int, radius: float = 1e-4) -> complex:
     return total / 8.0
 
 
-@_register("residues_sm", 1e-5)
-def _check_residues_sm() -> float:
+@_check("residues_sm", 1e-5)
+def _check_residues_sm() -> tuple[list[float], float]:
     k = CONSTANTS
     _, g, gbar = GAMMA_POWERS
     targets = [
@@ -386,55 +382,50 @@ def _check_residues_sm() -> float:
         (2.0 * k.K * gbar, -g),
     ]
     total = 0.0j
-    worst = 0.0
+    terms = []
     for p, expected in targets:
         got = _ring_average(p, 0)
         total += got
-        worst = max(worst, abs(got - expected))
-    return max(worst, abs(total))
+        terms.append(abs(got - expected))
+    return terms, abs(total)
 
 
-@_register("residue_cm", 1e-5)
+@_check("residue_cm", 1e-5)
 def _check_residue_cm() -> float:
     k = CONSTANTS
     return abs(_ring_average(complex(-k.K), 1) - 1.0)
 
 
-@_register("triangle_boundary", 1e-9)
-def _check_triangle() -> float:
-    k = CONSTANTS
-    verts = [k.K * g for g in GAMMA_POWERS]
-    worst = 0.0
-    for a, b in zip(verts, verts[1:] + verts[:1]):
-        for i in range(100):
-            t = i / 99.0
-            s, _ = _values((1.0 - t) * a + t * b)
-            worst = max(worst, abs(abs(s) - 1.0))
-    return worst
+_VERTICES = [CONSTANTS.K * g for g in GAMMA_POWERS]
+
+#: 100 points along each side of the triangle with vertices K * gamma**j
+_TRIANGLE = [
+    (1.0 - t) * a + t * b
+    for a, b in zip(_VERTICES, _VERTICES[1:] + _VERTICES[:1])
+    for t in (i / 99.0 for i in range(100))
+]
 
 
-@_register("imaginary_axis", 1e-9)
-def _check_imaginary_axis() -> float:
-    worst = 0.0
-    for i in range(100):
-        t = -4.5 + 9.0 * i / 99.0
-        _, c = _values(complex(0.0, t))
-        worst = max(worst, abs(abs(c) - 1.0))
-    return worst
+@_check("triangle_boundary", 1e-9, _TRIANGLE)
+def _triangle(z: complex) -> float:
+    return abs(abs(_values(z)[0]) - 1.0)
 
 
-@_register("hexagon_edge", 1e-9)
-def _check_hexagon_edge() -> float:
-    # edge from K toward -K*conj(gamma) = K + K*gamma; sm is real there and
-    # cm lies on the line gamma * R; stop short of the pole at the far vertex
-    k = CONSTANTS
-    _, g, gbar = GAMMA_POWERS
-    worst = 0.0
-    for i in range(100):
-        t = i / 100.0
-        s, c = _values(k.K + t * k.K * g)
-        worst = max(worst, abs(s.imag), abs((c * gbar).imag))
-    return worst
+@_check("imaginary_axis", 1e-9, [complex(0.0, -4.5 + 9.0 * i / 99.0) for i in range(100)])
+def _imaginary_axis(z: complex) -> float:
+    return abs(abs(_values(z)[1]) - 1.0)
+
+
+#: The edge from K toward -K*conj(gamma) = K + K*gamma, short of the pole
+#: at the far vertex
+_HEXAGON_EDGE = [CONSTANTS.K + i / 100.0 * CONSTANTS.K * GAMMA_POWERS[1] for i in range(100)]
+
+
+@_check("hexagon_edge", 1e-9, _HEXAGON_EDGE)
+def _hexagon_edge(z: complex) -> tuple[float, float]:
+    # sm is real there and cm lies on the line gamma * R
+    s, c = _values(z)
+    return abs(s.imag), abs((c * GAMMA_POWERS[2]).imag)
 
 
 def _ray_points(per_sextant: int) -> list[complex]:
@@ -446,54 +437,50 @@ def _ray_points(per_sextant: int) -> list[complex]:
     ]
 
 
-def _reality(z: complex) -> float:
+@_check("reality_rays", 1e-9, _ray_points(10))
+def _reality(z: complex) -> tuple[float, float]:
     # sm(z)/z is real and positive along the rays
     ratio = _values(z)[0] / z
-    return max(abs(ratio.imag), 0.0 if ratio.real > 0.0 else math.inf)
+    return abs(ratio.imag), 0.0 if ratio.real > 0.0 else math.inf
 
 
-@_register("reality_rays", 1e-9)
-def _check_reality_rays() -> float:
-    return max(map(_reality, _ray_points(10)))
-
-
-@_register("quartic_root", 1e-6)
-def _check_quartic_root() -> float:
+@_check("quartic_root", 1e-6)
+def _check_quartic_root() -> tuple[float, float]:
     # sigma = sm(-K/4)**3 is the unique root of the quartic in the unit disc;
     # doubling -K/4 forces sm(-K/2)**3 = -1
     k = CONSTANTS
     s, _ = _values(-k.K / 4.0)
     sigma = s * s * s
     quartic = 1.0 + 10.0 * sigma - 12.0 * sigma ** 2 + 4.0 * sigma ** 3 - 2.0 * sigma ** 4
-    return max(abs(sigma - QUARTIC_ROOT_REFERENCE), abs(quartic))
+    return abs(sigma - QUARTIC_ROOT_REFERENCE), abs(quartic)
 
 
 # ---------------------------------------------------------------------------
 # identity layer
 
-@_sampled("addition_formula", 1e-9, 1111, 150, _cell_pair)
-def _addition(a: complex, z: complex) -> float | None:
-    pa, pz = _pair_at(a), _pair_at(z)
+@_check("addition_formula", 1e-9, seed=1111, count=150, arity=2)
+def _addition(a: complex, z: complex) -> tuple[float, float] | None:
+    pa, pz = FunctionPair(*_values(a)), FunctionPair(*_values(z))
     if abs(pa.s * pa.c * pz.s * pz.s + pz.c) < 0.05:
         return None
     got = identities.add(pa, pz)
     s, c = _values(a + z)
-    return max(abs(got.s - s), abs(got.c - c))
+    return abs(got.s - s), abs(got.c - c)
 
 
-@_sampled("duplication_consistency", 1e-11, 1212, 150)
-def _duplication(z: complex) -> float | None:
-    p = _pair_at(z)
+@_check("duplication_consistency", 1e-11, seed=1212, count=150)
+def _duplication(z: complex) -> tuple[float, float] | None:
+    p = FunctionPair(*_values(z))
     if abs(p.c * (1.0 + p.s ** 3)) < 0.05:
         return None
     d = identities.duplicate(p)
     via_add = identities.add(p, p)
-    return max(abs(d.s - via_add.s), abs(d.c - via_add.c))
+    return abs(d.s - via_add.s), abs(d.c - via_add.c)
 
 
-@_sampled("triplication_consistency", 1e-10, 1313, 150)
-def _triplication(z: complex) -> float | None:
-    p = _pair_at(z)
+@_check("triplication_consistency", 1e-10, seed=1313, count=150)
+def _triplication(z: complex) -> tuple[float, float] | None:
+    p = FunctionPair(*_values(z))
     s3, c3 = p.s ** 3, p.c ** 3
     trip_den = c3 - s3 * s3 + 3.0 * s3 * c3 + s3 * c3 * c3
     dup_den = p.c * (1.0 + s3)
@@ -504,14 +491,14 @@ def _triplication(z: complex) -> float | None:
         return None
     t = identities.triplicate(p)
     via = identities.add(d, p)
-    return max(abs(t.s - via.s), abs(t.c - via.c))
+    return abs(t.s - via.s), abs(t.c - via.c)
 
 
-@_sampled("weierstrass_bridge", 1e-10, 1414, 150)
-def _weierstrass(z: complex) -> float | None:
+@_check("weierstrass_bridge", 1e-10, seed=1414, count=150)
+def _weierstrass(z: complex) -> tuple[float, float, float] | None:
     if abs(z) < _LATTICE_MARGIN:
         return None
-    p = _pair_at(z)
+    p = FunctionPair(*_values(z))
     if abs(1.0 - p.c) < 0.05:
         return None
     w = identities.to_weierstrass(p)
@@ -519,32 +506,36 @@ def _weierstrass(z: complex) -> float | None:
         return None
     ode = w.p_prime ** 2 - 4.0 * w.p ** 3 + 1.0 / 27.0
     back = identities.from_weierstrass(w)
-    return max(abs(ode), abs(back.s - p.s), abs(back.c - p.c))
+    return abs(ode), abs(back.s - p.s), abs(back.c - p.c)
 
 
-@_sampled("wp_periodicity", 1e-9, 1515, 80)
-def _wp_periodicity(z: complex) -> float | None:
+@_check("wp_periodicity", 1e-9, seed=1515, count=80)
+def _wp_periodicity(z: complex) -> list[float] | None:
     if abs(z) < _LATTICE_MARGIN:
         return None
     w1, w2 = CONSTANTS.periods
     base = wp(z).value
-    return max(abs(wp(z + shift).value - base) for shift in (w1, w2, w1 + w2))
+    return [abs(wp(z + shift).value - base) for shift in (w1, w2, w1 + w2)]
 
 
 # ---------------------------------------------------------------------------
 # inverse layer
 
-@_sampled("inverse_roundtrip", 1e-9, 1616, 60, _disc(0.9))
+@_check("inverse_roundtrip", 1e-9, seed=1616, count=60, draw=_disc(0.9))
 def _inverse_roundtrip(w: complex) -> float:
     return abs(_values(sm_inverse(w).z)[0] - w)
 
 
-@_register("inverse_landmarks", 1e-7)
-def _check_inverse_landmarks() -> float:
-    k = CONSTANTS
-    return max(
-        abs(sm_inverse(1.0).z - k.K),
-        abs(sm_inverse(2.0 ** (-1.0 / 3.0)).z - k.K / 2.0),
-        abs(sm_inverse(-1.0).z + k.K / 2.0),
-        abs(sm_inverse(-abs(QUARTIC_ROOT_REFERENCE) ** (1.0 / 3.0)).z + k.K / 4.0),
-    )
+#: (w, sm_inverse(w)) at 1, 2^(-1/3), -1 and -|sigma|^(1/3)
+_INVERSE_LANDMARKS = [
+    (1.0, CONSTANTS.K),
+    (2.0 ** (-1.0 / 3.0), CONSTANTS.K / 2.0),
+    (-1.0, -CONSTANTS.K / 2.0),
+    (-abs(QUARTIC_ROOT_REFERENCE) ** (1.0 / 3.0), -CONSTANTS.K / 4.0),
+]
+
+
+@_check("inverse_landmarks", 1e-7, _INVERSE_LANDMARKS)
+def _inverse_landmark(point: tuple[float, float]) -> float:
+    w, z = point
+    return abs(sm_inverse(w).z - z)

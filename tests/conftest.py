@@ -1,11 +1,9 @@
 """Shared constants for the test suite, and access to the selftest registry.
 
 The analytic facts are stated once, in ``dixonian.selftest``; the tests
-sample its residuals (``worst``) and run its fixed checks (``assert_checks``)
-instead of restating them.
+sample its residuals through its sampler (``worst``) and run its fixed
+checks (``assert_checks``) instead of restating them.
 """
-
-import random
 
 from dixonian import dixon_constants, run_selftest, selftest
 from dixonian.evaluator import sm_cm_values
@@ -28,8 +26,8 @@ def values(z):
 
 
 def worst(name, seed, count):
-    """Largest residual of the registry's fact ``name`` over ``count`` samples."""
-    return selftest._FACTS[name].worst(random.Random(seed), count)
+    """Worst residual of the registry's sampled check ``name`` over ``count`` samples."""
+    return selftest._sample(name, seed, count)
 
 
 def assert_fact(name, seed, count):
