@@ -10,9 +10,10 @@ grids.
 ``import dixonian`` loads only what sm, cm and wp need: K comes from a
 table, not a root-finding. The inverse (``sm_inverse``, ``InverseResult``),
 the renderer (``Region``, ``ValueGrid``, ``sample_grid``, ``domain_color``,
-``grid_to_csv``) and the selftest (``CheckResult``, ``list_checks``,
-``run_selftest``) are loaded on first use of one of their names, and the
-quadrature on first use of the inverse or of ``compute_K_quadrature``.
+``grid_to_csv``, ``write_grid``) and the selftest (``CheckResult``,
+``list_checks``, ``run_selftest``) are loaded on first use of one of their
+names, and the quadrature on first use of the inverse or of
+``compute_K_quadrature``.
 """
 
 from .constants import (
@@ -56,7 +57,7 @@ __version__ = "0.1.0"
 #: The names loaded on first use, by the submodule that defines them.
 _LAZY = {
     **dict.fromkeys(("InverseResult", "sm_inverse"), "inverse"),
-    **dict.fromkeys(("Region", "ValueGrid", "domain_color", "grid_to_csv", "sample_grid"), "render"),
+    **dict.fromkeys(("Region", "ValueGrid", "domain_color", "grid_to_csv", "sample_grid", "write_grid"), "render"),
     **dict.fromkeys(("CheckResult", "list_checks", "run_selftest"), "selftest"),
 }
 
@@ -100,6 +101,7 @@ __all__ = [
     "translate_2K",
     "triplicate",
     "wp",
+    "write_grid",
 ]
 
 

@@ -130,11 +130,11 @@ def _cmd_grid(args) -> int:
     ppm = args.format == "ppm"
     # open --out before the render, so that an unwritable path fails at once;
     # the order and the region corners are checked before this point, so a
-    # grid that evaluation would refuse leaves an existing file as it was
+    # grid that evaluation would refuse leaves an existing file as it was.
+    # Rows are written as they are sampled, so memory stays one row's worth
     try:
         with open(args.out, "wb" if ppm else "w", encoding=None if ppm else "ascii") as fh:
-            grid = render.sample_grid(region, args.fn, order=args.order)
-            fh.write(render.domain_color(grid) if ppm else render.grid_to_csv(grid))
+            render.write_grid(fh, region, args.fn, args.format, order=args.order)
     except OSError as exc:
         raise ValueError(f"cannot write --out: {exc}") from exc
     return 0

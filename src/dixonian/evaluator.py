@@ -17,7 +17,7 @@ from . import identities, series
 from ._record import memo, record
 from .constants import CONSTANTS, GAMMA_POWERS, DixonConstants, dixon_constants, halve_and_duplicate
 from .errors import PoleError
-from .identities import FunctionPair
+from .identities import FunctionPair, _new
 
 #: Closer than this to a pole: report the pole itself.
 POLE_TOL = 1e-12
@@ -27,11 +27,6 @@ NEAR_TOL = 0.05
 #: of z (2**-7) exceeds 1e-3 of the period 3K, so the reduced argument says
 #: little about the point meant; from about 1e17 it comes out exactly 0.
 MAX_ARGUMENT = 2.0 ** 45
-
-
-#: tuple.__new__, bound once: looking an attribute up on a type is slow,
-#: and the kernel builds a record or two per point
-_new = tuple.__new__
 
 
 class EllipticValue(record("EllipticValue", "value pole_rep", defaults=(None,))):

@@ -13,6 +13,11 @@ from .errors import DegenerateDenominatorError
 #: argument of the map sits on or too near a pole. Shared with the evaluator.
 DENOM_TOL = 1e-8
 
+#: tuple.__new__, bound once: looking an attribute up on a type is slow, and
+#: the identities and the evaluator's kernel build a record or two per call.
+#: A record built through it skips the class call's argument packing
+_new = tuple.__new__
+
 
 class FunctionPair(record("FunctionPair", "s c")):
     """Values (s, c) = (sm(z), cm(z)) at a common argument z."""
@@ -37,10 +42,10 @@ def _require(den: complex, op: str) -> complex:
 def add(a: FunctionPair, z: FunctionPair) -> FunctionPair:
     """Pair at the sum of the two arguments."""
     den = _require(a.s * a.c * z.s * z.s + z.c, "addition")
-    return FunctionPair(
+    return _new(FunctionPair, (
         (a.s + a.c * a.c * z.s * z.c) / den,
         (a.c * z.c * z.c - a.s * a.s * z.s) / den,
-    )
+    ))
 
 
 def duplicate(p: FunctionPair) -> FunctionPair:
@@ -48,7 +53,7 @@ def duplicate(p: FunctionPair) -> FunctionPair:
 
     s(2z) = s (1 + c^3) / (c (1 + s^3)),  c(2z) = (c^3 - s^3) / (c (1 + s^3)).
     """
-    return FunctionPair(*duplicate_values(p.s, p.c, 1))
+    return _new(FunctionPair, duplicate_values(p.s, p.c, 1))
 
 
 def duplicate_values(s: complex, c: complex, times: int) -> tuple[complex, complex]:
@@ -71,16 +76,16 @@ def triplicate(p: FunctionPair) -> FunctionPair:
     s6 = s3 * s3
     c6 = c3 * c3
     den = _require(c3 - s6 + 3.0 * s3 * c3 + s3 * c6, "triplication")
-    return FunctionPair(
+    return _new(FunctionPair, (
         p.s * p.c * (2.0 + c6 - s3 * c3 + s6) / den,
         (c6 - s3 - 3.0 * s3 * c3 - s6 * c3) / den,
-    )
+    ))
 
 
 def translate_2K(p: FunctionPair) -> FunctionPair:
     """Pair at the argument shifted by 2K: (s, c) -> (-c/s, 1/s)."""
     _require(p.s, "2K translation")
-    return FunctionPair(-p.c / p.s, 1.0 / p.s)
+    return _new(FunctionPair, (-p.c / p.s, 1.0 / p.s))
 
 
 def to_weierstrass(p: FunctionPair) -> WeierstrassValue:
@@ -90,10 +95,10 @@ def to_weierstrass(p: FunctionPair) -> WeierstrassValue:
     Weierstrass function has its double pole.
     """
     den = _require(1.0 - p.c, "Weierstrass map")
-    return WeierstrassValue(p.s / (3.0 * den), (p.c + 1.0) / (3.0 * (p.c - 1.0)))
+    return _new(WeierstrassValue, (p.s / (3.0 * den), (p.c + 1.0) / (3.0 * (p.c - 1.0))))
 
 
 def from_weierstrass(w: WeierstrassValue) -> FunctionPair:
     """Invert to_weierstrass: c = (3p' + 1)/(3p' - 1), s = 6p/(1 - 3p')."""
     den = _require(3.0 * w.p_prime - 1.0, "inverse Weierstrass map")
-    return FunctionPair(-6.0 * w.p / den, (3.0 * w.p_prime + 1.0) / den)
+    return _new(FunctionPair, (-6.0 * w.p / den, (3.0 * w.p_prime + 1.0) / den))

@@ -16,6 +16,13 @@ arg/2pi), lightness grows with log(1 + |v|) mapped into [0.15, 0.95]. Pole
 pixels are pure white, values of magnitude <= 1e-9 pure black. Identical
 grids color to identical bytes. Rows run in order on the calling thread, so
 ``sample_grid``'s ``workers`` changes nothing.
+
+Each format has one row encoder, which turns a row of plain values (complex,
+or None at a pole) into its pixels or lines. ``domain_color`` and
+``grid_to_csv`` run it over a ValueGrid's rows and join the rows once.
+``write_grid`` runs it on each row as the row is sampled and writes the row
+out, so it holds one row, where a ValueGrid holds a record per pixel (about
+100 B) besides the output.
 """
 
 from __future__ import annotations
@@ -60,6 +67,7 @@ _L_MIN, _L_MAX = 0.15, 0.95
 _TWO_PI = 2.0 * math.pi
 
 SELECTORS = ("sm", "cm", "wp")
+_FORMATS = ("ppm", "csv")
 
 
 class Region(record("Region", "center width height nx ny")):
@@ -190,20 +198,81 @@ _ONE_THIRD, _ONE_SIXTH, _TWO_THIRD = 1.0 / 3.0, 1.0 / 6.0, 2.0 / 3.0
 
 def domain_color(grid: ValueGrid) -> bytes:
     """Render the grid as a binary PPM image (P6, maxval 255)."""
-    if not grid.values:
-        raise ValueError("empty grid")
-    header = f"P6\n{grid.region.nx} {grid.region.ny}\n255\n".encode("ascii")
+    return b"".join(_encode(grid.region, _value_rows(grid), "ppm"))
+
+
+def grid_to_csv(grid: ValueGrid) -> str:
+    """Numeric dump, one "re,im,s_re,s_im,pole" line per sample point.
+
+    17 significant digits; pole rows carry nan values and pole = 1. Each
+    column's x and each row's y is formatted once.
+    """
+    return "".join(_encode(grid.region, _value_rows(grid), "csv"))
+
+
+def write_grid(out, region: Region, selector: str, fmt: str, *, order: int = DEFAULT_ORDER) -> None:
+    """Sample the selected function over the region at the series ``order``
+    and write it to ``out`` as ``fmt``, "ppm" or "csv", a row at a time.
+
+    The output is ``domain_color(sample_grid(region, selector, order=order))``
+    (bytes) or ``grid_to_csv(...)`` of it (text), byte for byte, and goes to
+    ``out.write`` in that type: the header, then one call per row as the row
+    is sampled. Memory stays one row's worth, whatever ``ny``: no
+    ``ValueGrid`` and no per-pixel record is built.
+    """
+    if selector not in SELECTORS:
+        raise ValueError(f"selector must be one of {SELECTORS}, got {selector!r}")
+    if fmt not in _FORMATS:
+        raise ValueError(f"format must be one of {_FORMATS}, got {fmt!r}")
+    rows = _pair_rows(_context(check_order(order)), region)
+    # the selected plain value of each pair; a pole pair is (None, j)
+    if selector == "sm":
+        rows = ([s for s, _ in row] for row in rows)
+    elif selector == "cm":
+        rows = ([None if s is None else c for s, c in row] for row in rows)
+    else:
+        rows = ([_wp_of_pair(s, c)[0] for s, c in row] for row in rows)
+    write = out.write
+    for chunk in _encode(region, rows, fmt):
+        write(chunk)
+
+
+def _value_rows(grid: ValueGrid):
+    """The grid's plain values (None at a pole), one list per row."""
+    region, values = grid
+    nx, ny = region.nx, region.ny
+    if len(values) != nx * ny:
+        raise ValueError(f"grid has {len(values)} values; its {nx}x{ny} region needs {nx * ny}")
+    return ([v[0] for v in values[i : i + nx]] for i in range(0, len(values), nx))
+
+
+def _encode(region: Region, rows, fmt: str):
+    """The header, then each row's encoding: the one encoder per format that
+    both the in-memory writers and ``write_grid`` run."""
+    if fmt == "ppm":
+        yield f"P6\n{region.nx} {region.ny}\n255\n".encode("ascii")
+        for row in rows:
+            yield _ppm_row(row)
+        return
+    yield "re,im,s_re,s_im,pole\n"
+    # float(x) is complex(x, y).real, also for an int centre
+    xs = [f"{float(x):.17g}," for x in region.xs()]
+    for y, row in zip(region.ys(), rows):
+        yield _csv_row(xs, f"{float(y):.17g},", row)
+
+
+def _ppm_row(values) -> bytearray:
+    """One row of pixels, three bytes each, for plain values (None at a pole)."""
     atan2, log1p = math.atan2, math.log1p
-    body = bytearray()
-    append = body.append
-    for v in grid.values:
-        value = v[0]
+    row = bytearray()
+    append = row.append
+    for value in values:
         if value is None:
-            body += _POLE_PX
+            row += _POLE_PX
             continue
         mag = abs(value)
         if mag <= ZERO_CLIP:
-            body += _ZERO_PX
+            row += _ZERO_PX
             continue
         x = log1p(mag)
         _append_rgb(
@@ -211,7 +280,7 @@ def domain_color(grid: ValueGrid) -> bytes:
             (atan2(value.imag, value.real) / _TWO_PI) % 1.0,
             _L_MIN + (_L_MAX - _L_MIN) * x / (1.0 + x),
         )
-    return header + bytes(body)
+    return row
 
 
 def _append_rgb(append, hue: float, light: float) -> None:
@@ -235,24 +304,11 @@ def _append_rgb(append, hue: float, light: float) -> None:
         append(int(255.0 * c + 0.5))
 
 
-def grid_to_csv(grid: ValueGrid) -> str:
-    """Numeric dump, one "re,im,s_re,s_im,pole" line per sample point.
-
-    17 significant digits; pole rows carry nan values and pole = 1. Each
-    column's x and each row's y is formatted once.
-    """
-    region = grid.region
-    # float(x) is complex(x, y).real, also for an int centre
-    xs = [f"{float(x):.17g}," for x in region.xs()]
-    nx = region.nx
-    values = grid.values
-    lines = ["re,im,s_re,s_im,pole"]
-    for j, y in enumerate(region.ys()):
-        y_text = f"{float(y):.17g},"
-        for x_text, v in zip(xs, values[j * nx : (j + 1) * nx]):
-            value = v[0]
-            if value is None:
-                lines.append(f"{x_text}{y_text}nan,nan,1")
-            else:
-                lines.append(f"{x_text}{y_text}{value.real:.17g},{value.imag:.17g},0")
-    return "\n".join(lines) + "\n"
+def _csv_row(xs: list, y_text: str, values) -> str:
+    """One row's CSV lines, each ending in a newline, from the formatted
+    column prefixes ``xs``, the row's ``y_text`` and its plain values."""
+    return "".join([
+        f"{x_text}{y_text}nan,nan,1\n" if value is None
+        else f"{x_text}{y_text}{value.real:.17g},{value.imag:.17g},0\n"
+        for x_text, value in zip(xs, values)
+    ])

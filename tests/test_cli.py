@@ -250,8 +250,10 @@ def test_grid_unwritable_out(tmp_path, capsys):
 
 
 def test_grid_unwritable_out_fails_before_render(tmp_path, capsys, monkeypatch):
+    # neither the writer nor the kernel it samples with may run
     calls = []
-    monkeypatch.setattr(render, "sample_grid", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(render, "write_grid", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(render, "_pair", lambda *a: calls.append(a))
     code, _, err = run_cli(capsys, "grid", "--fn", "sm", "--center", "0", "--width", "8",
                            "--height", "6", "--nx", "400", "--ny", "300",
                            "--out", str(tmp_path / "missing" / "x.ppm"))

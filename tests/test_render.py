@@ -1,7 +1,9 @@
 """Render layer: grid sampling, PPM coloring, CSV dump, determinism."""
 
 import colorsys
+import io
 import math
+import tracemalloc
 
 import pytest
 
@@ -15,6 +17,7 @@ from dixonian import (
     sample_grid,
     sm_cm,
     wp,
+    write_grid,
 )
 from dixonian.render import ZERO_CLIP, _append_rgb
 from conftest import CONSTS, K, W1, W2
@@ -443,3 +446,91 @@ def test_append_rgb_matches_colorsys_at_rounding_edges():
         _append_rgb(got.append, hue, light)
         want = bytes(int(255.0 * c + 0.5) for c in colorsys.hls_to_rgb(hue, light, 1.0))
         assert bytes(got) == want, (hue.hex(), light.hex())
+
+
+@pytest.mark.parametrize("count", [0, 4, 5, 7, 9])
+def test_writers_refuse_a_grid_of_the_wrong_size(count):
+    # a 3x2 region needs 6 values; a PPM of 4 or 9 would carry a 3x2 header
+    # over 12 or 27 bytes
+    grid = ValueGrid(Region(0j, 1.0, 1.0, 3, 2), (EllipticValue.finite(0.5),) * count)
+    for writer in (domain_color, grid_to_csv):
+        with pytest.raises(ValueError, match=f"grid has {count} values; its 3x2 region needs 6"):
+            writer(grid)
+
+
+# -- the streaming writer against the in-memory ones -----------------------------
+
+
+def _streamed(region, selector, fmt, order):
+    out = io.BytesIO() if fmt == "ppm" else io.StringIO()
+    write_grid(out, region, selector, fmt, order=order)
+    return out.getvalue()
+
+
+STREAM_REGIONS = {**{name: spec[0] for name, spec in KERNEL_REGIONS.items()},
+                  **{f"writer {r.nx}x{r.ny}": r for r in WRITER_REGIONS}}
+
+
+@pytest.mark.parametrize("selector", ["sm", "cm", "wp"])
+@pytest.mark.parametrize("name", sorted(STREAM_REGIONS))
+def test_write_grid_matches_in_memory_writers(name, selector):
+    region = STREAM_REGIONS[name]
+    for order in (48, 27):
+        grid = sample_grid(region, selector, order=order)
+        assert _streamed(region, selector, "ppm", order) == domain_color(grid), (name, selector, order)
+        assert _streamed(region, selector, "csv", order) == grid_to_csv(grid), (name, selector, order)
+
+
+def test_write_grid_validation():
+    region = Region(0j, 1.0, 1.0, 2, 2)
+    sink = io.StringIO()
+    for selector, fmt, order in (("sn", "csv", 48), ("sm", "png", 48), ("sm", "csv", 26)):
+        with pytest.raises(ValueError):
+            write_grid(sink, region, selector, fmt, order=order)
+    assert sink.getvalue() == ""
+
+
+class _CountingSink:
+    """Discards what is written; counts the calls and the characters."""
+
+    def __init__(self):
+        self.calls = self.size = 0
+
+    def write(self, chunk):
+        self.calls += 1
+        self.size += len(chunk)
+
+
+def _peak(fn, *args):
+    """What ``fn(*args)`` returns, and the peak of memory it allocated on
+    top of what was live before the call."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def _cell(nx, ny):
+    return Region(0j, 4.5 * K, 1.5 * math.sqrt(3.0) * K, nx, ny)
+
+
+def test_grid_to_csv_peak_memory():
+    # a list of row strings and the joined text; a whole-grid list of
+    # per-pixel lines, joined and then copied again, peaked at 3.7x the output
+    grid = sample_grid(_cell(200, 150), "sm")
+    text, peak = _peak(grid_to_csv, grid)
+    assert peak <= 2.5 * len(text), peak / len(text)
+
+
+@pytest.mark.parametrize("ny", [150, 600])
+def test_write_grid_streams_in_row_memory(ny):
+    # one row of pairs, values and text at a time, whatever the row count
+    write_grid(_CountingSink(), _cell(200, 2), "sm", "csv")  # the order's context, built once
+    sink = _CountingSink()
+    _, peak = _peak(write_grid, sink, _cell(200, ny), "sm", "csv")
+    assert sink.calls == 1 + ny
+    assert sink.size > 200 * ny * 60
+    assert peak < 1_000_000, peak
