@@ -6,10 +6,12 @@ pixel is one addition step (s, c) + (sm h, cm h) from its left neighbour,
 h being the region's column spacing. The kernel re-anchors on the pixel's
 own coordinate after STEPS_PER_ANCHOR steps, after a pole marker, where the
 step's denominator is below STEP_MIN_DEN, and wherever the left or the
-stepped pair lies outside |sm|, |cm| <= STEP_MAX or within STEP_LATTICE_GAP
-of cm = 1. Values therefore differ from ``sm_cm`` and ``wp`` only in the
-last bits (the tests bound the difference by 2e-13 * max(1, |v|)); pole
-pixels, and the grids where stepping is off, are theirs bit for bit.
+stepped pair lies outside |sm|, |cm| <= STEP_MAX. wp rows also re-anchor
+within STEP_LATTICE_GAP of cm = 1, where wp = sm / (3 (1 - cm)) cancels;
+sm and cm rows step through there. Values therefore differ from ``sm_cm``
+and ``wp`` only in the last bits (the tests bound the difference by
+2e-13 * max(1, |v|)); pole pixels, and the grids where stepping is off, are
+theirs bit for bit.
 
 Output is binary PPM (P6, maxval 255): hue encodes phase (hue angle =
 arg/2pi), lightness grows with log(1 + |v|) mapped into [0.15, 0.95]. Pole
@@ -42,12 +44,12 @@ MAX_PIXELS = 4096 * 4096
 
 #: A row steps at most this many pixels from one kernel anchor ...
 STEPS_PER_ANCHOR = 16
-#: ... and steps only from and to pairs with |sm|, |cm| <= STEP_MAX and
-#: |1 - cm| > STEP_LATTICE_GAP. Beyond STEP_MAX the pixel nears a pole,
-#: where the kernel keeps full relative accuracy (its near-pole rescue
-#: starts at |sm| >= 1 / NEAR_TOL = 20); within STEP_LATTICE_GAP of cm = 1
-#: it nears a lattice point, where wp = sm / (3 (1 - cm)) magnifies the
-#: error of cm.
+#: ... and steps only from and to pairs with |sm|, |cm| <= STEP_MAX, and
+#: for wp also |1 - cm| > STEP_LATTICE_GAP. Beyond STEP_MAX the pixel nears
+#: a pole, where the kernel keeps full relative accuracy (its near-pole
+#: rescue starts at |sm| >= 1 / NEAR_TOL = 20); within STEP_LATTICE_GAP of
+#: cm = 1 it nears a lattice point, where wp = sm / (3 (1 - cm)) magnifies
+#: the error of cm. sm and cm themselves are well conditioned there.
 STEP_MAX = 4.0
 STEP_LATTICE_GAP = 0.25
 #: A step whose denominator s c (sm h)**2 + cm h is smaller than this in
@@ -124,12 +126,13 @@ def sample_grid(
     """Evaluate the selected function over the region, row by row, at the
     series ``order``.
 
-    Every selector takes its values from the same (sm, cm) rows, which step
+    Every selector takes its values from rows of (sm, cm) pairs, which step
     along each row by the addition theorem and re-anchor on the evaluator's
-    kernel (see the module docstring), and wraps only the selected value in
-    a record. Pole markers, each row's first pixel and every pixel of a grid
-    where stepping is off are bit for bit those of ``sm_cm`` and ``wp``;
-    the tests hold every other value within 2e-13 * max(1, |v|) of theirs.
+    kernel (see the module docstring; wp rows also re-anchor next to the
+    lattice points), and wraps only the selected value in a record. Pole
+    markers, each row's first pixel and every pixel of a grid where
+    stepping is off are bit for bit those of ``sm_cm`` and ``wp``; the
+    tests hold every other value within 2e-13 * max(1, |v|) of theirs.
 
     ``workers`` must be at least 1 and changes nothing: rows run in order on
     the calling thread, since evaluation is pure Python and holds the
@@ -141,7 +144,7 @@ def sample_grid(
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     ctx = _context(check_order(order))
-    rows = _pair_rows(ctx, region)
+    rows = _pair_rows(ctx, region, STEP_LATTICE_GAP if selector == "wp" else -math.inf)
     # a pole pair is (None, j); its three sm and cm markers are built once
     poles = [EllipticValue.pole(rep) for rep in ctx.constants.pole_reps]
     if selector == "sm":
@@ -154,9 +157,11 @@ def sample_grid(
     return ValueGrid(region, tuple(chain.from_iterable(values)))
 
 
-def _pair_rows(ctx, region: Region):
+def _pair_rows(ctx, region: Region, gap: float):
     """One list per row of the kernel's plain (sm, cm), or (None, j) on pole
-    j, stepped along the row by the addition theorem where that is on."""
+    j, stepped along the row by the addition theorem where that is on. A
+    step from or to a pair with |1 - cm| <= ``gap`` re-anchors instead (wp
+    passes STEP_LATTICE_GAP; -inf steps everywhere)."""
     xs, ys = region.xs(), region.ys()
     # the Region's own step (xs[1] - xs[0] would carry an ulp of |x|); a
     # single column has none
@@ -167,7 +172,7 @@ def _pair_rows(ctx, region: Region):
         return
     sh, ch = _pair(ctx, complex(h))
     sh2, chsh, ch2 = sh * sh, ch * sh, ch * ch
-    top, gap, least, every = STEP_MAX, STEP_LATTICE_GAP, STEP_MIN_DEN, STEPS_PER_ANCHOR
+    top, least, every = STEP_MAX, STEP_MIN_DEN, STEPS_PER_ANCHOR
     for y in ys:
         row = []
         append = row.append
@@ -224,7 +229,7 @@ def write_grid(out, region: Region, selector: str, fmt: str, *, order: int = DEF
         raise ValueError(f"selector must be one of {SELECTORS}, got {selector!r}")
     if fmt not in _FORMATS:
         raise ValueError(f"format must be one of {_FORMATS}, got {fmt!r}")
-    rows = _pair_rows(_context(check_order(order)), region)
+    rows = _pair_rows(_context(check_order(order)), region, STEP_LATTICE_GAP if selector == "wp" else -math.inf)
     # the selected plain value of each pair; a pole pair is (None, j)
     if selector == "sm":
         rows = ([s for s, _ in row] for row in rows)

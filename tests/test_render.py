@@ -186,6 +186,12 @@ KERNEL_REGIONS = {
     "1x1": (Region(0.3 + 0.2j, 1.0, 1.0, 1, 1), None, False),
     "1xn": (Region(-0.4 + 0.1j, 1.0, 2.5, 1, 7), None, False),
     "cell": (Region(0j, 4.5 * K, 1.5 * math.sqrt(3.0) * K, 37, 13), None, True),
+    # 255 steps per row at |z| ~ 40: STEPS_PER_ANCHOR bounds how far the
+    # step's rounding grows (3.6e-14 at 16 steps, 5.8e-13 at 64)
+    "long band": (Region(complex(30.0, 21.207048989069378), 12.0 * K, 0.5, 256, 3), None, True),
+    # rows through the lattice point 0, where wp = sm / (3 (1 - cm)) cancels:
+    # wp reads 4e-9 stepped through |1 - cm| <= STEP_LATTICE_GAP
+    "lattice band": (Region(complex(0.0, 0.05), 1.0, 0.3, 101, 7), None, True),
 }
 
 #: a stepped value lies within this of the one-point API's, times max(1, |v|)
@@ -251,30 +257,38 @@ def test_rows_step_between_anchors(monkeypatch):
     from dixonian.render import STEP_LATTICE_GAP, STEP_MAX, STEPS_PER_ANCHOR
 
     region = Region(0j, 4.5 * K, 1.5 * math.sqrt(3.0) * K, 181, 61)
-    grid, calls = _anchors(monkeypatch, region)
-    # the first call is (sm h, cm h) at the column spacing
-    assert calls[0] == complex(region.width / (region.nx - 1))
-    anchored = set(calls[1:])
-    assert len(anchored) == len(calls) - 1
     xs, ys = region.xs(), region.ys()
-    nx = region.nx
-    for j, y in enumerate(ys):
-        steps = 0
-        for i, x in enumerate(xs):
-            z = complex(x, y)
-            if z in anchored:
-                steps = 0
-                continue
-            steps += 1
-            assert i > 0 and steps <= STEPS_PER_ANCHOR, z
-            # stepped from a pair inside the bounds, to a pair inside them
-            assert grid.values[j * nx + i - 1].value is not None, z
-            for point in (complex(xs[i - 1], y), z):
-                s, c = sm_cm(point)
-                assert abs(s.value) <= STEP_MAX + 1e-9 and abs(c.value) <= STEP_MAX + 1e-9, point
-                assert abs(1.0 - c.value) > STEP_LATTICE_GAP - 1e-9, point
-    # the kernel runs at about a sixth of the pixels of the cell framing
-    assert len(anchored) < 0.2 * len(grid.values)
+    pairs = {z: sm_cm(z) for z in (complex(x, y) for y in ys for x in xs)}
+    # the kernel runs at 8.3% of the sm pixels of the cell framing and, with
+    # the lattice rule, at 15.0% of the wp pixels
+    for selector, share in (("sm", 0.1), ("wp", 0.2)):
+        grid, calls = _anchors(monkeypatch, region, selector)
+        # the first call is (sm h, cm h) at the column spacing
+        assert calls[0] == complex(region.width / (region.nx - 1))
+        anchored = set(calls[1:])
+        assert len(anchored) == len(calls) - 1
+        near_lattice = 0
+        for y in ys:
+            steps = 0
+            for i, x in enumerate(xs):
+                z = complex(x, y)
+                if z in anchored:
+                    steps = 0
+                    continue
+                steps += 1
+                assert i > 0 and steps <= STEPS_PER_ANCHOR, (selector, z)
+                # stepped from a pair inside the bounds, to a pair inside them
+                for point in (complex(xs[i - 1], y), z):
+                    s, c = pairs[point]
+                    assert s.value is not None, (selector, point)
+                    assert abs(s.value) <= STEP_MAX + 1e-9 and abs(c.value) <= STEP_MAX + 1e-9, (selector, point)
+                    near_lattice += abs(1.0 - c.value) <= STEP_LATTICE_GAP - 1e-9
+        # sm rows step within STEP_LATTICE_GAP of cm = 1; wp rows never do
+        assert (near_lattice > 0) == (selector == "sm"), (selector, near_lattice)
+        assert len(anchored) < share * len(grid.values), (selector, len(anchored))
+        if selector == "sm":
+            # cm rows are sm's pairs: the same anchors
+            assert _anchors(monkeypatch, region, "cm")[1] == calls
 
 
 def test_grids_without_stepping_run_the_kernel_everywhere(monkeypatch):
