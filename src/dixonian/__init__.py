@@ -20,7 +20,6 @@ from .constants import (
     GAMMA,
     DixonConstants,
     compute_K_quadrature,
-    compute_K_root,
     dixon_constants,
 )
 from .errors import (
@@ -33,6 +32,7 @@ from .evaluator import (
     EllipticValue,
     LatticeReduction,
     cm,
+    compute_K_root,
     reduce_to_fundamental,
     sm,
     sm_cm,

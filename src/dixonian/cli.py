@@ -94,12 +94,12 @@ def _cmd_invert(args) -> int:
     return 0
 
 
-def _cell_preset(order: int) -> dict:
-    k = dixon_constants(order)
+def _cell_preset() -> dict:
+    K = dixon_constants().K
     return {
         "center": complex(0.0),
-        "width": 4.5 * k.K,
-        "height": 1.5 * math.sqrt(3.0) * k.K,
+        "width": 4.5 * K,
+        "height": 1.5 * math.sqrt(3.0) * K,
         "nx": 181,
         "ny": 61,
     }
@@ -110,7 +110,7 @@ def _cmd_grid(args) -> int:
 
     # an order outside 27..64 raises here, before --out is opened
     dixon_constants(args.order)
-    preset = _cell_preset(args.order) if args.preset == "cell" else {}
+    preset = _cell_preset() if args.preset == "cell" else {}
 
     def pick(name):
         value = getattr(args, name)

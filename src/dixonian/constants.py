@@ -3,10 +3,9 @@
 K (the first positive zero of cm, 1.76663875...) is data: the double in
 ``_tables``, from which the one module-level record ``CONSTANTS`` is built
 at import. Its derivations are checks, which never run on the way to a
-value. ``compute_K_root`` finds it with the library's own machinery
-(halving into the series disc, series evaluation and duplication back out
-cover the bracket (1.5, 2.0)); every accepted series order finds the
-tabulated double, which the tests and the selftest verify.
+value. ``evaluator.compute_K_root`` finds it by root-finding cm through the
+evaluator's kernel, the one users call; every accepted series order finds
+the tabulated double, which the tests and the selftest verify.
 ``compute_K_quadrature`` computes the defining singular integral over
 (0, 1) independently, and loads the quadrature only when called.
 
@@ -20,9 +19,8 @@ its conjugate.
 
 import math
 
-from . import _tables, identities, series
+from . import _tables, series
 from ._record import record
-from .errors import ConvergenceError
 
 #: gamma = exp(2*pi*i/3) = (-1 + i*sqrt(3))/2, the primitive cube root of unity.
 GAMMA = complex(-0.5, math.sqrt(3.0) / 2.0)
@@ -30,11 +28,6 @@ GAMMA = complex(-0.5, math.sqrt(3.0) / 2.0)
 #: (1, gamma, conj(gamma)) = gamma**j for j = 0, 1, 2; conj(gamma) = gamma**2
 #: = gamma**-1, so ``GAMMA_POWERS[j].conjugate()`` is gamma**-j.
 GAMMA_POWERS = (complex(1.0), GAMMA, GAMMA.conjugate())
-
-#: The centered cell lies within 3K*sqrt(3)/2 < 4.6 of 0. halve_and_duplicate
-#: takes reduced arguments (the evaluator reduces every z first, and rejects
-#: parts beyond evaluator.MAX_ARGUMENT); a larger one is refused, not halved.
-MAX_REDUCED = 32.0
 
 
 class DixonConstants(record("DixonConstants", "K gamma periods pole_reps zero_reps g2 g3")):
@@ -49,50 +42,6 @@ class DixonConstants(record("DixonConstants", "K gamma periods pole_reps zero_re
     """
 
     __slots__ = ()
-
-
-def halve_and_duplicate(pair: series.SeriesPair, y: complex) -> tuple[complex, complex]:
-    """(sm, cm) at y: halve into the pair's series disc, evaluate the series
-    there and duplicate back out.
-
-    The evaluator's kernel and K's root-finder (two halvings for
-    1.5 <= t <= 2.0) both run through here.
-    """
-    a = abs(y)
-    if a > MAX_REDUCED:
-        raise ValueError(f"reduced argument {y} lies outside the fundamental cell")
-    k = pair.halvings(a)
-    s, c = series.eval_series(pair, y / (1 << k))
-    return identities.duplicate_values(s, c, k)
-
-
-def compute_K_root(order: int = series.DEFAULT_ORDER) -> float:
-    """First positive zero of cm, by bisection then Newton (cm' = -sm^2).
-
-    Returns t in (1.5, 2.0) with |cm(t)| <= 1e-14.
-    """
-    pair = series.generate_series(order)
-    a, b = 1.5, 2.0
-    fa = halve_and_duplicate(pair, a)[1].real
-    fb = halve_and_duplicate(pair, b)[1].real
-    if not (fa > 0.0 > fb):
-        raise ConvergenceError(
-            f"no sign change of cm on [{a}, {b}]: cm({a}) = {fa:.3g}, cm({b}) = {fb:.3g}"
-        )
-    for _ in range(20):
-        mid = 0.5 * (a + b)
-        if halve_and_duplicate(pair, mid)[1].real > 0.0:
-            a = mid
-        else:
-            b = mid
-    t = 0.5 * (a + b)
-    for _ in range(20):
-        s, c = halve_and_duplicate(pair, t)
-        c = c.real
-        if abs(c) <= 1e-14:
-            return t
-        t += c / (s.real * s.real)
-    raise ConvergenceError(f"Newton stalled at |cm(t)| = {abs(c):.3e}", residual=abs(c))
 
 
 def _k_integrand(sigma: float, one_minus_sigma: float) -> float:

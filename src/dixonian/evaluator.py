@@ -3,21 +3,24 @@
 Pipeline: reduce the argument modulo the period lattice to the cell centered
 at 0; report a pole if the reduced point sits on one; rescue near-pole
 arguments through the 2K translation identity (full relative accuracy where
-direct duplication would cancel); otherwise halve into the series disc and
-duplicate back out. Outside the near-pole discs no duplication denominator
-comes near zero: one would vanish only where the doubled point is a pole,
-and the doubles of the poles lie outside the cell.
+direct duplication would cancel); otherwise halve k times into the series
+disc, evaluate the series there and duplicate k times back out. Outside the
+near-pole discs no duplication denominator comes near zero: one would
+vanish only where the doubled point is a pole, and the doubles of the poles
+lie outside the cell.
 
-One kernel, ``_pair``, runs this pipeline and returns plain complex values;
-``sm_cm`` and ``wp`` wrap them in records, and the grid sampler anchors its
-rows on it, stepping between anchors by the addition theorem.
+One kernel, ``_pair``, runs this pipeline, halvings included, and returns
+plain complex values; ``sm_cm`` and ``wp`` wrap them in records, the grid
+sampler anchors its rows on it, stepping between anchors by the addition
+theorem, and ``compute_K_root`` root-finds K through it.
 """
 
 from . import identities, series
 from ._record import memo, record
-from .constants import CONSTANTS, GAMMA_POWERS, DixonConstants, dixon_constants, halve_and_duplicate
-from .errors import PoleError
+from .constants import CONSTANTS, GAMMA_POWERS, DixonConstants, dixon_constants
+from .errors import ConvergenceError, PoleError
 from .identities import FunctionPair, _new
+from .series import SERIES_EVAL_RADIUS
 
 #: Closer than this to a pole: report the pole itself.
 POLE_TOL = 1e-12
@@ -120,7 +123,45 @@ def _pair(ctx: _Context, z: complex) -> tuple:
         return None, j
     if dist <= NEAR_TOL:
         return _near_pole_pair(ctx, j, w)
-    return halve_and_duplicate(ctx.pair, zr)
+    # k halvings bring zr (|zr| < 4.6 in the cell) into the series disc
+    r, k = abs(zr), 0
+    while r > SERIES_EVAL_RADIUS:
+        r *= 0.5
+        k += 1
+    s, c = series.eval_series(ctx.pair, zr / (1 << k))
+    return identities.duplicate_values(s, c, k)
+
+
+def compute_K_root(order: int = series.DEFAULT_ORDER) -> float:
+    """First positive zero of cm, by bisection then Newton (cm' = -sm^2),
+    each cm from the kernel at the series ``order``.
+
+    Returns t in (1.5, 2.0) with |cm(t)| <= 1e-14.
+    """
+    # built here, not through the _context memo: a pair of an order that
+    # check_order refuses (a test patches one in) must never enter it
+    ctx = _Context(CONSTANTS, series.generate_series(order))
+    a, b = 1.5, 2.0
+    fa = _pair(ctx, a)[1].real
+    fb = _pair(ctx, b)[1].real
+    if not (fa > 0.0 > fb):
+        raise ConvergenceError(
+            f"no sign change of cm on [{a}, {b}]: cm({a}) = {fa:.3g}, cm({b}) = {fb:.3g}"
+        )
+    for _ in range(20):
+        mid = 0.5 * (a + b)
+        if _pair(ctx, mid)[1].real > 0.0:
+            a = mid
+        else:
+            b = mid
+    t = 0.5 * (a + b)
+    for _ in range(20):
+        s, c = _pair(ctx, t)
+        c = c.real
+        if abs(c) <= 1e-14:
+            return t
+        t += c / (s.real * s.real)
+    raise ConvergenceError(f"Newton stalled at |cm(t)| = {abs(c):.3e}", residual=abs(c))
 
 
 def sm(z: complex, *, order: int = series.DEFAULT_ORDER) -> EllipticValue:

@@ -23,8 +23,9 @@ Each format has one row encoder, which turns a row of plain values (complex,
 or None at a pole) into its pixels or lines. ``domain_color`` and
 ``grid_to_csv`` run it over a ValueGrid's rows and join the rows once.
 ``write_grid`` runs it on each row as the row is sampled and writes the row
-out, so it holds one row, where a ValueGrid holds a record per pixel (about
-100 B) besides the output.
+out, so it holds one row for every selector, where a ValueGrid holds a
+record per pixel (about 100 B) besides the output. Its sm and cm rows build
+no record; a wp pixel's record is dropped as soon as its value is read.
 """
 
 from __future__ import annotations
@@ -144,7 +145,7 @@ def sample_grid(
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     ctx = _context(check_order(order))
-    rows = _pair_rows(ctx, region, STEP_LATTICE_GAP if selector == "wp" else -math.inf)
+    rows = _pair_rows(ctx, region, selector)
     # a pole pair is (None, j); its three sm and cm markers are built once
     poles = [EllipticValue.pole(rep) for rep in ctx.constants.pole_reps]
     if selector == "sm":
@@ -157,11 +158,12 @@ def sample_grid(
     return ValueGrid(region, tuple(chain.from_iterable(values)))
 
 
-def _pair_rows(ctx, region: Region, gap: float):
+def _pair_rows(ctx, region: Region, selector: str):
     """One list per row of the kernel's plain (sm, cm), or (None, j) on pole
-    j, stepped along the row by the addition theorem where that is on. A
-    step from or to a pair with |1 - cm| <= ``gap`` re-anchors instead (wp
-    passes STEP_LATTICE_GAP; -inf steps everywhere)."""
+    j, stepped along the row by the addition theorem where that is on. For
+    the ``wp`` selector, a step from or to a pair with |1 - cm| <=
+    STEP_LATTICE_GAP re-anchors instead; sm and cm rows step everywhere."""
+    gap = STEP_LATTICE_GAP if selector == "wp" else -math.inf
     xs, ys = region.xs(), region.ys()
     # the Region's own step (xs[1] - xs[0] would carry an ulp of |x|); a
     # single column has none
@@ -222,14 +224,16 @@ def write_grid(out, region: Region, selector: str, fmt: str, *, order: int = DEF
     The output is ``domain_color(sample_grid(region, selector, order=order))``
     (bytes) or ``grid_to_csv(...)`` of it (text), byte for byte, and goes to
     ``out.write`` in that type: the header, then one call per row as the row
-    is sampled. Memory stays one row's worth, whatever ``ny``: no
-    ``ValueGrid`` and no per-pixel record is built.
+    is sampled. Memory stays one row's worth for every selector, whatever
+    ``ny``: no ``ValueGrid`` is built. ``sm`` and ``cm`` rows build no
+    per-pixel record; a ``wp`` pixel's ``EllipticValue`` is built and
+    dropped as soon as its value is read.
     """
     if selector not in SELECTORS:
         raise ValueError(f"selector must be one of {SELECTORS}, got {selector!r}")
     if fmt not in _FORMATS:
         raise ValueError(f"format must be one of {_FORMATS}, got {fmt!r}")
-    rows = _pair_rows(_context(check_order(order)), region, STEP_LATTICE_GAP if selector == "wp" else -math.inf)
+    rows = _pair_rows(_context(check_order(order)), region, selector)
     # the selected plain value of each pair; a pole pair is (None, j)
     if selector == "sm":
         rows = ([s for s, _ in row] for row in rows)

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import identities, series
-from .constants import CONSTANTS, GAMMA_POWERS, compute_K_quadrature, compute_K_root
-from .evaluator import sm_cm_values, wp
+from .constants import CONSTANTS, GAMMA_POWERS, compute_K_quadrature
+from .evaluator import compute_K_root, sm_cm_values, wp
 from .identities import FunctionPair
 from .inverse import sm_inverse
 

@@ -88,14 +88,6 @@ class SeriesPair:
             return NotImplemented
         return self.order == other.order
 
-    def halvings(self, r: float) -> int:
-        """How many halvings bring the radius r inside SERIES_EVAL_RADIUS."""
-        k = 0
-        while r > SERIES_EVAL_RADIUS:
-            r *= 0.5
-            k += 1
-        return k
-
 
 def check_order(order: int) -> int:
     """``order`` itself if it is an accepted series order: TypeError unless

@@ -1,7 +1,9 @@
 """Global evaluator: reduction, pipeline values, symmetries, boundary loci."""
 
 import cmath
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -163,6 +165,25 @@ def test_value_types_immutable_and_compared_by_type():
         for name in (next(iter(fields)), "extra"):
             with pytest.raises(AttributeError):
                 setattr(obj, name, 1)
+        # pickling and copying rebuild through __getnewargs__
+        twins = (pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj), cls._make(plain))
+        for twin in twins:
+            assert twin == obj and twin.__class__ is cls, text
+        assert obj._replace(**fields) == obj
+        with pytest.raises(ValueError, match="unexpected field names"):
+            obj._replace(extra=1)
+        with pytest.raises(TypeError):
+            cls._make(plain[:-1])
+    assert FunctionPair(1.0, 2.0)._replace(c=3.0) == FunctionPair(1.0, 3.0)
+    # the errors of a function call with the same arguments
+    for args, kwargs, message in (
+        ((1, 2, 3), {}, "takes 2 positional arguments but 3 were given"),
+        ((1,), {}, "missing required argument: 'c'"),
+        ((1, 2), {"s": 3}, "got multiple values for argument 's'"),
+        ((1, 2), {"q": 3}, "got an unexpected keyword argument 'q'"),
+    ):
+        with pytest.raises(TypeError, match=message):
+            FunctionPair(*args, **kwargs)
     # equal fields, another type
     assert FunctionPair(1.0, 2.0) != WeierstrassValue(1.0, 2.0)
     # the kernel builds its values with tuple.__new__, past the class call

@@ -57,13 +57,19 @@ def _duplicate_formula(p):
     return FunctionPair(p.s * (1.0 + c3) / den, (c3 - s3) / den)
 
 
-def _identity_duplication(zr):
-    """(sm, cm) at a reduced argument away from the poles, at order 48, from
-    eval_series on the 0.5 disc and one duplication per halving."""
+def _halvings(zr):
+    """How many halvings bring zr into the series disc."""
     k, a = 0, abs(zr)
     while a > SERIES_EVAL_RADIUS:
         a *= 0.5
         k += 1
+    return k
+
+
+def _identity_duplication(zr):
+    """(sm, cm) at a reduced argument away from the poles, at order 48, from
+    eval_series on the 0.5 disc and one duplication per halving."""
+    k = _halvings(zr)
     p = FunctionPair(*eval_series(_context(48).pair, zr / (1 << k)))
     for _ in range(k):
         p = _duplicate_formula(p)
@@ -134,7 +140,7 @@ def test_duplication_denominators_bounded_over_cell():
         for zr in pts:
             if abs(_nearest_pole_frame(ctx, zr)[1]) <= NEAR_TOL:
                 continue
-            k = ctx.pair.halvings(abs(zr))
+            k = _halvings(zr)
             s, c = eval_series(ctx.pair, zr / (1 << k))
             for _ in range(k):
                 smallest = min(smallest, abs(c * (1.0 + s * s * s)))

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from dixonian import _tables, compute_K_root, eval_series, generate_series, inverse, series
+from dixonian import _tables, compute_K_root, eval_series, generate_series, identities, inverse, series, sm_cm
 from dixonian.series import DEFAULT_ORDER, MAX_ORDER, MIN_ORDER, SERIES_EVAL_RADIUS, SERIES_TOL
 from conftest import assert_checks, assert_fact
 
@@ -274,7 +274,8 @@ def test_eval_radius_is_largest_that_meets_tol(order):
     r = SERIES_EVAL_RADIUS
     assert tail_bound(order, r) <= SERIES_TOL
     eval_series(pair, cmath.rect(r, 0.7))
-    assert abs(4.6 / 2 ** pair.halvings(4.6)) <= r < 4.6 / 2 ** (pair.halvings(4.6) - 1)
+    # the cell needs four halvings
+    assert 4.6 / 2 ** 4 <= r < 4.6 / 2 ** 3
 
 
 @pytest.mark.parametrize("order", [1, 4, 20, 27, 48, 64])
@@ -327,12 +328,21 @@ def test_inverse_seed_radius_is_derived():
     assert len(_tables.INVERSE_COEFFS) == INVERSE_TERMS
 
 
-def test_default_order_keeps_half_disc():
-    pair = generate_series()
-    # the K root-finder's bracket (1.5, 2.0) takes exactly two halvings
-    assert pair.halvings(1.5) == pair.halvings(2.0) == 2
-    assert pair.halvings(0.5) == 0 and pair.halvings(0.0) == 0
-    assert pair.halvings(math.nextafter(0.5, 1.0)) == 1
+def test_default_order_keeps_half_disc(monkeypatch):
+    # the kernel duplicates as often as it halved: twice over the K
+    # root-finder's bracket (1.5, 2.0), never inside the disc, and once just
+    # past its rim
+    times = []
+    duplicate_values = identities.duplicate_values
+
+    def counting(s, c, k):
+        times.append(k)
+        return duplicate_values(s, c, k)
+
+    monkeypatch.setattr(identities, "duplicate_values", counting)
+    for z in (1.5, 2.0, 0.5, 0.0, math.nextafter(0.5, 1.0)):
+        sm_cm(z)
+    assert times == [2, 2, 0, 0, 1]
 
 
 def test_generated_once_per_order():
