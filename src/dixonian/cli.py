@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import re
 import sys
 
 from . import series
-from .constants import dixon_constants
+from .constants import GAMMA, dixon_constants
 from .errors import DixonError
 from .evaluator import cm, sm, wp
 
@@ -99,7 +98,8 @@ def _cell_preset() -> dict:
     return {
         "center": complex(0.0),
         "width": 4.5 * K,
-        "height": 1.5 * math.sqrt(3.0) * K,
+        # 1.5 * sqrt(3) * K to the bit, without the math module
+        "height": 3.0 * GAMMA.imag * K,
         "nx": 181,
         "ny": 61,
     }

@@ -17,13 +17,13 @@ branch-point guess, the selftest) reads it from here, and rotates back by
 its conjugate.
 """
 
-import math
-
 from . import _tables, series
 from ._record import record
 
 #: gamma = exp(2*pi*i/3) = (-1 + i*sqrt(3))/2, the primitive cube root of unity.
-GAMMA = complex(-0.5, math.sqrt(3.0) / 2.0)
+#: Its imaginary part is the double math.sqrt(3.0) / 2.0 (0x1.bb67ae8584caap-1),
+#: written out so that the package does not load the math extension module.
+GAMMA = complex(-0.5, 0.8660254037844386)
 
 #: (1, gamma, conj(gamma)) = gamma**j for j = 0, 1, 2; conj(gamma) = gamma**2
 #: = gamma**-1, so ``GAMMA_POWERS[j].conjugate()`` is gamma**-j.

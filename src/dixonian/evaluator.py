@@ -189,17 +189,21 @@ def wp(z: complex, *, order: int = series.DEFAULT_ORDER) -> EllipticValue:
     """
     if order.__class__ is not int:
         series.check_order(order)
-    return _wp_of_pair(*_pair(_context[order], z))
+    v = _wp_of_pair(*_pair(_context[order], z))
+    if v is None:
+        return EllipticValue.pole(complex(0.0))
+    return _new(EllipticValue, (v, None))
 
 
-def _wp_of_pair(s, c) -> EllipticValue:
-    """wp from the kernel's plain (sm, cm), or from its (None, j) on pole j."""
+def _wp_of_pair(s, c) -> complex | None:
+    """Plain wp from the kernel's plain (sm, cm), or from its (None, j) on
+    pole j; None at a lattice point."""
     if s is None:
-        return _new(EllipticValue, (GAMMA_POWERS[c] / 3.0, None))
+        return GAMMA_POWERS[c] / 3.0
     den = 1.0 - c
     if abs(den) < identities.DENOM_TOL:
-        return EllipticValue.pole(complex(0.0))
-    return _new(EllipticValue, (s / (3.0 * den), None))
+        return None
+    return s / (3.0 * den)
 
 
 def _nearest_pole_frame(ctx: _Context, zr: complex) -> tuple[int, complex]:

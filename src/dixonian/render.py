@@ -19,18 +19,22 @@ pixels are pure white, values of magnitude <= 1e-9 pure black. Identical
 grids color to identical bytes. Rows run in order on the calling thread, so
 ``sample_grid``'s ``workers`` changes nothing.
 
+A ValueGrid stores each pixel's plain value, a complex or the shared pole
+marker, and builds a pixel's EllipticValue only when ``values`` is read:
+about 40 B per pixel, in objects the garbage collector does not track.
 Each format has one row encoder, which turns a row of plain values (complex,
 or None at a pole) into its pixels or lines. ``domain_color`` and
-``grid_to_csv`` run it over a ValueGrid's rows and join the rows once.
-``write_grid`` runs it on each row as the row is sampled and writes the row
-out, so it holds one row for every selector, where a ValueGrid holds a
-record per pixel (about 100 B) besides the output. Its sm and cm rows build
-no record; a wp pixel's record is dropped as soon as its value is read.
+``grid_to_csv`` run it over a ValueGrid's stored rows and join the rows
+once. ``write_grid`` runs it on each row as the row is sampled and writes
+the row out, so it holds one row for every selector, and no grid.
 """
 
 from __future__ import annotations
 
 import math
+# collections.abc's Sequence, without the import of collections that
+# collections.abc makes
+from _collections_abc import Sequence
 from itertools import chain
 
 from ._record import record
@@ -112,13 +116,68 @@ class Region(record("Region", "center width height nx ny")):
         return [mid - span / 2.0 + i * step for i in range(count)]
 
 
+class GridValues(Sequence):
+    """A ValueGrid's ``values``: a read-only sequence of EllipticValue over
+    the grid's stored items, each a pixel's finite value or, at a pole, an
+    EllipticValue marker. A finite pixel's EllipticValue is built when it is
+    read. Equality and hashing follow the stored items.
+    """
+
+    __slots__ = ("_items",)
+
+    def __init__(self, items: tuple) -> None:
+        self._items = items
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __getitem__(self, index):
+        if index.__class__ is slice:
+            return tuple(map(_read, self._items[index]))
+        return _read(self._items[index])
+
+    def __iter__(self):
+        return map(_read, self._items)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not GridValues:
+            return NotImplemented
+        return self._items == other._items
+
+    def __hash__(self) -> int:
+        return hash(self._items)
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+    def __reduce__(self):
+        return GridValues, (self._items,)
+
+
+def _read(item) -> EllipticValue:
+    """The EllipticValue a stored item stands for."""
+    return item if item.__class__ is EllipticValue else _new(EllipticValue, (item, None))
+
+
 class ValueGrid(record("ValueGrid", "region values")):
     """Row-major samples: values[j * nx + i] is the point (xs[i], ys[j]).
 
-    ``values`` is a tuple of EllipticValue.
+    ``values`` is a GridValues; a ValueGrid built from any other sequence of
+    EllipticValue stores its items in one.
     """
 
     __slots__ = ()
+
+    def __new__(cls, region: Region, values):
+        if values.__class__ is not GridValues:
+            # a finite value is stored as its value, a pole marker as itself
+            values = GridValues(tuple([v[0] if v[1] is None else v for v in values]))
+        return super().__new__(cls, region, values)
+
+    @classmethod
+    def _make(cls, iterable) -> "ValueGrid":
+        # the namedtuple default skips __new__; _replace builds through here
+        return cls(*iterable)
 
 
 def sample_grid(
@@ -130,7 +189,7 @@ def sample_grid(
     Every selector takes its values from rows of (sm, cm) pairs, which step
     along each row by the addition theorem and re-anchor on the evaluator's
     kernel (see the module docstring; wp rows also re-anchor next to the
-    lattice points), and wraps only the selected value in a record. Pole
+    lattice points), and stores only the selected plain value. Pole
     markers, each row's first pixel and every pixel of a grid where
     stepping is off are bit for bit those of ``sm_cm`` and ``wp``; the
     tests hold every other value within 2e-13 * max(1, |v|) of theirs.
@@ -146,16 +205,18 @@ def sample_grid(
         raise ValueError(f"workers must be at least 1, got {workers}")
     ctx = _context(check_order(order))
     rows = _pair_rows(ctx, region, selector)
-    # a pole pair is (None, j); its three sm and cm markers are built once
+    # a pole pair is (None, j); its three sm and cm markers, and wp's one
+    # lattice marker, are built once and shared by every pole pixel
     poles = [EllipticValue.pole(rep) for rep in ctx.constants.pole_reps]
     if selector == "sm":
-        values = ([poles[c] if s is None else _new(EllipticValue, (s, None)) for s, c in row] for row in rows)
+        items = ([poles[c] if s is None else s for s, c in row] for row in rows)
     elif selector == "cm":
-        values = ([poles[c] if s is None else _new(EllipticValue, (c, None)) for s, c in row] for row in rows)
+        items = ([poles[c] if s is None else c for s, c in row] for row in rows)
     else:
-        values = ([_wp_of_pair(s, c) for s, c in row] for row in rows)
+        lattice = EllipticValue.pole(0j)
+        items = ([lattice if (w := _wp_of_pair(s, c)) is None else w for s, c in row] for row in rows)
     # rows are chained into the grid's tuple, so no whole-grid list is built
-    return ValueGrid(region, tuple(chain.from_iterable(values)))
+    return ValueGrid(region, GridValues(tuple(chain.from_iterable(items))))
 
 
 def _pair_rows(ctx, region: Region, selector: str):
@@ -225,9 +286,7 @@ def write_grid(out, region: Region, selector: str, fmt: str, *, order: int = DEF
     (bytes) or ``grid_to_csv(...)`` of it (text), byte for byte, and goes to
     ``out.write`` in that type: the header, then one call per row as the row
     is sampled. Memory stays one row's worth for every selector, whatever
-    ``ny``: no ``ValueGrid`` is built. ``sm`` and ``cm`` rows build no
-    per-pixel record; a ``wp`` pixel's ``EllipticValue`` is built and
-    dropped as soon as its value is read.
+    ``ny``: no ``ValueGrid`` is built.
     """
     if selector not in SELECTORS:
         raise ValueError(f"selector must be one of {SELECTORS}, got {selector!r}")
@@ -240,7 +299,7 @@ def write_grid(out, region: Region, selector: str, fmt: str, *, order: int = DEF
     elif selector == "cm":
         rows = ([None if s is None else c for s, c in row] for row in rows)
     else:
-        rows = ([_wp_of_pair(s, c)[0] for s, c in row] for row in rows)
+        rows = ([_wp_of_pair(s, c) for s, c in row] for row in rows)
     write = out.write
     for chunk in _encode(region, rows, fmt):
         write(chunk)
@@ -249,10 +308,13 @@ def write_grid(out, region: Region, selector: str, fmt: str, *, order: int = DEF
 def _value_rows(grid: ValueGrid):
     """The grid's plain values (None at a pole), one list per row."""
     region, values = grid
+    items = values._items
     nx, ny = region.nx, region.ny
-    if len(values) != nx * ny:
-        raise ValueError(f"grid has {len(values)} values; its {nx}x{ny} region needs {nx * ny}")
-    return ([v[0] for v in values[i : i + nx]] for i in range(0, len(values), nx))
+    if len(items) != nx * ny:
+        raise ValueError(f"grid has {len(items)} values; its {nx}x{ny} region needs {nx * ny}")
+    # a stored EllipticValue is a pole marker, whose value is None
+    return ([v if v.__class__ is not EllipticValue else v[0] for v in items[i : i + nx]]
+            for i in range(0, len(items), nx))
 
 
 def _encode(region: Region, rows, fmt: str):

@@ -323,9 +323,9 @@ COLD_PATH_EXCLUDED = (
     "dataclasses", "typing", "inspect", "random", "dixonian.selftest", "fractions", "decimal", "numbers",
 )
 #: Loaded on first use of one of their names (the quadrature with the
-#: inverse): never by the package and sm, cm and wp, nor by the CLI's eval
-#: and constants.
-LOADED_ON_FIRST_USE = ("dixonian.inverse", "dixonian.render", "dixonian.quadrature")
+#: inverse, and the math extension module with either): never by the package
+#: and sm, cm and wp, nor by the CLI's eval and constants.
+LOADED_ON_FIRST_USE = ("dixonian.inverse", "dixonian.render", "dixonian.quadrature", "math")
 #: Not loaded by the package and a first sm_cm, the benchmark's set-up; the
 #: CLI loads them through argparse, json and re. ``__future__`` is imported
 #: by every module that starts with ``from __future__ import annotations``,

@@ -1,8 +1,10 @@
 """Render layer: grid sampling, PPM coloring, CSV dump, determinism."""
 
 import colorsys
+import gc
 import io
 import math
+import pickle
 import tracemalloc
 
 import pytest
@@ -234,6 +236,23 @@ def test_grid_values_match_one_point_api(name, selector):
                 assert got.value is not None, (name, selector, order, z)
                 assert abs(got.value - want.value) <= STEP_BOUND * max(1.0, abs(want.value)), (
                     name, selector, order, z)
+
+
+@pytest.mark.parametrize("selector", ["sm", "cm", "wp"])
+@pytest.mark.parametrize("name", sorted(KERNEL_REGIONS))
+def test_grid_round_trips_through_its_values(name, selector):
+    """A grid rebuilt from the EllipticValues it reads out, or unpickled, is
+    equal to it, hashes alike and writes the same bytes."""
+    grid = sample_grid(KERNEL_REGIONS[name][0], selector)
+    values = tuple(grid.values)
+    assert values[-1] == grid.values[-1] and values[1:] == grid.values[1:]
+    twin = ValueGrid(grid.region, values)
+    assert twin == grid and hash(twin) == hash(grid)
+    twins = [twin] + [pickle.loads(pickle.dumps(grid, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    ppm, csv = domain_color(grid), grid_to_csv(grid)
+    for other in twins:
+        assert other == grid and other.values.__class__ is grid.values.__class__, (name, selector)
+        assert domain_color(other) == ppm and grid_to_csv(other) == csv, (name, selector)
 
 
 def _anchors(monkeypatch, region, selector="sm"):
@@ -537,6 +556,28 @@ def test_grid_to_csv_peak_memory():
     grid = sample_grid(_cell(200, 150), "sm")
     text, peak = _peak(grid_to_csv, grid)
     assert peak <= 2.5 * len(text), peak / len(text)
+
+
+def test_value_grid_holds_plain_values():
+    # a grid stores each pixel's complex (32 B) and its slot (8 B); an
+    # EllipticValue record per pixel held 104 B, each tracked by the collector
+    region = _cell(200, 150)
+    sample_grid(_cell(3, 3), "sm")  # the order's context, built once
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        grid = sample_grid(region, "sm")
+        retained = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert retained <= 60 * 200 * 150, retained / (200 * 150)
+    del grid
+    for selector in ("sm", "cm", "wp"):
+        gc.collect()
+        before = len(gc.get_objects())
+        grid = sample_grid(region, selector)
+        assert len(gc.get_objects()) - before < region.ny, selector
+        del grid
 
 
 @pytest.mark.parametrize("ny", [150, 600])
