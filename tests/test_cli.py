@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from dixonian import render
+import dixonian
+from dixonian import cli, dixon_constants, render, sm_inverse
 from dixonian.cli import main, parse_complex
 from conftest import GAMMA, K
 
@@ -28,10 +29,8 @@ def test_parse_complex_forms():
 
 
 def test_parse_complex_rejects():
-    import argparse
-
-    for bad in ("abc", "1+2j", "i", "2i", "1 + 2i", "1+i"):
-        with pytest.raises(argparse.ArgumentTypeError):
+    for bad in ("abc", "1+2j", "i", "2i", "1 + 2i", "1+i", "", "+", "1e", "1_0", "1+2ei", ". 5"):
+        with pytest.raises(ValueError, match="not a complex literal"):
             parse_complex(bad)
 
 
@@ -40,6 +39,30 @@ def test_bad_literal_exits_2(capsys):
         main(["eval", "--fn", "sm", "--z", "abc"])
     assert exc.value.code == 2
     assert "complex literal" in capsys.readouterr().err
+
+
+def _flag(form, flag, value):
+    return [flag, value] if form == "space" else [f"{flag}={value}"]
+
+
+@pytest.mark.parametrize("form", ["space", "equals"])
+@pytest.mark.parametrize("command", ["eval", "invert", "grid"])
+def test_value_starting_with_minus(capsys, tmp_path, command, form):
+    # a value flag takes the next token, whatever it starts with
+    if command == "eval":
+        code, out, _ = run_cli(capsys, "eval", "--fn", "sm", *_flag(form, "--z", "-0.5+1i"))
+        v = dixonian.sm(complex(-0.5, 1.0)).value
+        assert (code, json.loads(out)) == (0, {"re": v.real, "im": v.imag, "pole": False})
+    elif command == "invert":
+        code, out, _ = run_cli(capsys, "invert", *_flag(form, "--w", "-0.5+0.8i"))
+        data = json.loads(out)
+        assert code == 0 and complex(data["re"], data["im"]) == sm_inverse(complex(-0.5, 0.8)).z
+    else:
+        out = tmp_path / "g.csv"
+        code, _, _ = run_cli(capsys, "grid", "--fn", "sm", *_flag(form, "--center", "-1+2i"), "--width", "1",
+                             "--height", "1", "--nx", "3", "--ny", "2", "--format", "csv", "--out", str(out))
+        grid = render.sample_grid(render.Region(complex(-1.0, 2.0), 1.0, 1.0, 3, 2), "sm")
+        assert code == 0 and out.read_text() == render.grid_to_csv(grid)
 
 
 # --- eval -----------------------------------------------------------------------
@@ -339,3 +362,132 @@ def test_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"re": 0.0, "im": 0.0, "pole": False}
+
+
+# --- usage errors and help --------------------------------------------------------------
+
+USAGE_ERRORS = [
+    ([], "dixonian", "the following arguments are required: command"),
+    (["frobnicate"], "dixonian",
+     "argument command: invalid choice: 'frobnicate' (choose from 'eval', 'constants', 'invert', 'grid', 'selftest')"),
+    (["--fn", "sm"], "dixonian",
+     "argument command: invalid choice: '--fn' (choose from 'eval', 'constants', 'invert', 'grid', 'selftest')"),
+    (["eval"], "dixonian eval", "the following arguments are required: --fn, --z"),
+    (["eval", "--z", "0.3"], "dixonian eval", "the following arguments are required: --fn"),
+    (["eval", "--fn", "tan", "--z", "0.3"], "dixonian eval",
+     "argument --fn: invalid choice: 'tan' (choose from 'sm', 'cm', 'wp')"),
+    (["eval", "--fn", "sm", "--z", "0.3", "--order", "4.5"], "dixonian eval",
+     "argument --order: invalid int value: '4.5'"),
+    (["eval", "--fn", "sm", "--z"], "dixonian eval", "argument --z: expected one argument"),
+    (["eval", "--fn", "sm", "--z", "abc"], "dixonian eval", "argument --z: not a complex literal: 'abc'"),
+    (["eval", "--fn", "sm", "--z", "--fn"], "dixonian eval", "argument --z: not a complex literal: '--fn'"),
+    # abbreviations of a flag are not the flag
+    (["eval", "--fn", "sm", "--z", "0.3", "--ord", "30"], "dixonian eval", "unrecognized arguments: --ord 30"),
+    (["invert", "--w", "0.5", "--tol", "tiny"], "dixonian invert", "argument --tol: invalid float value: 'tiny'"),
+    (["grid", "--fn", "sm", "--format", "png", "--out", "x"], "dixonian grid",
+     "argument --format: invalid choice: 'png' (choose from 'ppm', 'csv')"),
+    (["grid", "--fn", "sm", "--nx", "4", "--ny", "3"], "dixonian grid",
+     "the following arguments are required: --out"),
+    (["selftest", "--tol", "1e-30"], "dixonian selftest", "unrecognized arguments: --tol 1e-30"),
+    (["selftest", "--list", "names"], "dixonian selftest", "unrecognized arguments: names"),
+    (["selftest", "--list=yes"], "dixonian selftest", "argument --list: ignored explicit argument 'yes'"),
+]
+
+
+@pytest.mark.parametrize("argv, prog, message", USAGE_ERRORS, ids=[" ".join(c[0]) or "empty" for c in USAGE_ERRORS])
+def test_usage_error(capsys, argv, prog, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"usage: {prog} [-h] ")
+    assert err.endswith(f"\n{prog}: error: {message}\n")
+
+
+FLAGS = {
+    "eval": ["--fn", "--z", "--order"],
+    "constants": ["--order"],
+    "invert": ["--w", "--tol", "--order"],
+    "grid": ["--fn", "--preset", "--center", "--width", "--height", "--nx", "--ny", "--out", "--format", "--order"],
+    "selftest": ["--list"],
+}
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], *([c, "-h"] for c in FLAGS), *([c, "--help"] for c in FLAGS),
+                                  ["eval", "--fn", "sm", "--help", "--z"]])
+def test_help_exits_0(capsys, argv):
+    # help wins over the flags around it, required ones missing included
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    command = argv[0] if argv[0] in FLAGS else None
+    assert out.startswith(f"usage: dixonian {command or '[-h]'}")
+    for word in FLAGS[command] if command else FLAGS:
+        assert f"  {word} " in out, word
+    assert "-h, --help" in out
+
+
+def test_repeated_flag_keeps_last_value(capsys):
+    _, ref, _ = run_cli(capsys, "eval", "--fn", "sm", "--z", "0.3")
+    code, out, _ = run_cli(capsys, "eval", "--fn", "cm", "--z=9", "--order", "27", "--z", "0.3", "--fn=sm",
+                           "--order=48")
+    assert (code, out) == (0, ref)
+
+
+def test_selftest_list_takes_no_value(capsys):
+    code, out, _ = run_cli(capsys, "selftest", "--list", "--list")
+    assert code == 0 and "cardinal_values" in out.splitlines()
+
+
+# --- JSON output: byte for byte json.dumps -----------------------------------------------
+
+def _literal(z):
+    return f"{z.real!r}{z.imag:+.17g}i"
+
+
+EVAL_POINTS = [
+    0j, complex(-0.0, -0.0), complex(0.0, -0.0), complex(1e-320, -1e-320), complex(0.3, 0.1), complex(-1.25, 2.5),
+    complex(-K, 0.0), K * GAMMA, -K * GAMMA ** 2 + 1e-11, complex(1e-9, 0.0), complex(3e11, -1e12),
+    complex(-7.5e11, 6.25e11),
+]
+
+
+@pytest.mark.parametrize("fn", ["sm", "cm", "wp"])
+def test_eval_output_is_json_dumps(capsys, fn):
+    for z in EVAL_POINTS:
+        v = getattr(dixonian, fn)(z)
+        record = {"re": None, "im": None, "pole": True} if v.is_pole else {
+            "re": v.value.real, "im": v.value.imag, "pole": False}
+        assert run_cli(capsys, "eval", "--fn", fn, f"--z={_literal(z)}") == (0, json.dumps(record) + "\n", ""), z
+
+
+def test_constants_output_is_json_dumps(capsys):
+    for order in ("27", "48", "64"):
+        k = dixon_constants(int(order))
+        record = {"K": k.K, "gamma": {"re": k.gamma.real, "im": k.gamma.imag},
+                  "periods": [{"re": p.real, "im": p.imag} for p in k.periods], "g2": k.g2, "g3": k.g3}
+        assert run_cli(capsys, "constants", "--order", order) == (0, json.dumps(record) + "\n", "")
+
+
+def test_invert_output_is_json_dumps(capsys):
+    targets = [0j, 0.5, complex(0.3, -0.2), complex(0.6, 0.7), complex(-0.05, 0.97), 0.9999999]
+    targets += [s * GAMMA ** j for s in (1, -1) for j in range(3)]
+    for w in targets:
+        code, out, _ = run_cli(capsys, "invert", f"--w={_literal(complex(w))}")
+        result = sm_inverse(w, tol=1e-10)
+        record = {"re": result.z.real, "im": result.z.imag, "residual": result.residual,
+                  "z_err": json.loads(out)["z_err"]}
+        assert (code, out) == (0, json.dumps(record) + "\n"), w
+
+
+@pytest.mark.parametrize("obj", [
+    {"re": float("nan"), "im": float("inf"), "x": float("-inf")},
+    {"re": -0.0, "im": 1e-320, "pole": False, "rep": None, "ok": True},
+    {"K": 1.7666387502854497, "n": 0, "big": 10**20, "periods": [{"re": 5e-324}, {"im": -1.7976931348623157e308}],
+     "pair": (1.5, -2), "empty": [], "none": {}},
+])
+def test_json_writer_matches_json_dumps(obj):
+    assert cli._json(obj) == json.dumps(obj)
