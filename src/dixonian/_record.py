@@ -28,7 +28,11 @@ except ImportError:  # pragma: no cover - interpreters without it
         return property(itemgetter(index), doc=doc)
 
 
-_tuple_new = tuple.__new__
+#: tuple.__new__, bound once for every module: looking an attribute up on a
+#: type is slow, and the identities and the evaluator's kernel build a record
+#: or two per call. A record built through it skips the class call's
+#: argument packing, and a subclass's own __new__
+_new = tuple.__new__
 
 
 class _Record(tuple):
@@ -59,10 +63,11 @@ class _Record(tuple):
 
     @classmethod
     def _make(cls, iterable):
-        result = _tuple_new(cls, iterable)
-        if len(result) != len(cls._fields):
-            raise TypeError(f"expected {len(cls._fields)} arguments, got {len(result)}")
-        return result
+        # through the class call, so a subclass's own __new__ checks its fields
+        values = tuple(iterable)
+        if len(values) != len(cls._fields):
+            raise TypeError(f"expected {len(cls._fields)} arguments, got {len(values)}")
+        return cls(*values)
 
     def _replace(self, /, **changes):
         result = self._make([changes.pop(f, v) for f, v in zip(self._fields, self)])
@@ -95,7 +100,7 @@ def record(name: str, fields: str, defaults: tuple = ()) -> type:
     def __new__(cls, *args, **kwargs):
         if kwargs or len(args) != count:
             args = cls._bind(args, kwargs)
-        return _tuple_new(cls, args)
+        return _new(cls, args)
 
     namespace = {
         "__new__": __new__,

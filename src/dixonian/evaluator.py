@@ -16,10 +16,10 @@ theorem, and ``compute_K_root`` root-finds K through it.
 """
 
 from . import identities, series
-from ._record import memo, record
+from ._record import _new, memo, record
 from .constants import CONSTANTS, GAMMA_POWERS, DixonConstants, dixon_constants
 from .errors import ConvergenceError, PoleError
-from .identities import FunctionPair, _new
+from .identities import FunctionPair
 from .series import SERIES_EVAL_RADIUS
 
 #: Closer than this to a pole: report the pole itself.

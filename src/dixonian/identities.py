@@ -6,17 +6,12 @@ evaluated from scratch. They serve both as user-facing building blocks
 Weierstrass bridge) and as independent cross-checks of the global evaluator.
 """
 
-from ._record import record
+from ._record import _new, record
 from .errors import DegenerateDenominatorError
 
 #: Below this magnitude a denominator is treated as degenerate: the target
 #: argument of the map sits on or too near a pole. Shared with the evaluator.
 DENOM_TOL = 1e-8
-
-#: tuple.__new__, bound once: looking an attribute up on a type is slow, and
-#: the identities and the evaluator's kernel build a record or two per call.
-#: A record built through it skips the class call's argument packing
-_new = tuple.__new__
 
 
 class FunctionPair(record("FunctionPair", "s c")):

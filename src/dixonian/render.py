@@ -26,7 +26,9 @@ Each format has one row encoder, which turns a row of plain values (complex,
 or None at a pole) into its pixels or lines. ``domain_color`` and
 ``grid_to_csv`` run it over a ValueGrid's stored rows and join the rows
 once. ``write_grid`` runs it on each row as the row is sampled and writes
-the row out, so it holds one row for every selector, and no grid.
+the row out, so it holds one row for every selector, and no grid. Its bytes
+are the in-memory writers' because ``sample_grid`` and ``write_grid`` take
+their rows from one function, and differ only in what stands at a pole.
 """
 
 from __future__ import annotations
@@ -37,11 +39,12 @@ import math
 from _collections_abc import Sequence
 from itertools import chain
 
-from ._record import record
+from ._record import _new, record
+from .constants import CONSTANTS
 # sample_grid calls the kernel; sm_cm and wp stay module attributes because
 # the benchmark's tracer wraps render.sm_cm and render.wp
 from .evaluator import (  # noqa: F401
-    MAX_ARGUMENT, EllipticValue, _context, _new, _pair, _wp_of_pair, sm_cm, wp,
+    MAX_ARGUMENT, EllipticValue, _context, _pair, _wp_of_pair, sm_cm, wp,
 )
 from .series import DEFAULT_ORDER, SERIES_EVAL_RADIUS, check_order
 
@@ -96,11 +99,6 @@ class Region(record("Region", "center width height nx ny")):
             if not (abs(axis[0]) <= MAX_ARGUMENT and abs(axis[-1]) <= MAX_ARGUMENT):
                 raise ValueError("grid corners must be finite and at most 2**45 in magnitude in each part")
         return super().__new__(cls, center, width, height, nx, ny)
-
-    @classmethod
-    def _make(cls, iterable) -> "Region":
-        # the namedtuple default skips __new__; _replace builds through here
-        return cls(*iterable)
 
     def xs(self) -> list[float]:
         return self._axis(self.center.real, self.width, self.nx)
@@ -174,11 +172,6 @@ class ValueGrid(record("ValueGrid", "region values")):
             values = GridValues(tuple([v[0] if v[1] is None else v for v in values]))
         return super().__new__(cls, region, values)
 
-    @classmethod
-    def _make(cls, iterable) -> "ValueGrid":
-        # the namedtuple default skips __new__; _replace builds through here
-        return cls(*iterable)
-
 
 def sample_grid(
     region: Region, selector: str, workers: int = 1, *, order: int = DEFAULT_ORDER
@@ -199,24 +192,31 @@ def sample_grid(
     interpreter lock. It is accepted only because the benchmark still
     passes it.
     """
-    if selector not in SELECTORS:
-        raise ValueError(f"selector must be one of {SELECTORS}, got {selector!r}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    ctx = _context(check_order(order))
-    rows = _pair_rows(ctx, region, selector)
-    # a pole pair is (None, j); its three sm and cm markers, and wp's one
-    # lattice marker, are built once and shared by every pole pixel
-    poles = [EllipticValue.pole(rep) for rep in ctx.constants.pole_reps]
-    if selector == "sm":
-        items = ([poles[c] if s is None else s for s, c in row] for row in rows)
-    elif selector == "cm":
-        items = ([poles[c] if s is None else c for s, c in row] for row in rows)
-    else:
-        lattice = EllipticValue.pole(0j)
-        items = ([lattice if (w := _wp_of_pair(s, c)) is None else w for s, c in row] for row in rows)
+    # the three sm and cm pole markers, and wp's one lattice marker, are
+    # built once and shared by every pole pixel
+    poles = [EllipticValue.pole(rep) for rep in CONSTANTS.pole_reps]
+    rows = _selected_rows(region, selector, order, poles, EllipticValue.pole(0j))
     # rows are chained into the grid's tuple, so no whole-grid list is built
-    return ValueGrid(region, GridValues(tuple(chain.from_iterable(items))))
+    return ValueGrid(region, GridValues(tuple(chain.from_iterable(rows))))
+
+
+def _selected_rows(region: Region, selector: str, order: int, poles, lattice):
+    """One list per row of the selected function's plain values, with
+    ``poles[j]`` on pole j of sm and cm and ``lattice`` on a lattice point
+    of wp: the one selection both ``sample_grid`` and ``write_grid`` run.
+    The selector and the order are checked here, before any row is sampled.
+    """
+    if selector not in SELECTORS:
+        raise ValueError(f"selector must be one of {SELECTORS}, got {selector!r}")
+    rows = _pair_rows(_context(check_order(order)), region, selector)
+    # a pole pair is (None, j)
+    if selector == "sm":
+        return ([poles[c] if s is None else s for s, c in row] for row in rows)
+    if selector == "cm":
+        return ([poles[c] if s is None else c for s, c in row] for row in rows)
+    return ([lattice if (w := _wp_of_pair(s, c)) is None else w for s, c in row] for row in rows)
 
 
 def _pair_rows(ctx, region: Region, selector: str):
@@ -285,21 +285,15 @@ def write_grid(out, region: Region, selector: str, fmt: str, *, order: int = DEF
     The output is ``domain_color(sample_grid(region, selector, order=order))``
     (bytes) or ``grid_to_csv(...)`` of it (text), byte for byte, and goes to
     ``out.write`` in that type: the header, then one call per row as the row
-    is sampled. Memory stays one row's worth for every selector, whatever
-    ``ny``: no ``ValueGrid`` is built.
+    is sampled. The bytes agree because both writers select their values
+    through one function and encode them with one encoder per format.
+    Memory stays one row's worth for every selector, whatever ``ny``: no
+    ``ValueGrid`` is built.
     """
-    if selector not in SELECTORS:
-        raise ValueError(f"selector must be one of {SELECTORS}, got {selector!r}")
+    # the encoders read None at every pole
+    rows = _selected_rows(region, selector, order, (None, None, None), None)
     if fmt not in _FORMATS:
         raise ValueError(f"format must be one of {_FORMATS}, got {fmt!r}")
-    rows = _pair_rows(_context(check_order(order)), region, selector)
-    # the selected plain value of each pair; a pole pair is (None, j)
-    if selector == "sm":
-        rows = ([s for s, _ in row] for row in rows)
-    elif selector == "cm":
-        rows = ([None if s is None else c for s, c in row] for row in rows)
-    else:
-        rows = ([_wp_of_pair(s, c) for s, c in row] for row in rows)
     write = out.write
     for chunk in _encode(region, rows, fmt):
         write(chunk)

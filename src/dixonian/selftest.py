@@ -62,6 +62,9 @@ def run_selftest(names: list[str] | None = None) -> list[CheckResult]:
     """
     if isinstance(names, str):
         raise TypeError(f"names must be a list of check names, not the string {names!r}")
+    if names is not None:
+        # read once: an iterator would be used up by the check below
+        names = list(names)
     unknown = set(names or ()).difference(list_checks())
     if unknown:
         raise ValueError(f"unknown selftest checks: {', '.join(sorted(unknown))}")

@@ -34,6 +34,9 @@ def test_region_validation():
         Region(0j, 1.0, 1.0, 4096, 4097)
     with pytest.raises(ValueError):
         Region(0j, 1.0, 1.0, 4, 4)._replace(nx=0)
+    # _make builds through the class call, so it checks the fields too
+    with pytest.raises(ValueError):
+        Region._make((0j, -1.0, 1.0, 4, 4))
     # every sample must be reducible: each part within evaluator.MAX_ARGUMENT
     edge = 2.0 ** 45
     Region(complex(edge, -edge), 1.0, 1.0, 1, 1)
@@ -246,12 +249,12 @@ def test_grid_round_trips_through_its_values(name, selector):
     grid = sample_grid(KERNEL_REGIONS[name][0], selector)
     values = tuple(grid.values)
     assert values[-1] == grid.values[-1] and values[1:] == grid.values[1:]
-    twin = ValueGrid(grid.region, values)
-    assert twin == grid and hash(twin) == hash(grid)
-    twins = [twin] + [pickle.loads(pickle.dumps(grid, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    twins = [ValueGrid(grid.region, values), ValueGrid._make((grid.region, values)), grid._replace(values=values)]
+    twins += [pickle.loads(pickle.dumps(grid, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
     ppm, csv = domain_color(grid), grid_to_csv(grid)
     for other in twins:
-        assert other == grid and other.values.__class__ is grid.values.__class__, (name, selector)
+        assert other == grid and hash(other) == hash(grid), (name, selector)
+        assert other.values.__class__ is grid.values.__class__, (name, selector)
         assert domain_color(other) == ppm and grid_to_csv(other) == csv, (name, selector)
 
 
@@ -518,8 +521,13 @@ def test_write_grid_validation():
     region = Region(0j, 1.0, 1.0, 2, 2)
     sink = io.StringIO()
     for selector, fmt, order in (("sn", "csv", 48), ("sm", "png", 48), ("sm", "csv", 26)):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as written:
             write_grid(sink, region, selector, fmt, order=order)
+        if fmt == "csv":
+            # both writers run the one check of the selector and the order
+            with pytest.raises(ValueError) as sampled:
+                sample_grid(region, selector, order=order)
+            assert str(sampled.value) == str(written.value)
     assert sink.getvalue() == ""
 
 

@@ -68,3 +68,6 @@ def test_run_selftest_refuses_what_it_cannot_run():
         run_selftest(names="cube_identity_cell")
     assert [r.name for r in run_selftest(names=["zeros", "k_value_root"])] == ["k_value_root", "zeros"]
     assert run_selftest(names=[]) == []
+    # an iterator is read once, not used up by the check for unknown names
+    assert [r.name for r in run_selftest(names=iter(["zeros"]))] == ["zeros"]
+    assert [r.name for r in run_selftest(names=(n for n in ["zeros", "k_value_root"]))] == ["k_value_root", "zeros"]
