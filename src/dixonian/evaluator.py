@@ -11,8 +11,8 @@ lie outside the cell.
 
 One kernel, ``_pair``, runs this pipeline, halvings included, and returns
 plain complex values; ``sm_cm`` and ``wp`` wrap them in records, the grid
-sampler anchors its rows on it, stepping between anchors by the addition
-theorem, and ``compute_K_root`` root-finds K through it.
+sampler runs it once per column and once per row and adds their pairs by
+the addition theorem, and ``compute_K_root`` root-finds K through it.
 """
 
 from . import identities, series

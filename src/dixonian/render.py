@@ -1,17 +1,17 @@
 """Grid sampling and domain-colored output for sm, cm, and the lattice wp.
 
-Grid rows come from the addition theorem. A row's first pixel, and every
-pixel of a grid where stepping is off, runs the evaluator's kernel; a later
-pixel is one addition step (s, c) + (sm h, cm h) from its left neighbour,
-h being the region's column spacing. The kernel re-anchors on the pixel's
-own coordinate after STEPS_PER_ANCHOR steps, after a pole marker, where the
-step's denominator is below STEP_MIN_DEN, and wherever the left or the
-stepped pair lies outside |sm|, |cm| <= STEP_MAX. wp rows also re-anchor
-within STEP_LATTICE_GAP of cm = 1, where wp = sm / (3 (1 - cm)) cancels;
-sm and cm rows step through there. Values therefore differ from ``sm_cm``
-and ``wp`` only in the last bits (the tests bound the difference by
-2e-13 * max(1, |v|)); pole pixels, and the grids where stepping is off, are
-theirs bit for bit.
+Grid pixels come from the addition theorem. The evaluator's kernel runs
+once at each column's x and once at each row's iy, and pixel x + iy is the
+sum of those two pairs by ``identities.add``'s formula. The kernel runs at
+the pixel's own coordinate instead where the column's pair is a pole, where
+the sum's denominator is below STEP_MIN_DEN, and where the sum lies outside
+|sm|, |cm| <= STEP_MAX; for wp also within STEP_LATTICE_GAP of cm = 1,
+where wp = sm / (3 (1 - cm)) cancels. A grid of one column or one row, or
+with a corner beyond STEP_MAX_COORD, runs the kernel at every pixel. Values
+therefore differ from ``sm_cm`` and ``wp`` only in the last bits (the tests
+bound the difference by 2e-13 * max(1, |v|)); pole pixels, the pixels the
+kernel ran on, and the grids where it runs at every pixel are theirs bit
+for bit.
 
 Output is binary PPM (P6, maxval 255): hue encodes phase (hue angle =
 arg/2pi), lightness grows with log(1 + |v|) mapped into [0.15, 0.95]. Pole
@@ -46,30 +46,29 @@ from .constants import CONSTANTS
 from .evaluator import (  # noqa: F401
     MAX_ARGUMENT, EllipticValue, _context, _pair, _wp_of_pair, sm_cm, wp,
 )
-from .series import DEFAULT_ORDER, SERIES_EVAL_RADIUS, check_order
+from .series import DEFAULT_ORDER, check_order
 
 MAX_PIXELS = 4096 * 4096
 
-#: A row steps at most this many pixels from one kernel anchor ...
-STEPS_PER_ANCHOR = 16
-#: ... and steps only from and to pairs with |sm|, |cm| <= STEP_MAX, and
-#: for wp also |1 - cm| > STEP_LATTICE_GAP. Beyond STEP_MAX the pixel nears
-#: a pole, where the kernel keeps full relative accuracy (its near-pole
-#: rescue starts at |sm| >= 1 / NEAR_TOL = 20); within STEP_LATTICE_GAP of
+#: A pixel is a sum only where it has |sm|, |cm| <= STEP_MAX, and for wp
+#: also |1 - cm| > STEP_LATTICE_GAP. Beyond STEP_MAX it nears a pole, where
+#: the kernel keeps full relative accuracy; within STEP_LATTICE_GAP of
 #: cm = 1 it nears a lattice point, where wp = sm / (3 (1 - cm)) magnifies
 #: the error of cm. sm and cm themselves are well conditioned there.
 STEP_MAX = 4.0
 STEP_LATTICE_GAP = 0.25
-#: A step whose denominator s c (sm h)**2 + cm h is smaller than this in
-#: magnitude goes to the kernel instead. The step's rounding error grows as
-#: the denominator shrinks, and where x - 2h is a pole the denominator and
-#: the numerators all vanish. From a pair inside the bounds it stays above
-#: 0.9 for every h up to 0.078, so only wider columns meet this.
-STEP_MIN_DEN = 0.9
-#: Stepping is off for the whole grid when a corner coordinate exceeds this
-#: in magnitude (one ulp of 64 is 1.4e-14; past it, only the kernel at each
-#: pixel's own double keeps the 1e-12 contract), when the column spacing
-#: exceeds SERIES_EVAL_RADIUS, and for a single column.
+#: A sum whose denominator s c sh**2 + ch, for (s, c) at x and (sh, ch) at
+#: iy, is below this in magnitude goes to the kernel. At a pole x + iy the
+#: denominator vanishes to second order and the numerators to first, so
+#: the sum is 0/0 there and may round to a moderate value STEP_MAX lets
+#: through. It is below 0.05 only within about 0.16 of a pole, inside the
+#: STEP_MAX disc; floors from 0.005 to 0.1 measured alike.
+STEP_MIN_DEN = 0.05
+#: The whole grid runs on the kernel when a corner coordinate exceeds this
+#: in magnitude, and for a single column or row, where the pairs would cost
+#: as many kernel calls as the pixels. The column and row pairs carry the
+#: lattice reduction's error, which grows with |x| and |y|; past this, only
+#: the kernel at each pixel's own double keeps the 1e-12 contract.
 STEP_MAX_COORD = 64.0
 
 ZERO_CLIP = 1e-9
@@ -179,13 +178,13 @@ def sample_grid(
     """Evaluate the selected function over the region, row by row, at the
     series ``order``.
 
-    Every selector takes its values from rows of (sm, cm) pairs, which step
-    along each row by the addition theorem and re-anchor on the evaluator's
-    kernel (see the module docstring; wp rows also re-anchor next to the
-    lattice points), and stores only the selected plain value. Pole
-    markers, each row's first pixel and every pixel of a grid where
-    stepping is off are bit for bit those of ``sm_cm`` and ``wp``; the
-    tests hold every other value within 2e-13 * max(1, |v|) of theirs.
+    Every selector takes its values from rows of (sm, cm) pairs, each the
+    sum of its column's and its row's pair by the addition theorem or,
+    where a rule of the module docstring sends it there, the kernel's at
+    the pixel, and stores only the selected plain value. Pole markers, the
+    pixels the kernel ran on and every pixel of a grid where it runs at
+    every pixel are bit for bit those of ``sm_cm`` and ``wp``; the tests
+    hold every other value within 2e-13 * max(1, |v|) of theirs.
 
     ``workers`` must be at least 1 and changes nothing: rows run in order on
     the calling thread, since evaluation is pure Python and holds the
@@ -220,41 +219,41 @@ def _selected_rows(region: Region, selector: str, order: int, poles, lattice):
 
 
 def _pair_rows(ctx, region: Region, selector: str):
-    """One list per row of the kernel's plain (sm, cm), or (None, j) on pole
-    j, stepped along the row by the addition theorem where that is on. For
-    the ``wp`` selector, a step from or to a pair with |1 - cm| <=
-    STEP_LATTICE_GAP re-anchors instead; sm and cm rows step everywhere."""
-    gap = STEP_LATTICE_GAP if selector == "wp" else -math.inf
+    """One list per row of plain (sm, cm), or (None, j) on pole j: the sums
+    of each column's and each row's kernel pair, or the kernel at the pixel
+    where a rule of the module docstring (for wp, the lattice rule too)
+    sends it."""
+    # sm and cm sums skip the lattice test
+    gap = STEP_LATTICE_GAP if selector == "wp" else None
     xs, ys = region.xs(), region.ys()
-    # the Region's own step (xs[1] - xs[0] would carry an ulp of |x|); a
-    # single column has none
-    h = region.width / (region.nx - 1) if region.nx > 1 else math.inf
-    if h > SERIES_EVAL_RADIUS or max(abs(xs[0]), abs(xs[-1]), abs(ys[0]), abs(ys[-1])) > STEP_MAX_COORD:
+    if min(region.nx, region.ny) == 1 or max(abs(xs[0]), abs(xs[-1]), abs(ys[0]), abs(ys[-1])) > STEP_MAX_COORD:
         for y in ys:
             yield [_pair(ctx, complex(x, y)) for x in xs]
         return
-    sh, ch = _pair(ctx, complex(h))
-    sh2, chsh, ch2 = sh * sh, ch * sh, ch * ch
-    top, least, every = STEP_MAX, STEP_MIN_DEN, STEPS_PER_ANCHOR
+    # each column's pair and the products the addition reads of it, or None
+    # on a pole
+    cols = []
+    for x in xs:
+        s, c = _pair(ctx, complex(x))
+        cols.append(None if s is None else (s, c, s * c, c * c, s * s))
+    top, least = STEP_MAX, STEP_MIN_DEN
     for y in ys:
+        # the imaginary axis keeps K/2 from every pole, so this pair is finite
+        sh, ch = _pair(ctx, complex(0.0, y))
+        sh2, chsh, ch2 = sh * sh, ch * sh, ch * ch
         row = []
         append = row.append
-        steps = 0
-        for x in xs:
-            if steps:
-                # identities.add of (s, c) at x - h and (sm h, cm h), inline,
-                # with the products of sm h and cm h formed once
-                den = s * c * sh2 + ch
+        for x, col in zip(xs, cols):
+            if col is not None:
+                # identities.add of (s, c) at x and (sh, ch) at iy, inline
+                s, c, sc, cc, ss = col
+                den = sc * sh2 + ch
                 if abs(den) >= least:
-                    s, c = (s + c * c * chsh) / den, (c * ch2 - s * s * sh) / den
-                    if abs(s) <= top and abs(c) <= top and abs(1.0 - c) > gap:
+                    s, c = (s + cc * chsh) / den, (c * ch2 - ss * sh) / den
+                    if abs(s) <= top and abs(c) <= top and (gap is None or abs(1.0 - c) > gap):
                         append((s, c))
-                        steps -= 1
                         continue
-            pair = s, c = _pair(ctx, complex(x, y))
-            append(pair)
-            # the next pixel steps only from a pair inside the bounds
-            steps = every if s is not None and abs(s) <= top and abs(c) <= top and abs(1.0 - c) > gap else 0
+            append(_pair(ctx, complex(x, y)))
         yield row
 
 

@@ -5,7 +5,9 @@ sample its residuals through its sampler (``worst``) and run its fixed
 checks (``assert_checks``) instead of restating them.
 """
 
-from dixonian import dixon_constants, run_selftest, selftest
+import pytest
+
+from dixonian import dixon_constants, render, run_selftest, selftest
 from dixonian.evaluator import sm_cm_values
 
 CONSTS = dixon_constants()
@@ -42,3 +44,40 @@ def assert_checks(*names):
     assert sorted(r.name for r in results) == sorted(names)
     for r in results:
         assert r.passed, f"{r.name}: {r.residual:.3e} > {r.tol:.1e}"
+
+
+def kernel_calls(fn, *args, **kwargs):
+    """What ``fn(*args, **kwargs)`` returns, and the points at which it ran
+    the grid sampler's kernel (``render._pair``), in order."""
+    calls = []
+    kernel = render._pair
+
+    def recording(ctx, z):
+        calls.append(z)
+        return kernel(ctx, z)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(render, "_pair", recording)
+        return fn(*args, **kwargs), calls
+
+
+def kernel_pixels(region, calls):
+    """The (i, j) of each pixel (xs[i], ys[j]) of a separable grid on which
+    the kernel ran, from its ``kernel_calls``: first each column's pair at
+    x, then each row's pair at iy followed by that row's kernel pixels, left
+    to right."""
+    xs, ys = region.xs(), region.ys()
+    assert calls[: len(xs)] == [complex(x) for x in xs]
+    pixels, k = [], len(xs)
+    for j, y in enumerate(ys):
+        assert calls[k] == complex(0.0, y), (j, calls[k])
+        k += 1
+        i = 0
+        while k < len(calls) and calls[k].imag == y:
+            i = xs.index(calls[k].real, i)
+            assert calls[k] == complex(xs[i], y)
+            pixels.append((i, j))
+            k += 1
+            i += 1
+    assert k == len(calls)
+    return pixels

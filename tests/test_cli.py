@@ -7,9 +7,9 @@ import sys
 import pytest
 
 import dixonian
-from dixonian import cli, dixon_constants, render, sm_inverse
+from dixonian import Region, cli, dixon_constants, render, sm_inverse
 from dixonian.cli import main, parse_complex
-from conftest import GAMMA, K
+from conftest import GAMMA, K, kernel_calls, kernel_pixels
 
 
 def run_cli(capsys, *argv):
@@ -233,20 +233,23 @@ def test_grid_honours_order(tmp_path, capsys):
     base = ["grid", "--fn", "sm", "--center", "0.5+0.3i", "--width", "1", "--height", "1",
             "--nx", "3", "--ny", "3", "--format", "csv"]
     out27, out48 = tmp_path / "o27.csv", tmp_path / "o48.csv"
-    assert run_cli(capsys, *base, "--order", "27", "--out", str(out27))[0] == 0
+    code, calls = kernel_calls(run_cli, capsys, *base, "--order", "27", "--out", str(out27))
+    assert code[0] == 0
     assert run_cli(capsys, *base, "--out", str(out48))[0] == 0
     text = out27.read_text()
     # order 27 differs from order 48 in the last bits of one of these pixels
     assert text != out48.read_text()
+    region = Region(0.5 + 0.3j, 1.0, 1.0, 3, 3)
+    ran = {j * 3 + i for i, j in kernel_pixels(region, calls)}
     for idx, line in enumerate(text.splitlines()[1:]):
         re_, im, s_re, s_im, pole = line.split(",")
         v = sm(complex(float(re_), float(im)), order=27).value
         assert pole == "0"
-        if idx % 3 == 0:
-            # each row's first pixel is the kernel's, to the bit
+        if idx in ran:
+            # a pixel the kernel ran on is the kernel's, to the bit
             assert (s_re, s_im) == (f"{v.real:.17g}", f"{v.imag:.17g}")
         else:
-            # later pixels may step from their left neighbour
+            # the others are sums of a column pair and a row pair
             assert abs(complex(float(s_re), float(s_im)) - v) <= 2e-13 * max(1.0, abs(v))
 
     # the cell preset is framed with the one K every accepted order shares

@@ -28,7 +28,7 @@ GOLDEN = {
     "wp": "e29288de0d1bcd705cfda8e8194d2653242032063c53fefba460b20d60462ffb",
     "sm_inverse": "0a696c7e1916f88fb9fb72ad977bb0eed134621a4d048cf8341a53f3c3c48340",
     "ppm": "b5ac17f2876090738da14b64f0d1878900ce55de345bdbc25fc92fbdf8bf22dd",
-    "csv": "505c7c76b2d40deaffa2211b0aeb1ffaf8e08676bd8ef78b380f820b70e10681",
+    "csv": "7c7fd2187cb204f04fbf8a3ad94c28bd85cf2e8a13d4241f49f7d44c23893468",
     "selftest": "eae97a4a496374147ef2d421e26e13f336fcf7d7dc559a2b60d437d9cfdf0ce5",
 }
 

@@ -22,7 +22,7 @@ from dixonian import (
     write_grid,
 )
 from dixonian.render import ZERO_CLIP, _append_rgb
-from conftest import CONSTS, K, W1, W2
+from conftest import CONSTS, K, W1, W2, kernel_calls, kernel_pixels
 
 
 def test_region_validation():
@@ -71,8 +71,9 @@ def test_row_major_layout():
     grid = sample_grid(region, "cm")
     xs, ys = region.xs(), region.ys()
     assert len(grid.values) == 6
-    direct = sample_grid(Region(complex(xs[2], ys[1]), 1.0, 1.0, 1, 1), "cm")
-    assert grid.values[1 * 3 + 2].value == direct.values[0].value
+    direct = sample_grid(Region(complex(xs[2], ys[1]), 1.0, 1.0, 1, 1), "cm").values[0].value
+    # the pixel is a sum, within the bound of the one-point value
+    assert abs(grid.values[1 * 3 + 2].value - direct) <= 2e-13 * max(1.0, abs(direct))
 
 
 def test_conjugate_grid_values():
@@ -169,37 +170,48 @@ def test_cell_grid_pole_and_zero_clusters():
 
 P0, P1, P2 = CONSTS.pole_reps
 
-#: region, the pole representative it must sample, and whether its rows step
-#: by the addition theorem (otherwise every pixel runs the kernel)
+#: region, the pole representative it must sample, and whether the grid is
+#: separable, its pixels sums of a column pair and a row pair (otherwise
+#: every pixel runs the kernel). The comments name the rule of
+#: ``render._pair_rows`` that each region fails without.
 KERNEL_REGIONS = {
     # odd axes whose nodes land exactly on a pole representative; the column
-    # spacing of "on -K", K/2, exceeds the series disc
-    "on -K": (Region(0j, 2.0 * K, math.sqrt(3.0) * K, 5, 3), P0, False),
+    # x = -K of "on -K" is a pole, whose pixels go to the kernel
+    "on -K": (Region(0j, 2.0 * K, math.sqrt(3.0) * K, 5, 3), P0, True),
+    # STEP_MIN_DEN: the pole pixel's sum reads finite without the floor
     "on -K*gamma": (Region(P1, 1.0, 1.0, 3, 3), P1, True),
     "on -K*conj(gamma)": (Region(P2, 1.0, 1.0, 3, 3), P2, True),
-    # a pole two columns left of a stepped pixel, where the addition
-    # theorem's denominator vanishes with its numerators
+    # a pole column at x = -K, and a pole pixel two columns in
     "right of -K": (Region(P0 + 1.0, 2.0, 1.0, 5, 3), P0, True),
     "right of -K*gamma": (Region(P1 + 1.0, 2.0, 1.0, 5, 3), P1, True),
     # rows within 1e-3 of a pole, inside NEAR_TOL: the near-pole rescue
     "near -K": (Region(P0 + 5e-4j, 1.6e-3, 8e-4, 9, 3), None, True),
     "near -K*gamma": (Region(P1 + 3e-4, 6e-4, 1.6e-3, 5, 4), None, True),
-    # rows at |z| ~ 1e6: lattice reduction of a large argument, where a
-    # corner beyond STEP_MAX_COORD turns stepping off
+    # STEP_MAX: columns 1e-5 from the pole -K and rows through the pole
+    # -K + 2 sqrt(3) K i; without the bound the sums next to it read 5.6e-11
+    # relative to the kernel, whose near-pole rescue keeps full accuracy
+    "pole columns": (Region(complex(-K, 2.0 * math.sqrt(3.0) * K), 2e-5, 2e-5, 3, 3), None, True),
+    # rows at |z| ~ 1e6: lattice reduction of a large argument. A single row
+    # runs on the kernel alone; STEP_MAX_COORD: without it the 200x2 pixels
+    # add, and read 7.7e-12 off the kernel
     "far": (Region(complex(1e6, 0.25), 6.0, 0.5, 13, 1), None, False),
     "far 200x1": (Region(complex(1e6, 0.25), 6.0, 0.5, 200, 1), None, False),
+    "far 200x2": (Region(complex(1e6, 0.25), 6.0, 0.5, 200, 2), None, False),
     "1x1": (Region(0.3 + 0.2j, 1.0, 1.0, 1, 1), None, False),
     "1xn": (Region(-0.4 + 0.1j, 1.0, 2.5, 1, 7), None, False),
     "cell": (Region(0j, 4.5 * K, 1.5 * math.sqrt(3.0) * K, 37, 13), None, True),
-    # 255 steps per row at |z| ~ 40: STEPS_PER_ANCHOR bounds how far the
-    # step's rounding grows (3.6e-14 at 16 steps, 5.8e-13 at 64)
+    # 256 columns at |z| ~ 40, where the column and row pairs carry the
+    # lattice reduction's error
     "long band": (Region(complex(30.0, 21.207048989069378), 12.0 * K, 0.5, 256, 3), None, True),
+    # the benchmark's off-origin framing at 64x48. STEP_LATTICE_GAP: its wp
+    # sums read 7.8e-11 off the kernel without the gap
+    "wide 64x48": (Region(complex(30.0, 20.0), 12.0 * K, 9.0 * K, 64, 48), None, True),
     # rows through the lattice point 0, where wp = sm / (3 (1 - cm)) cancels:
-    # wp reads 4e-9 stepped through |1 - cm| <= STEP_LATTICE_GAP
+    # wp reads 4.3e-12 summed within STEP_LATTICE_GAP of cm = 1
     "lattice band": (Region(complex(0.0, 0.05), 1.0, 0.3, 101, 7), None, True),
 }
 
-#: a stepped value lies within this of the one-point API's, times max(1, |v|)
+#: a summed value lies within this of the one-point API's, times max(1, |v|)
 STEP_BOUND = 2e-13
 
 
@@ -219,21 +231,26 @@ def _one_point(selector, z, order):
 @pytest.mark.parametrize("selector", ["sm", "cm", "wp"])
 @pytest.mark.parametrize("name", sorted(KERNEL_REGIONS))
 def test_grid_values_match_one_point_api(name, selector):
-    """Pole markers, each row's first pixel and every pixel of a grid whose
-    rows do not step are the one-point API's bits; a stepped pixel lies
+    """Pole markers, every pixel the kernel ran on and every pixel of a grid
+    that is not separable are the one-point API's bits; a summed pixel lies
     within STEP_BOUND * max(1, |v|) of its value."""
-    region, pole, stepped = KERNEL_REGIONS[name]
+    region, pole, separable = KERNEL_REGIONS[name]
     xs, ys = region.xs(), region.ys()
     points = [complex(x, y) for y in ys for x in xs]
     if pole is not None:
         assert pole in points, name  # the case this region exists for
     for order in (48, 27):
-        grid = sample_grid(region, selector, order=order)
+        grid, calls = kernel_calls(sample_grid, region, selector, order=order)
+        if separable:
+            ran = {j * region.nx + i for i, j in kernel_pixels(region, calls)}
+        else:
+            assert calls == points, name
+            ran = range(len(points))
         assert len(grid.values) == len(points)
         assert all(type(v) is EllipticValue for v in grid.values)
         for idx, (z, got) in enumerate(zip(points, grid.values)):
             want = _one_point(selector, z, order)
-            if want.value is None or not stepped or idx % region.nx == 0:
+            if want.value is None or idx in ran:
                 assert _bits(got) == _bits(want), (name, selector, order, z)
             else:
                 assert got.value is not None, (name, selector, order, z)
@@ -258,75 +275,67 @@ def test_grid_round_trips_through_its_values(name, selector):
         assert domain_color(other) == ppm and grid_to_csv(other) == csv, (name, selector)
 
 
-def _anchors(monkeypatch, region, selector="sm"):
-    """The points at which sample_grid ran the kernel, in order."""
-    from dixonian import render
-
-    calls = []
-
-    def recording(ctx, z):
-        calls.append(z)
-        return kernel(ctx, z)
-
-    kernel = render._pair
-    monkeypatch.setattr(render, "_pair", recording)
-    grid = sample_grid(region, selector)
-    monkeypatch.undo()
-    return grid, calls
-
-
-def test_rows_step_between_anchors(monkeypatch):
-    from dixonian.render import STEP_LATTICE_GAP, STEP_MAX, STEPS_PER_ANCHOR
+def test_kernel_runs_only_where_a_rule_sends_it():
+    from dixonian.render import STEP_LATTICE_GAP, STEP_MAX, STEP_MIN_DEN
 
     region = Region(0j, 4.5 * K, 1.5 * math.sqrt(3.0) * K, 181, 61)
     xs, ys = region.xs(), region.ys()
-    pairs = {z: sm_cm(z) for z in (complex(x, y) for y in ys for x in xs)}
-    # the kernel runs at 8.3% of the sm pixels of the cell framing and, with
-    # the lattice rule, at 15.0% of the wp pixels
-    for selector, share in (("sm", 0.1), ("wp", 0.2)):
-        grid, calls = _anchors(monkeypatch, region, selector)
-        # the first call is (sm h, cm h) at the column spacing
-        assert calls[0] == complex(region.width / (region.nx - 1))
-        anchored = set(calls[1:])
-        assert len(anchored) == len(calls) - 1
-        near_lattice = 0
-        for y in ys:
-            steps = 0
-            for i, x in enumerate(xs):
-                z = complex(x, y)
-                if z in anchored:
-                    steps = 0
-                    continue
-                steps += 1
-                assert i > 0 and steps <= STEPS_PER_ANCHOR, (selector, z)
-                # stepped from a pair inside the bounds, to a pair inside them
-                for point in (complex(xs[i - 1], y), z):
-                    s, c = pairs[point]
-                    assert s.value is not None, (selector, point)
-                    assert abs(s.value) <= STEP_MAX + 1e-9 and abs(c.value) <= STEP_MAX + 1e-9, (selector, point)
-                    near_lattice += abs(1.0 - c.value) <= STEP_LATTICE_GAP - 1e-9
-        # sm rows step within STEP_LATTICE_GAP of cm = 1; wp rows never do
-        assert (near_lattice > 0) == (selector == "sm"), (selector, near_lattice)
-        assert len(anchored) < share * len(grid.values), (selector, len(anchored))
+    cols = [sm_cm(x) for x in xs]
+    rows = [sm_cm(complex(0.0, y)) for y in ys]
+    # after its 181 + 61 column and row pairs, the kernel runs at 3.2% of the
+    # sm pixels of the cell framing and, with the lattice rule, at 10.1% of
+    # the wp pixels
+    for selector, share in (("sm", 0.04), ("wp", 0.12)):
+        grid, calls = kernel_calls(sample_grid, region, selector)
+        ran = set(kernel_pixels(region, calls))
+        assert len(ran) < share * len(grid.values), (selector, len(ran))
+        broken = {"pole column": 0, "floor": 0, "bound": 0, "lattice": 0}
+        for j, (sh, ch) in enumerate(rows):
+            sh, ch = sh.value, ch.value
+            for i, (s, c) in enumerate(cols):
+                if s.value is None:
+                    rule = "pole column"
+                else:
+                    # the sum as the grid forms it, from the kernel's pairs
+                    s, c = s.value, c.value
+                    den = s * c * (sh * sh) + ch
+                    s, c = (s + c * c * (ch * sh)) / den, (c * (ch * ch) - s * s * sh) / den
+                    if abs(den) < STEP_MIN_DEN:
+                        rule = "floor"
+                    elif not (abs(s) <= STEP_MAX and abs(c) <= STEP_MAX):
+                        rule = "bound"
+                    elif selector == "wp" and abs(1.0 - c) <= STEP_LATTICE_GAP:
+                        rule = "lattice"
+                    else:
+                        rule = None
+                assert ((i, j) in ran) == (rule is not None), (selector, i, j, rule)
+                if rule:
+                    broken[rule] += 1
+        # every rule sends pixels to the kernel here but the lattice rule,
+        # which holds for wp alone
+        assert all(broken[rule] for rule in ("pole column", "floor", "bound")), broken
+        assert (broken["lattice"] > 0) == (selector == "wp"), broken
         if selector == "sm":
-            # cm rows are sm's pairs: the same anchors
-            assert _anchors(monkeypatch, region, "cm")[1] == calls
+            # cm pixels are sm's pairs: the same calls
+            assert kernel_calls(sample_grid, region, "cm")[1] == calls
 
 
-def test_grids_without_stepping_run_the_kernel_everywhere(monkeypatch):
-    # a single column, a column spacing beyond the series disc, and a corner
-    # part beyond STEP_MAX_COORD, in x and in y
+def test_grids_that_are_not_separable_run_the_kernel_everywhere():
+    # a single column, a single row, and a corner part beyond STEP_MAX_COORD,
+    # in x and in y
     for region in (
         Region(0.25 + 0.5j, 1.0, 2.0, 1, 40),
-        Region(0.5j, 20.0 * 0.5000001, 1.0, 21, 2),
-        Region(complex(70.0, 0.25), 6.0, 0.5, 200, 1),
+        Region(0.25 + 0.5j, 2.0, 1.0, 40, 1),
+        Region(complex(70.0, 0.25), 6.0, 0.5, 200, 2),
         Region(complex(0.5, -64.25), 6.0, 0.5, 200, 2),
     ):
-        _, calls = _anchors(monkeypatch, region)
+        _, calls = kernel_calls(sample_grid, region, "sm")
         assert calls == [complex(x, y) for y in region.ys() for x in region.xs()]
-    # at the limits themselves the rows step
-    for region in (Region(0.5j, 10.0, 1.0, 21, 2), Region(complex(61.0, 0.25), 6.0, 0.5, 200, 1)):
-        _, calls = _anchors(monkeypatch, region)
+    # at the corner limit itself, and for columns wider than the series
+    # disc, the pixels add
+    for region in (Region(0.5j, 20.0 * 0.5000001, 1.0, 21, 2), Region(0.5j, 10.0, 1.0, 21, 2),
+                   Region(complex(61.0, 0.25), 6.0, 0.5, 200, 2)):
+        _, calls = kernel_calls(sample_grid, region, "sm")
         assert len(calls) < region.nx * region.ny
 
 
