@@ -2,10 +2,10 @@
 
 sm and cm solve cm' = -sm^2, sm' = cm^2 with cm(0) = 1, sm(0) = 0, satisfy
 cm^3 + sm^3 = 1, and extend to elliptic functions with periods 3K, 3K*gamma
-and 3K*conj(gamma). This package evaluates them globally (exact-rational
-series, lattice reduction, duplication), inverts sm, exposes the algebraic
-identity layer including the Weierstrass bridge, and renders domain-colored
-grids.
+and 3K*conj(gamma). This package evaluates them globally (one exact-rational
+series through z**48, lattice reduction, duplication), inverts sm, exposes
+the algebraic identity layer including the Weierstrass bridge, and renders
+domain-colored grids.
 
 ``import dixonian`` loads only what sm, cm and wp need: K comes from a
 table, not a root-finding. The inverse (``sm_inverse``, ``InverseResult``),

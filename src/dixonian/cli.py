@@ -3,11 +3,9 @@
 Subcommands: eval, constants, invert, grid, selftest. Machine-readable JSON
 goes to stdout (grid writes a PPM or CSV file instead); diagnostics go to
 stderr. Exit status: 0 success, 1 failed checks or evaluation failure,
-2 usage errors (an unwritable grid --out among them). Every subcommand but
-selftest takes --order, the highest power of z the series keeps (default
-48). Every accepted order, 27..64, shares one K and one series disc; any
-other order is a usage error. The inverse, the renderer and the selftest are
-imported only by the subcommands that use them.
+2 usage errors (an unwritable grid --out among them). The inverse, the
+renderer and the selftest are imported only by the subcommands that use
+them.
 
 A flag is ``--flag value`` or ``--flag=value``, spelled out in full. A flag
 that takes a value always takes the next token, so a value may start with
@@ -26,7 +24,6 @@ the library and its first value.
 
 import sys
 
-from . import series
 from ._record import record
 from .constants import GAMMA, dixon_constants
 from .errors import DixonError
@@ -88,7 +85,7 @@ def _check_tol(tol: float) -> float:
 
 def _cmd_eval(args: dict) -> int:
     fn = {"sm": sm, "cm": cm, "wp": wp}[args["fn"]]
-    v = fn(args["z"], order=args["order"])
+    v = fn(args["z"])
     if v.is_pole:
         print(_json({"re": None, "im": None, "pole": True}))
     else:
@@ -97,7 +94,7 @@ def _cmd_eval(args: dict) -> int:
 
 
 def _cmd_constants(args: dict) -> int:
-    k = dixon_constants(args["order"])
+    k = dixon_constants()
     print(
         _json(
             {
@@ -115,8 +112,8 @@ def _cmd_constants(args: dict) -> int:
 def _cmd_invert(args: dict) -> int:
     from .inverse import sm_inverse
 
-    w, order = args["w"], args["order"]
-    result = sm_inverse(w, tol=_check_tol(args["tol"]), order=order)
+    w = args["w"]
+    result = sm_inverse(w, tol=_check_tol(args["tol"]))
     r = result.residual
     if abs(w) >= 1.0:
         # one of the six points +-gamma**j, whose z is the closed form
@@ -129,7 +126,7 @@ def _cmd_invert(args: dict) -> int:
         # first order in the term that dominates. Next to a branch point the
         # rounding of sm(z) is a real error of z, and stays in
         cubic = (3.0 * r) ** (1.0 / 3.0)
-        c2 = abs(cm(result.z, order=order).value) ** 2
+        c2 = abs(cm(result.z).value) ** 2
         z_err = min(r / c2, cubic) if c2 else cubic
     print(_json({"re": result.z.real, "im": result.z.imag, "residual": r, "z_err": z_err}))
     return 0
@@ -150,9 +147,6 @@ def _cell_preset() -> dict:
 def _cmd_grid(args: dict) -> int:
     from . import render
 
-    order = args["order"]
-    # an order outside 27..64 raises here, before --out is opened
-    dixon_constants(order)
     preset = _cell_preset() if args["preset"] == "cell" else {}
 
     def pick(name):
@@ -172,12 +166,12 @@ def _cmd_grid(args: dict) -> int:
     )
     ppm = args["format"] == "ppm"
     # open --out before the render, so that an unwritable path fails at once;
-    # the order and the region corners are checked before this point, so a
-    # grid that evaluation would refuse leaves an existing file as it was.
+    # the region corners are checked before this point, so a grid that
+    # evaluation would refuse leaves an existing file as it was.
     # Rows are written as they are sampled, so memory stays one row's worth
     try:
         with open(args["out"], "wb" if ppm else "w", encoding=None if ppm else "ascii") as fh:
-            render.write_grid(fh, region, args["fn"], args["format"], order=order)
+            render.write_grid(fh, region, args["fn"], args["format"])
     except OSError as exc:
         raise ValueError(f"cannot write --out: {exc}") from exc
     return 0
@@ -211,25 +205,19 @@ class _Flag(record("_Flag", "name type choices required default help")):
 
 
 _FNS = ("sm", "cm", "wp")
-_ORDER = _Flag(
-    "--order", int, None, False, series.DEFAULT_ORDER,
-    f"series order, {series.MIN_ORDER}..{series.MAX_ORDER} (default {series.DEFAULT_ORDER})",
-)
 
 #: Every subcommand: name -> (handler, help, flags)
 _COMMANDS = {
     "eval": (_cmd_eval, "evaluate sm, cm or wp at a point", (
         _Flag("--fn", str, _FNS, True, None, "function to evaluate"),
         _Flag("--z", parse_complex, None, True, None, "complex literal a, a+bi or a-bi"),
-        _ORDER,
     )),
-    "constants": (_cmd_constants, "print K, gamma, periods and invariants as JSON", (_ORDER,)),
+    "constants": (_cmd_constants, "print K, gamma, periods and invariants as JSON", ()),
     "invert": (_cmd_invert, "principal preimage of sm", (
         _Flag("--w", parse_complex, None, True, None, "complex literal, |w| < 1 or one of +-gamma**j"),
         _Flag("--tol", float, None, False, 1e-10,
               "target residual |sm(z) - w| (1e-14..1e-2); z is then accurate to about "
               "residual / |cm(z)|^2, which grows next to the branch points and is printed as z_err"),
-        _ORDER,
     )),
     "grid": (_cmd_grid, "sample a rectangle and write a PPM or CSV file", (
         _Flag("--fn", str, _FNS, True, None, "function to sample"),
@@ -241,7 +229,6 @@ _COMMANDS = {
         _Flag("--ny", int, None, False, None, "rows"),
         _Flag("--out", str, None, True, None, "file to write"),
         _Flag("--format", str, ("ppm", "csv"), False, "ppm", "domain-colored PPM or CSV rows (default ppm)"),
-        _ORDER,
     )),
     "selftest": (_cmd_selftest, "run the built-in verification suite", (
         _Flag("--list", None, None, False, False, "list check names without running"),
@@ -260,7 +247,7 @@ def _usage(command) -> str:
     if command is None:
         return f"usage: dixonian [-h] {{{','.join(_COMMANDS)}}} ..."
     parts = [_invocation(flag) if flag.required else f"[{_invocation(flag)}]" for flag in _COMMANDS[command][2]]
-    return f"usage: dixonian {command} [-h] {' '.join(parts)}"
+    return " ".join(("usage: dixonian", command, "[-h]", *parts))
 
 
 def _rows(rows) -> list:

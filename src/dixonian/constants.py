@@ -4,10 +4,10 @@ K (the first positive zero of cm, 1.76663875...) is data: the double in
 ``_tables``, from which the one module-level record ``CONSTANTS`` is built
 at import. Its derivations are checks, which never run on the way to a
 value. ``evaluator.compute_K_root`` finds it by root-finding cm through the
-evaluator's kernel, the one users call; every accepted series order finds
-the tabulated double, which the tests and the selftest verify.
-``compute_K_quadrature`` computes the defining singular integral over
-(0, 1) independently, and loads the quadrature only when called.
+evaluator's kernel, the one users call, and finds the tabulated double,
+which the tests and the selftest verify. ``compute_K_quadrature`` computes
+the defining singular integral over (0, 1) independently, and loads the
+quadrature only when called.
 
 The gamma frame: sm(gamma*z) = gamma*sm(z) and cm(gamma*z) = cm(z), so the
 poles, zeros and branch points come in triples gamma**j * p, j = 0, 1, 2.
@@ -63,8 +63,10 @@ def compute_K_quadrature() -> float:
 
 
 def _build_constants(order: int = series.DEFAULT_ORDER) -> DixonConstants:
-    """A new record from the tabulated K; every accepted order shares it."""
-    series.check_order(order)
+    """A new record from the tabulated K. ``order`` is there for
+    ``benchmarks/run.py:231``, which passes ``series.DEFAULT_ORDER``; any
+    other value raises ValueError."""
+    series._pinned(order)
     K = _tables.K
     _, g, gbar = GAMMA_POWERS
     return DixonConstants(
@@ -79,14 +81,12 @@ def _build_constants(order: int = series.DEFAULT_ORDER) -> DixonConstants:
     )
 
 
-#: The one constants record: every accepted series order shares K.
+#: The one constants record.
 CONSTANTS = _build_constants()
 
 
-def dixon_constants(order: int = series.DEFAULT_ORDER) -> DixonConstants:
-    """``CONSTANTS``, the same record for every accepted series order;
-    ``series.check_order`` refuses any other ``order``."""
-    series.check_order(order)
+def dixon_constants() -> DixonConstants:
+    """``CONSTANTS``, the one record every layer reads."""
     return CONSTANTS
 
 

@@ -16,8 +16,8 @@ the addition theorem, and ``compute_K_root`` root-finds K through it.
 """
 
 from . import identities, series
-from ._record import _new, memo, record
-from .constants import CONSTANTS, GAMMA_POWERS, DixonConstants, dixon_constants
+from ._record import _new, record
+from .constants import CONSTANTS, GAMMA_POWERS, DixonConstants
 from .errors import ConvergenceError, PoleError
 from .identities import FunctionPair
 from .series import SERIES_EVAL_RADIUS
@@ -63,19 +63,20 @@ class LatticeReduction(record("LatticeReduction", "m n z_reduced")):
 
 
 class _Context(record("_Context", "constants pair")):
-    """An order's DixonConstants and SeriesPair."""
+    """The DixonConstants and the SeriesPair the kernel reads."""
 
     __slots__ = ()
 
 
-@memo
-def _context(order: int) -> _Context:
-    """An order's context, by ``_context[order]`` (or ``_context(order)``).
+#: The kernel's one context.
+_CTX = _Context(constants=CONSTANTS, pair=series.generate_series())
 
-    A float equal to a stored order would find its entry, so the entry
-    points refuse a non-int order before they look it up.
-    """
-    return _Context(constants=dixon_constants(order), pair=series.generate_series(order))
+
+def _context(order: int) -> _Context:
+    """``_CTX``, for ``benchmarks/run.py:294`` and ``benchmarks/verify.py:126``,
+    which pass ``series.DEFAULT_ORDER``; any other order raises ValueError."""
+    series._pinned(order)
+    return _CTX
 
 
 def reduce_to_fundamental(z: complex, consts: DixonConstants | None = None) -> LatticeReduction:
@@ -97,15 +98,13 @@ def reduce_to_fundamental(z: complex, consts: DixonConstants | None = None) -> L
     return _new(LatticeReduction, (m, n, z - (m * w1 + n * w2)))
 
 
-def sm_cm(z: complex, *, order: int = series.DEFAULT_ORDER) -> tuple[EllipticValue, EllipticValue]:
+def sm_cm(z: complex) -> tuple[EllipticValue, EllipticValue]:
     """Evaluate (sm(z), cm(z)); both values share all intermediate work.
 
     Each result is finite or a pole marker; poles are reported when the
     reduced argument is within POLE_TOL of a pole representative.
     """
-    if order.__class__ is not int:
-        series.check_order(order)
-    ctx = _context[order]
+    ctx = _CTX
     s, c = _pair(ctx, z)
     if s is None:
         marker = EllipticValue.pole(ctx.constants.pole_reps[c])
@@ -132,31 +131,28 @@ def _pair(ctx: _Context, z: complex) -> tuple:
     return identities.duplicate_values(s, c, k)
 
 
-def compute_K_root(order: int = series.DEFAULT_ORDER) -> float:
+def compute_K_root() -> float:
     """First positive zero of cm, by bisection then Newton (cm' = -sm^2),
-    each cm from the kernel at the series ``order``.
+    each cm from the kernel.
 
     Returns t in (1.5, 2.0) with |cm(t)| <= 1e-14.
     """
-    # built here, not through the _context memo: a pair of an order that
-    # check_order refuses (a test patches one in) must never enter it
-    ctx = _Context(CONSTANTS, series.generate_series(order))
     a, b = 1.5, 2.0
-    fa = _pair(ctx, a)[1].real
-    fb = _pair(ctx, b)[1].real
+    fa = _pair(_CTX, a)[1].real
+    fb = _pair(_CTX, b)[1].real
     if not (fa > 0.0 > fb):
         raise ConvergenceError(
             f"no sign change of cm on [{a}, {b}]: cm({a}) = {fa:.3g}, cm({b}) = {fb:.3g}"
         )
     for _ in range(20):
         mid = 0.5 * (a + b)
-        if _pair(ctx, mid)[1].real > 0.0:
+        if _pair(_CTX, mid)[1].real > 0.0:
             a = mid
         else:
             b = mid
     t = 0.5 * (a + b)
     for _ in range(20):
-        s, c = _pair(ctx, t)
+        s, c = _pair(_CTX, t)
         c = c.real
         if abs(c) <= 1e-14:
             return t
@@ -164,32 +160,30 @@ def compute_K_root(order: int = series.DEFAULT_ORDER) -> float:
     raise ConvergenceError(f"Newton stalled at |cm(t)| = {abs(c):.3e}", residual=abs(c))
 
 
-def sm(z: complex, *, order: int = series.DEFAULT_ORDER) -> EllipticValue:
-    return sm_cm(z, order=order)[0]
+def sm(z: complex) -> EllipticValue:
+    return sm_cm(z)[0]
 
 
-def cm(z: complex, *, order: int = series.DEFAULT_ORDER) -> EllipticValue:
-    return sm_cm(z, order=order)[1]
+def cm(z: complex) -> EllipticValue:
+    return sm_cm(z)[1]
 
 
-def sm_cm_values(z: complex, *, order: int = series.DEFAULT_ORDER) -> tuple[complex, complex]:
+def sm_cm_values(z: complex) -> tuple[complex, complex]:
     """Finite (sm, cm) values; raises PoleError when z is on a pole."""
-    sv, cv = sm_cm(z, order=order)
+    sv, cv = sm_cm(z)
     if sv.is_pole:
         raise PoleError(sv.pole_rep)
     return sv.value, cv.value
 
 
-def wp(z: complex, *, order: int = series.DEFAULT_ORDER) -> EllipticValue:
+def wp(z: complex) -> EllipticValue:
     """Weierstrass p for the sm/cm lattice (invariants g2 = 0, g3 = 1/27).
 
     Double poles at the lattice points. Finite everywhere else, including at
     the simple poles of sm and cm, where s/(3(1 - c)) has the limit
     gamma**j / 3.
     """
-    if order.__class__ is not int:
-        series.check_order(order)
-    v = _wp_of_pair(*_pair(_context[order], z))
+    v = _wp_of_pair(*_pair(_CTX, z))
     if v is None:
         return EllipticValue.pole(complex(0.0))
     return _new(EllipticValue, (v, None))

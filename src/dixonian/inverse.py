@@ -30,10 +30,9 @@ from __future__ import annotations
 
 import math
 
-from . import series
 from ._record import record
 from ._tables import INVERSE_COEFFS
-from .constants import GAMMA_POWERS, dixon_constants
+from .constants import CONSTANTS, GAMMA_POWERS
 from .errors import ConvergenceError
 from .evaluator import sm_cm_values
 from .quadrature import tanh_sinh
@@ -71,7 +70,7 @@ class InverseResult(record("InverseResult", "z residual")):
     __slots__ = ()
 
 
-def sm_inverse(w: complex, tol: float = 1e-12, *, order: int = series.DEFAULT_ORDER) -> InverseResult:
+def sm_inverse(w: complex, tol: float = 1e-12) -> InverseResult:
     """Solve sm(z) = w for the principal z.
 
     Defined for |w| < 1 and, on the unit circle, for the six points
@@ -85,7 +84,6 @@ def sm_inverse(w: complex, tol: float = 1e-12, *, order: int = series.DEFAULT_OR
         raise ValueError(f"non-finite argument {w}")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    consts = dixon_constants(order)
     if w == 0:
         return InverseResult(complex(0.0), 0.0)
     if abs(w) <= SERIES_SEED_RADIUS:
@@ -95,15 +93,15 @@ def sm_inverse(w: complex, tol: float = 1e-12, *, order: int = series.DEFAULT_OR
             acc = acc * u + a
         z = w * acc
     elif abs(w) >= 1.0:
-        z = _unit_circle_preimage(w, consts.K)
+        z = _unit_circle_preimage(w, CONSTANTS.K)
     else:
-        z = _branch_guess(w, consts.K)
+        z = _branch_guess(w, CONSTANTS.K)
         if z is None:
             z = w * tanh_sinh(lambda x, _: (1.0 - (w * x) ** 3) ** (-2.0 / 3.0), tol=_SEED_TOL)
 
     best_r = math.inf
     for _ in range(NEWTON_MAX_ITER):
-        s, c = sm_cm_values(z, order=order)
+        s, c = sm_cm_values(z)
         r = abs(s - w)
         if r <= tol:
             return InverseResult(z, r)

@@ -44,9 +44,8 @@ from .constants import CONSTANTS
 # sample_grid calls the kernel; sm_cm and wp stay module attributes because
 # the benchmark's tracer wraps render.sm_cm and render.wp
 from .evaluator import (  # noqa: F401
-    MAX_ARGUMENT, EllipticValue, _context, _pair, _wp_of_pair, sm_cm, wp,
+    _CTX, MAX_ARGUMENT, EllipticValue, _pair, _wp_of_pair, sm_cm, wp,
 )
-from .series import DEFAULT_ORDER, check_order
 
 MAX_PIXELS = 4096 * 4096
 
@@ -172,11 +171,8 @@ class ValueGrid(record("ValueGrid", "region values")):
         return super().__new__(cls, region, values)
 
 
-def sample_grid(
-    region: Region, selector: str, workers: int = 1, *, order: int = DEFAULT_ORDER
-) -> ValueGrid:
-    """Evaluate the selected function over the region, row by row, at the
-    series ``order``.
+def sample_grid(region: Region, selector: str, workers: int = 1) -> ValueGrid:
+    """Evaluate the selected function over the region, row by row.
 
     Every selector takes its values from rows of (sm, cm) pairs, each the
     sum of its column's and its row's pair by the addition theorem or,
@@ -196,20 +192,20 @@ def sample_grid(
     # the three sm and cm pole markers, and wp's one lattice marker, are
     # built once and shared by every pole pixel
     poles = [EllipticValue.pole(rep) for rep in CONSTANTS.pole_reps]
-    rows = _selected_rows(region, selector, order, poles, EllipticValue.pole(0j))
+    rows = _selected_rows(region, selector, poles, EllipticValue.pole(0j))
     # rows are chained into the grid's tuple, so no whole-grid list is built
     return ValueGrid(region, GridValues(tuple(chain.from_iterable(rows))))
 
 
-def _selected_rows(region: Region, selector: str, order: int, poles, lattice):
+def _selected_rows(region: Region, selector: str, poles, lattice):
     """One list per row of the selected function's plain values, with
     ``poles[j]`` on pole j of sm and cm and ``lattice`` on a lattice point
     of wp: the one selection both ``sample_grid`` and ``write_grid`` run.
-    The selector and the order are checked here, before any row is sampled.
+    The selector is checked here, before any row is sampled.
     """
     if selector not in SELECTORS:
         raise ValueError(f"selector must be one of {SELECTORS}, got {selector!r}")
-    rows = _pair_rows(_context(check_order(order)), region, selector)
+    rows = _pair_rows(_CTX, region, selector)
     # a pole pair is (None, j)
     if selector == "sm":
         return ([poles[c] if s is None else s for s, c in row] for row in rows)
@@ -277,11 +273,11 @@ def grid_to_csv(grid: ValueGrid) -> str:
     return "".join(_encode(grid.region, _value_rows(grid), "csv"))
 
 
-def write_grid(out, region: Region, selector: str, fmt: str, *, order: int = DEFAULT_ORDER) -> None:
-    """Sample the selected function over the region at the series ``order``
-    and write it to ``out`` as ``fmt``, "ppm" or "csv", a row at a time.
+def write_grid(out, region: Region, selector: str, fmt: str) -> None:
+    """Sample the selected function over the region and write it to ``out``
+    as ``fmt``, "ppm" or "csv", a row at a time.
 
-    The output is ``domain_color(sample_grid(region, selector, order=order))``
+    The output is ``domain_color(sample_grid(region, selector))``
     (bytes) or ``grid_to_csv(...)`` of it (text), byte for byte, and goes to
     ``out.write`` in that type: the header, then one call per row as the row
     is sampled. The bytes agree because both writers select their values
@@ -290,7 +286,7 @@ def write_grid(out, region: Region, selector: str, fmt: str, *, order: int = DEF
     ``ValueGrid`` is built.
     """
     # the encoders read None at every pole
-    rows = _selected_rows(region, selector, order, (None, None, None), None)
+    rows = _selected_rows(region, selector, (None, None, None), None)
     if fmt not in _FORMATS:
         raise ValueError(f"format must be one of {_FORMATS}, got {fmt!r}")
     write = out.write

@@ -6,8 +6,8 @@ seeded draws of its domain that the test suite repeats at larger counts
 through ``_sample``) against a default tolerance. ``_worst`` returns NaN at
 the first NaN term, so a NaN value fails its check. The CLI ``selftest``
 subcommand runs every check and renders a pass/fail table; ``run_selftest``
-is the programmatic entry. Every check reads the constants of the default
-series order, the one the evaluator uses.
+is the programmatic entry. Every check reads the one constants record and
+the one series pair, those the evaluator uses.
 """
 
 from __future__ import annotations

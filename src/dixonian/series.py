@@ -7,31 +7,28 @@ rationals:
     (n+1) * s[n+1] = sum_{k=0..n} c[k] * c[n-k]
     (n+1) * c[n+1] = -sum_{k=0..n} s[k] * s[n-k]
 
-Its coefficients are the same in every process, so evaluation reads their
-correctly rounded doubles from the checked-in table ``_tables`` (through
-MAX_ORDER), and a pair of order n takes a prefix of it. The exact
-``fractions.Fraction`` coefficients, the ground truth the table is derived
-from and tested against, are built from the recurrence only when a caller
-reads them.
+The library keeps one truncation of the two series, through z**48
+(DEFAULT_ORDER). Its coefficients are the same in every process, so
+evaluation reads their correctly rounded doubles from the checked-in table
+``_tables``. The exact ``fractions.Fraction`` coefficients, the ground
+truth the table is derived from and tested against, are built from the
+recurrence only when a caller reads them.
 """
 
-from ._record import memo
 from ._tables import P_COEFFS, Q_COEFFS
 
+#: The one series order: the highest power of z the series keep. 48 was the
+#: default when the order could still be chosen, so every output keeps its
+#: bits (README, "One series order"). The name is the one
+#: ``benchmarks/verify.py`` imports.
 DEFAULT_ORDER = 48
-MAX_ORDER = 64
-#: Smallest accepted order: from here through MAX_ORDER every order
-#: root-finds the default order's K to the bit, and its dropped tail stays
-#: within SERIES_TOL on the whole SERIES_EVAL_RADIUS disc; tests/test_series.py
-#: derives both. Order 26 already finds a K one ulp off.
-MIN_ORDER = 27
 
 #: Radius of the disc on which truncated evaluation is permitted. Chosen
 #: inside the guaranteed-existence radius 2**(-2/3) = 0.62996..., leaving
-#: tail margin at every accepted order.
+#: tail margin at DEFAULT_ORDER.
 SERIES_EVAL_RADIUS = 0.5
 
-#: Bound on the truncation error of eval_series at every accepted order.
+#: Bound on the truncation error of eval_series.
 SERIES_TOL = 1e-13
 
 
@@ -39,26 +36,22 @@ class SeriesPair:
     """Taylor coefficients of sm (``s_coeffs``) and cm (``c_coeffs``) about 0.
 
     ``s_coeffs[n]`` is the exact rational coefficient of z**n; both tuples
-    run from index 0 through ``order`` inclusive, and are built from the
-    recurrence the first time either is read. Evaluation never reads them:
-    it takes the order's prefix of the binary64 table, and the Horner steps
-    built from it. Two pairs are equal when their orders are, and so their
-    coefficients; pairs are not hashable.
+    run from index 0 through ``order`` (DEFAULT_ORDER) inclusive, and are
+    built from the recurrence the first time either is read. Evaluation
+    never reads them: it takes the Horner steps built from the binary64
+    table. Every pair holds the same coefficients, so any two are equal;
+    pairs are not hashable.
     """
 
     __hash__ = None
+    order = DEFAULT_ORDER
 
-    def __init__(self, order: int) -> None:
-        self.order = order
-        # sm(z) = z * P(z^3) and cm(z) = Q(z^3) in binary64
-        self._s_packed = P_COEFFS[: (order + 2) // 3]
-        self._c_packed = Q_COEFFS[: order // 3 + 1]
-        # the coefficients of P and Q from the top down, paired for one loop;
-        # Q has as many as P or one more, and that extra top coefficient
-        # comes first, on its own (None when there is none)
-        s_rev, c_rev = self._s_packed[::-1], self._c_packed[::-1]
-        extra = len(c_rev) - len(s_rev)
-        self._horner_steps = (c_rev[0] if extra else None), tuple(zip(s_rev, c_rev[extra:]))
+    def __init__(self) -> None:
+        # sm(z) = z * P(z^3) and cm(z) = Q(z^3) in binary64: the coefficients
+        # of P and Q from the top down, paired for one loop. Q has one more
+        # than P, and that top coefficient comes first, on its own
+        s_rev, c_rev = P_COEFFS[::-1], Q_COEFFS[::-1]
+        self._horner_steps = c_rev[0], tuple(zip(s_rev, c_rev[1:], strict=True))
 
     def _exact_coeffs(self) -> tuple[tuple, tuple]:
         # not a __getattr__: a class with one leaves every attribute read of
@@ -84,32 +77,25 @@ class SeriesPair:
         )
 
     def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.order == other.order
+        return True if other.__class__ is self.__class__ else NotImplemented
 
 
-def check_order(order: int) -> int:
-    """``order`` itself if it is an accepted series order: TypeError unless
-    it is an int, ValueError outside MIN_ORDER..MAX_ORDER."""
-    if not isinstance(order, int):
-        raise TypeError(f"series order must be an int, got {type(order).__name__} {order!r}")
-    if not MIN_ORDER <= order <= MAX_ORDER:
-        raise ValueError(f"series order must be in {MIN_ORDER}..{MAX_ORDER}, got {order}")
-    return order
+_PAIR = SeriesPair()
+
+
+def _pinned(order: int) -> None:
+    """ValueError unless ``order`` is the int DEFAULT_ORDER: the check of the
+    three names the benchmark still calls with its ``ORDER``."""
+    if order.__class__ is not int or order != DEFAULT_ORDER:
+        raise ValueError(f"the series order is fixed at {DEFAULT_ORDER}, got {order!r}")
 
 
 def generate_series(order: int = DEFAULT_ORDER) -> SeriesPair:
-    """The series pair of the order: a prefix of the binary64 table, with
-    the exact coefficients 0..order built from the recurrence on first read.
-
-    Each order's pair is made once per process; later calls return the same
-    pair. An order that ``check_order`` refuses is a usage error.
-    """
-    return _generate[check_order(order)]
-
-
-_generate = memo(SeriesPair)
+    """The one series pair, made at import. ``order`` is there for
+    ``benchmarks/run.py:234``, which passes DEFAULT_ORDER; any other value
+    raises ValueError."""
+    _pinned(order)
+    return _PAIR
 
 
 def _recurrence(order: int) -> tuple[tuple, tuple]:
@@ -134,9 +120,9 @@ def eval_series(pair: SeriesPair, z: complex) -> tuple[complex, complex]:
     """Evaluate the truncated series at z, for |z| <= SERIES_EVAL_RADIUS.
 
     Horner evaluation in u = z**3 (two of every three coefficients vanish).
-    At every accepted order the dropped tail stays within SERIES_TOL on the
-    whole disc; tests/test_series.py certifies it. A |z| beyond
-    SERIES_EVAL_RADIUS, or not a number, raises ValueError.
+    The dropped tail stays within SERIES_TOL on the whole disc;
+    tests/test_series.py certifies it. A |z| beyond SERIES_EVAL_RADIUS, or
+    not a number, raises ValueError.
     """
     z = complex(z)
     r = abs(z)
@@ -144,9 +130,8 @@ def eval_series(pair: SeriesPair, z: complex) -> tuple[complex, complex]:
         raise ValueError(f"|z| = {r:.6g} exceeds the series evaluation radius {SERIES_EVAL_RADIUS}")
     u = z * z * z
     c_top, steps = pair._horner_steps
-    s = c = 0j
-    if c_top is not None:
-        c = c * u + c_top
+    s = 0j
+    c = 0j * u + c_top
     for a, b in steps:
         s = s * u + a
         c = c * u + b

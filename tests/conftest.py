@@ -5,9 +5,13 @@ sample its residuals through its sampler (``worst``) and run its fixed
 checks (``assert_checks``) instead of restating them.
 """
 
+import contextlib
+import functools
+import math
+
 import pytest
 
-from dixonian import dixon_constants, render, run_selftest, selftest
+from dixonian import dixon_constants, evaluator, render, run_selftest, selftest, series
 from dixonian.evaluator import sm_cm_values
 
 CONSTS = dixon_constants()
@@ -81,3 +85,83 @@ def kernel_pixels(region, calls):
             i += 1
     assert k == len(calls)
     return pixels
+
+
+# --- truncations of the one series -------------------------------------------
+#
+# The library keeps the series of sm and cm through z**48. A truncation at
+# another order is usable in its place when its dropped tail stays within
+# SERIES_TOL on the SERIES_EVAL_RADIUS disc and, swapped into the kernel, it
+# root-finds the tabulated K to the bit. Every order from 27 through 64 is;
+# order 26 root-finds a K one ulp off. These facts bound the choice of a
+# lower order (ROADMAP item 17).
+
+#: The smallest usable truncation order; test_series.py derives it.
+LOWEST_USABLE_ORDER = 27
+#: The longest truncation the per-order checks sweep.
+MAX_TRUNCATION = 64
+
+
+class Truncation:
+    """The series of sm and cm through z**order, rounded to doubles and
+    stepped as ``eval_series`` steps the library's pair, which is all it
+    reads (``_horner_steps``)."""
+
+    def __init__(self, order):
+        self.order = order
+        self.s_coeffs, self.c_coeffs = series._recurrence(order)
+        # sm(z) = z * P(z^3) and cm(z) = Q(z^3)
+        self.packed = tuple(float(a) for a in self.s_coeffs[1::3]), tuple(float(a) for a in self.c_coeffs[0::3])
+        s_rev, c_rev = self.packed[0][::-1], self.packed[1][::-1]
+        # Q has as many coefficients as P or one more; without one more, a
+        # zero top coefficient starts cm's loop from zero
+        extra = len(c_rev) - len(s_rev)
+        self._horner_steps = (c_rev[0] if extra else 0.0), tuple(zip(s_rev, c_rev[extra:], strict=True))
+
+
+truncation = functools.cache(Truncation)
+
+
+def tail_bound(packed, r):
+    """Bound on the terms of sm and cm that a truncation drops, at radius r,
+    from its ``packed`` (P, Q) coefficients.
+
+    Each series' last kept term times the geometric sum x + x^2 + ... of the
+    decay per power of z**3 between its last two kept terms, with a 2x guard.
+    None of the coefficients is zero; a series with one kept term has no
+    decay to fit, and no bound.
+    """
+    bound = 0.0
+    for coeffs, offset in zip(packed, (1, 0)):
+        last = len(coeffs) - 1
+        if last < 1:
+            return math.inf
+        x = abs(coeffs[last] / coeffs[last - 1]) * r ** 3
+        assert x < 1.0
+        bound = max(bound, 2.0 * abs(coeffs[last]) * r ** (3 * last + offset) * x / (1.0 - x))
+    return bound
+
+
+@contextlib.contextmanager
+def kernel_with(pair):
+    """The evaluator's kernel reading ``pair`` in place of the library's."""
+    ctx = evaluator._CTX
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluator, "_CTX", evaluator._Context(constants=ctx.constants, pair=pair))
+        yield
+
+
+@functools.cache
+def truncation_k(order):
+    """The K the kernel root-finds with the truncation at ``order``, as hex."""
+    with kernel_with(truncation(order)):
+        return evaluator.compute_K_root().hex()
+
+
+def truncation_usable(order):
+    """Whether the truncation at ``order`` could stand in for the library's
+    series: its tail meets SERIES_TOL on the disc and it root-finds the
+    tabulated K to the bit."""
+    pair = truncation(order)
+    return (tail_bound(pair.packed, series.SERIES_EVAL_RADIUS) <= series.SERIES_TOL
+            and truncation_k(order) == K.hex())

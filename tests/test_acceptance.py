@@ -87,7 +87,7 @@ def test_criterion_08_identity_layer():
 
 def test_criterion_09_series_oracle():
     s_oracle, c_oracle = picard_coefficients(48)
-    pair = generate_series(48)
+    pair = generate_series()
     exact = list(pair.s_coeffs) == s_oracle and list(pair.c_coeffs) == c_oracle
     landmarks = pair.s_coeffs[4] == Fraction(-1, 6) and pair.s_coeffs[7] == Fraction(2, 63)
     report(9, "coefficients == independent oracle", 0.0 if (exact and landmarks) else 1.0, 0.0)

@@ -1,4 +1,4 @@
-"""CLI surface: subcommands, literals, exit codes, series order, files."""
+"""CLI surface: subcommands, literals, exit codes, files."""
 
 import json
 import subprocess
@@ -9,7 +9,7 @@ import pytest
 import dixonian
 from dixonian import Region, cli, dixon_constants, render, sm_inverse
 from dixonian.cli import main, parse_complex
-from conftest import GAMMA, K, kernel_calls, kernel_pixels
+from conftest import GAMMA, LOWEST_USABLE_ORDER, K, kernel_calls, kernel_pixels, kernel_with, truncation
 
 
 def run_cli(capsys, *argv):
@@ -228,36 +228,32 @@ def test_grid_preset_cell(tmp_path, capsys):
 
 
 def test_grid_honours_order(tmp_path, capsys):
-    from dixonian import dixon_constants, sm
+    # grid samples with the kernel's one series order: its pixels are sm's
+    # (to the bit where the kernel ran on them), and the cell preset is
+    # framed with its K
+    from dixonian import sm
 
-    base = ["grid", "--fn", "sm", "--center", "0.5+0.3i", "--width", "1", "--height", "1",
-            "--nx", "3", "--ny", "3", "--format", "csv"]
-    out27, out48 = tmp_path / "o27.csv", tmp_path / "o48.csv"
-    code, calls = kernel_calls(run_cli, capsys, *base, "--order", "27", "--out", str(out27))
+    out = tmp_path / "o.csv"
+    code, calls = kernel_calls(run_cli, capsys, "grid", "--fn", "sm", "--center", "0.5+0.3i", "--width", "1",
+                               "--height", "1", "--nx", "3", "--ny", "3", "--format", "csv", "--out", str(out))
     assert code[0] == 0
-    assert run_cli(capsys, *base, "--out", str(out48))[0] == 0
-    text = out27.read_text()
-    # order 27 differs from order 48 in the last bits of one of these pixels
-    assert text != out48.read_text()
     region = Region(0.5 + 0.3j, 1.0, 1.0, 3, 3)
     ran = {j * 3 + i for i, j in kernel_pixels(region, calls)}
-    for idx, line in enumerate(text.splitlines()[1:]):
+    for idx, line in enumerate(out.read_text().splitlines()[1:]):
         re_, im, s_re, s_im, pole = line.split(",")
-        v = sm(complex(float(re_), float(im)), order=27).value
+        v = sm(complex(float(re_), float(im))).value
         assert pole == "0"
         if idx in ran:
-            # a pixel the kernel ran on is the kernel's, to the bit
             assert (s_re, s_im) == (f"{v.real:.17g}", f"{v.imag:.17g}")
         else:
             # the others are sums of a column pair and a row pair
             assert abs(complex(float(s_re), float(s_im)) - v) <= 2e-13 * max(1.0, abs(v))
 
-    # the cell preset is framed with the one K every accepted order shares
-    out = tmp_path / "cell27.csv"
+    out = tmp_path / "cell.csv"
     assert run_cli(capsys, "grid", "--fn", "sm", "--preset", "cell", "--nx", "2", "--ny", "2",
-                   "--format", "csv", "--order", "27", "--out", str(out))[0] == 0
+                   "--format", "csv", "--out", str(out))[0] == 0
     first = out.read_text().splitlines()[1].split(",")
-    assert float(first[0]) == -4.5 * dixon_constants(27).K / 2.0 == -4.5 * dixon_constants().K / 2.0
+    assert float(first[0]) == -4.5 * dixon_constants().K / 2.0 == -4.5 * K / 2.0
 
 
 def test_grid_missing_flags(capsys):
@@ -288,20 +284,24 @@ def test_grid_unwritable_out_fails_before_render(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "flag", [("--order", "99"), ("--order", "26"), ("--center", "1e14")], ids=["order", "low-order", "center"]
+    "flag", [("--order", "48"), ("--order", "26"), ("--center", "1e14")], ids=["order", "low-order", "center"]
 )
 @pytest.mark.parametrize("existing", [b"P6\n1 1\n255\nabc", None], ids=["existing", "absent"])
 def test_grid_refused_before_out_is_opened(tmp_path, capsys, flag, existing):
-    # an order or a region that evaluation would refuse exits 2 and leaves
-    # --out as it was: byte-identical if it existed, absent if it did not
+    # a flag grid does not take (the series order is fixed) or a region that
+    # evaluation would refuse exits 2 and leaves --out as it was:
+    # byte-identical if it existed, absent if it did not
     out = tmp_path / "keep.ppm"
     if existing is not None:
         out.write_bytes(existing)
     argv = {"--center": "0", "--width": "1", "--height": "1", "--nx": "4", "--ny": "3"}
     argv.update([flag])
-    code, _, err = run_cli(capsys, "grid", "--fn", "sm", *(a for kv in argv.items() for a in kv),
-                           "--out", str(out))
-    assert code == 2 and err.startswith("error: ")
+    try:
+        code, _, err = run_cli(capsys, "grid", "--fn", "sm", *(a for kv in argv.items() for a in kv),
+                               "--out", str(out))
+    except SystemExit as exc:
+        code, err = exc.code, capsys.readouterr().err
+    assert code == 2 and err.startswith("usage: dixonian grid [-h] " if flag[0] == "--order" else "error: ")
     if existing is None:
         assert not out.exists()
     else:
@@ -333,29 +333,64 @@ def test_selftest_tol_is_usage_error(capsys):
     assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
-# --- series order plumbing --------------------------------------------------------------
+# --- the series order is fixed ----------------------------------------------------------
 
-def test_order_flag(capsys):
-    code, out, _ = run_cli(capsys, "eval", "--fn", "sm", "--z", "0.3", "--order", "32")
-    assert code == 0
-    assert abs(json.loads(out)["re"] - 0.29865690917573373) < 1e-12
-    code, _, err = run_cli(capsys, "eval", "--fn", "sm", "--z", "0.3", "--order", "100")
-    assert code == 2
-    assert "series order must be in 27..64, got 100" in err
+#: One valid command line of each subcommand that took --order.
+ORDER_ARGV = (["eval", "--fn", "sm", "--z", "0.3"], ["constants"], ["invert", "--w", "0.5"],
+              ["grid", "--fn", "sm", "--preset", "cell"])
+
+
+def test_order_flag(tmp_path, capsys):
+    # no subcommand takes --order; grid leaves an existing --out as it was
+    out = tmp_path / "keep.ppm"
+    out.write_bytes(b"P6\n1 1\n255\nabc")
+    for argv in ORDER_ARGV:
+        if argv[0] == "grid":
+            argv = [*argv, "--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--order", "48"])
+        assert exc.value.code == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        usage = cli._usage(argv[0])
+        assert captured.err == f"{usage}\ndixonian {argv[0]}: error: unrecognized arguments: --order 48\n"
+    assert out.read_bytes() == b"P6\n1 1\n255\nabc"
 
 
 def test_small_order_usable(tmp_path, capsys):
-    # the smallest accepted order evaluates on the same disc and K as the
-    # default; each subcommand that takes --order refuses the order below
-    code, out, _ = run_cli(capsys, "eval", "--fn", "sm", "--z", "0.45", "--order", "27")
-    assert code == 0
+    # the CLI evaluates through the kernel's one series: with the smallest
+    # usable truncation swapped in, eval agrees with the default within
+    # 1e-13. No subcommand takes that order as a flag, and grid makes no
+    # --out file when refused
     _, ref, _ = run_cli(capsys, "eval", "--fn", "sm", "--z", "0.45")
+    with kernel_with(truncation(LOWEST_USABLE_ORDER)):
+        code, out, _ = run_cli(capsys, "eval", "--fn", "sm", "--z", "0.45")
+    assert code == 0 and out != ref
     assert abs(json.loads(out)["re"] - json.loads(ref)["re"]) <= 1e-13
-    for argv in (("eval", "--fn", "sm", "--z", "0.45"), ("constants",), ("invert", "--w", "0.5"),
-                 ("grid", "--fn", "wp", "--preset", "cell", "--out", str(tmp_path / "wp.ppm"))):
-        code, out, err = run_cli(capsys, *argv, "--order", "26")
-        assert (code, out) == (2, "") and "series order must be in 27..64, got 26" in err, argv
+    for argv in ORDER_ARGV:
+        if argv[0] == "grid":
+            argv = [*argv, "--out", str(tmp_path / "wp.ppm")]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--order", str(LOWEST_USABLE_ORDER)])
+        assert exc.value.code == 2, argv
+        assert "unrecognized arguments: --order 27" in capsys.readouterr().err
     assert not (tmp_path / "wp.ppm").exists()
+
+
+def test_constants_help_text(capsys):
+    # a subcommand without flags prints its usage without a trailing space
+    with pytest.raises(SystemExit) as exc:
+        main(["constants", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr() == (
+        "usage: dixonian constants [-h]\n"
+        "\n"
+        "print K, gamma, periods and invariants as JSON\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n",
+        "",
+    )
 
 
 def test_entry_point_subprocess():
@@ -379,13 +414,15 @@ USAGE_ERRORS = [
     (["eval", "--z", "0.3"], "dixonian eval", "the following arguments are required: --fn"),
     (["eval", "--fn", "tan", "--z", "0.3"], "dixonian eval",
      "argument --fn: invalid choice: 'tan' (choose from 'sm', 'cm', 'wp')"),
-    (["eval", "--fn", "sm", "--z", "0.3", "--order", "4.5"], "dixonian eval",
-     "argument --order: invalid int value: '4.5'"),
+    (["eval", "--fn", "sm", "--z", "0.3", "--order", "4.5"], "dixonian eval", "unrecognized arguments: --order 4.5"),
+    (["grid", "--fn", "sm", "--nx", "4.5", "--out", "x"], "dixonian grid",
+     "argument --nx: invalid int value: '4.5'"),
     (["eval", "--fn", "sm", "--z"], "dixonian eval", "argument --z: expected one argument"),
     (["eval", "--fn", "sm", "--z", "abc"], "dixonian eval", "argument --z: not a complex literal: 'abc'"),
     (["eval", "--fn", "sm", "--z", "--fn"], "dixonian eval", "argument --z: not a complex literal: '--fn'"),
-    # abbreviations of a flag are not the flag
+    # a flag the subcommand does not take, and an abbreviation of one it does
     (["eval", "--fn", "sm", "--z", "0.3", "--ord", "30"], "dixonian eval", "unrecognized arguments: --ord 30"),
+    (["invert", "--w", "0.5", "--to", "1e-3"], "dixonian invert", "unrecognized arguments: --to 1e-3"),
     (["invert", "--w", "0.5", "--tol", "tiny"], "dixonian invert", "argument --tol: invalid float value: 'tiny'"),
     (["grid", "--fn", "sm", "--format", "png", "--out", "x"], "dixonian grid",
      "argument --format: invalid choice: 'png' (choose from 'ppm', 'csv')"),
@@ -409,10 +446,10 @@ def test_usage_error(capsys, argv, prog, message):
 
 
 FLAGS = {
-    "eval": ["--fn", "--z", "--order"],
-    "constants": ["--order"],
-    "invert": ["--w", "--tol", "--order"],
-    "grid": ["--fn", "--preset", "--center", "--width", "--height", "--nx", "--ny", "--out", "--format", "--order"],
+    "eval": ["--fn", "--z"],
+    "constants": [],
+    "invert": ["--w", "--tol"],
+    "grid": ["--fn", "--preset", "--center", "--width", "--height", "--nx", "--ny", "--out", "--format"],
     "selftest": ["--list"],
 }
 
@@ -435,8 +472,7 @@ def test_help_exits_0(capsys, argv):
 
 def test_repeated_flag_keeps_last_value(capsys):
     _, ref, _ = run_cli(capsys, "eval", "--fn", "sm", "--z", "0.3")
-    code, out, _ = run_cli(capsys, "eval", "--fn", "cm", "--z=9", "--order", "27", "--z", "0.3", "--fn=sm",
-                           "--order=48")
+    code, out, _ = run_cli(capsys, "eval", "--fn", "cm", "--z=9", "--z", "0.3", "--fn=sm")
     assert (code, out) == (0, ref)
 
 
@@ -468,11 +504,10 @@ def test_eval_output_is_json_dumps(capsys, fn):
 
 
 def test_constants_output_is_json_dumps(capsys):
-    for order in ("27", "48", "64"):
-        k = dixon_constants(int(order))
-        record = {"K": k.K, "gamma": {"re": k.gamma.real, "im": k.gamma.imag},
-                  "periods": [{"re": p.real, "im": p.imag} for p in k.periods], "g2": k.g2, "g3": k.g3}
-        assert run_cli(capsys, "constants", "--order", order) == (0, json.dumps(record) + "\n", "")
+    k = dixon_constants()
+    record = {"K": k.K, "gamma": {"re": k.gamma.real, "im": k.gamma.imag},
+              "periods": [{"re": p.real, "im": p.imag} for p in k.periods], "g2": k.g2, "g3": k.g3}
+    assert run_cli(capsys, "constants") == (0, json.dumps(record) + "\n", "")
 
 
 def test_invert_output_is_json_dumps(capsys):

@@ -199,9 +199,11 @@ def test_projections():
 
 
 def test_order_kwarg():
-    a = sm(0.3, order=32).value
-    b = sm(0.3).value
-    assert abs(a - b) <= 1e-13
+    # the series order is fixed: no evaluator entry point takes one
+    for fn in (sm, cm, sm_cm, sm_cm_values, wp):
+        fn(0.3)
+        with pytest.raises(TypeError, match="order"):
+            fn(0.3, order=48)
 
 
 # --- symmetries and identities ----------------------------------------------

@@ -1,16 +1,18 @@
-"""The sm/cm kernel: bit-identity with the identity layer, every accepted
-order usable, one constants record per order, the package's public names,
-what a cold start imports, and the module attributes the benchmark's tracer
-wraps."""
+"""The sm/cm kernel: bit-identity with the identity layer, every truncation
+from order 27 usable in place of the one series, one constants record, no
+entry point that takes a series order, the package's public names, what a
+cold start imports, and the library names the benchmark calls and wraps."""
 
 import cmath
 import dataclasses
 import importlib.util
+import inspect
 import json
 import math
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 import types
@@ -37,11 +39,11 @@ from dixonian import (
     translate_2K,
 )
 from dixonian.constants import GAMMA_POWERS
-from dixonian.evaluator import NEAR_TOL, POLE_TOL, _context, _nearest_pole_frame
+from dixonian.evaluator import _CTX, NEAR_TOL, POLE_TOL, _nearest_pole_frame
 from dixonian.identities import duplicate_values
-from dixonian.series import MAX_ORDER, MIN_ORDER, SERIES_EVAL_RADIUS
+from dixonian.series import SERIES_EVAL_RADIUS
 from dixonian.selftest import _cell_points
-from conftest import CONSTS, K, W1, W2
+from conftest import CONSTS, LOWEST_USABLE_ORDER, MAX_TRUNCATION, K, W1, W2, kernel_with, truncation, truncation_usable
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -67,19 +69,19 @@ def _halvings(zr):
 
 
 def _identity_duplication(zr):
-    """(sm, cm) at a reduced argument away from the poles, at order 48, from
-    eval_series on the 0.5 disc and one duplication per halving."""
+    """(sm, cm) at a reduced argument away from the poles, from eval_series
+    on the 0.5 disc and one duplication per halving."""
     k = _halvings(zr)
-    p = FunctionPair(*eval_series(_context(48).pair, zr / (1 << k)))
+    p = FunctionPair(*eval_series(_CTX.pair, zr / (1 << k)))
     for _ in range(k):
         p = _duplicate_formula(p)
     return p.s, p.c
 
 
 def _identity_layer(z):
-    """(sm, cm) at z at order 48 from the identity layer, ``translate_2K``
-    near a pole; None at a pole."""
-    ctx = _context(48)
+    """(sm, cm) at z from the identity layer, ``translate_2K`` near a pole;
+    None at a pole."""
+    ctx = _CTX
     zr = reduce_to_fundamental(z, CONSTS).z_reduced
     j, w = _nearest_pole_frame(ctx, zr)
     if abs(w) <= POLE_TOL:
@@ -127,25 +129,22 @@ def test_duplication_denominators_bounded_over_cell():
     # NEAR_TOL discs no duplication the kernel runs comes near DENOM_TOL
     # (1e-8): the smallest denominator, about 0.14, sits on the disc about -K.
     n = 17
-    for order in range(MIN_ORDER, MAX_ORDER + 1):
-        ctx = _context(order)
-        w1, w2 = ctx.constants.periods
-        pts = [(i / (n - 1) - 0.5) * w1 + (j / (n - 1) - 0.5) * w2 for i in range(n) for j in range(n)]
-        pts += [
-            rep + cmath.rect(NEAR_TOL * (1.0 + 1e-9), i * math.pi / 12.0)
-            for rep in ctx.constants.pole_reps
-            for i in range(24)
-        ]
-        smallest = math.inf
-        for zr in pts:
-            if abs(_nearest_pole_frame(ctx, zr)[1]) <= NEAR_TOL:
-                continue
-            k = _halvings(zr)
-            s, c = eval_series(ctx.pair, zr / (1 << k))
-            for _ in range(k):
-                smallest = min(smallest, abs(c * (1.0 + s * s * s)))
-                s, c = duplicate_values(s, c, 1)
-        assert smallest > 0.1, order
+    pts = [(i / (n - 1) - 0.5) * W1 + (j / (n - 1) - 0.5) * W2 for i in range(n) for j in range(n)]
+    pts += [
+        rep + cmath.rect(NEAR_TOL * (1.0 + 1e-9), i * math.pi / 12.0)
+        for rep in CONSTS.pole_reps
+        for i in range(24)
+    ]
+    smallest = math.inf
+    for zr in pts:
+        if abs(_nearest_pole_frame(_CTX, zr)[1]) <= NEAR_TOL:
+            continue
+        k = _halvings(zr)
+        s, c = eval_series(_CTX.pair, zr / (1 << k))
+        for _ in range(k):
+            smallest = min(smallest, abs(c * (1.0 + s * s * s)))
+            s, c = duplicate_values(s, c, 1)
+    assert 0.1 < smallest < 0.15
 
 
 def test_duplicate_values_is_duplicate():
@@ -179,30 +178,61 @@ def test_max_argument_is_the_bound():
             reduce_to_fundamental(z)
 
 
-@pytest.mark.parametrize("order", range(1, MAX_ORDER + 1))
+#: Every public function and method that took a series order, with
+#: arguments that are valid without one.
+_REGION = render.Region(0j, 1.0, 1.0, 2, 2)
+ORDERLESS = (
+    (sm_cm, (0.3,)), (evaluator.sm, (0.3,)), (evaluator.cm, (0.3,)), (evaluator.sm_cm_values, (0.3,)),
+    (evaluator.wp, (0.3,)), (inverse.sm_inverse, (0.3,)), (render.sample_grid, (_REGION, "sm")),
+    (render.write_grid, (None, _REGION, "sm", "csv")), (dixon_constants, ()), (evaluator.compute_K_root, ()),
+)
+
+
+def test_no_entry_point_takes_an_order():
+    # the series order is fixed: no entry point names one, and passing one
+    # is a TypeError
+    for fn, args in ORDERLESS:
+        assert "order" not in inspect.signature(fn, follow_wrapped=False).parameters, fn
+        with pytest.raises(TypeError):
+            fn(*args, order=48)
+
+
+#: The names that take an order for the benchmark, each accepting only 48.
+PINS = (series.generate_series, constants.dixon_constants.__wrapped__, evaluator._context)
+
+
+def test_non_int_order_refused():
+    # a value equal to 48 that is not the int 48 is refused like any other
+    for pin in PINS:
+        for order in (48.0, "48", True, None, 48 + 0j):
+            with pytest.raises(ValueError, match=re.escape(f"the series order is fixed at 48, got {order!r}")):
+                pin(order)
+
+
+@pytest.mark.parametrize("order", range(1, MAX_TRUNCATION + 1))
 def test_every_order_usable(order):
-    # every accepted order shares the default order's K and agrees with it
-    # within 1e-13 (bit for bit from order 34); every other order is refused
-    # by each entry point that takes one
-    if order < MIN_ORDER:
-        region = render.Region(0j, 1.0, 1.0, 2, 2)
-        for call in (
-            lambda: dixon_constants(order),
-            lambda: sm_cm(0.3, order=order),
-            lambda: evaluator.wp(0.3, order=order),
-            lambda: inverse.sm_inverse(0.3, order=order),
-            lambda: render.sample_grid(region, "sm", order=order),
-            lambda: render.sample_grid(region, "wp", order=order),
-        ):
-            with pytest.raises(ValueError, match=f"series order must be in {MIN_ORDER}..{MAX_ORDER}"):
-                call()
+    # every truncation from LOWEST_USABLE_ORDER on could stand in for the
+    # one series: swapped into the kernel, it root-finds the tabulated K and
+    # agrees with the library within 1e-13. The library itself takes no
+    # other order, and the pins refuse every order but 48
+    for pin in PINS:
+        if order == series.DEFAULT_ORDER:
+            pin(order)
+        else:
+            with pytest.raises(ValueError, match=f"the series order is fixed at 48, got {order}"):
+                pin(order)
+    if order < LOWEST_USABLE_ORDER:
+        assert not truncation_usable(order)
         return
-    assert dixon_constants(order).K.hex() == K.hex()
-    for z in (0.1, 0.45 + 0.2j, 1.0, -K + 0.03, 2.5 - 1.5j, 40.0 + 3.0j):
-        s, c = sm_cm(z, order=order)
-        s48, c48 = sm_cm(z)
-        assert abs(s.value - s48.value) <= 1e-13 * max(1.0, abs(s48.value))
-        assert abs(c.value - c48.value) <= 1e-13 * max(1.0, abs(c48.value))
+    assert truncation_usable(order)
+    zs = (0.1, 0.45 + 0.2j, 1.0, -K + 0.03, 2.5 - 1.5j, 40.0 + 3.0j)
+    want = [sm_cm(z) for z in zs]
+    with kernel_with(truncation(order)):
+        assert evaluator.compute_K_root().hex() == K.hex()
+        for z, (s48, c48) in zip(zs, want):
+            s, c = sm_cm(z)
+            assert abs(s.value - s48.value) <= 1e-13 * max(1.0, abs(s48.value))
+            assert abs(c.value - c48.value) <= 1e-13 * max(1.0, abs(c48.value))
 
 
 # --- what benchmarks/run.py and benchmarks/tracer.py read -----------------------
@@ -230,66 +260,40 @@ LIB = {
 def test_traced_attributes_exist():
     for mod_name, attr, _ in _tracer_module().WRAPPED:
         assert callable(getattr(LIB[mod_name], attr)), (mod_name, attr)
+    # the names benchmarks/ calls outside the tracer, with the arguments it
+    # passes: run.py's ORDER and verify.py's DEFAULT_ORDER are 48
+    assert series.DEFAULT_ORDER == 48
     ctx = evaluator._context(48)
-    assert ctx.constants is dixon_constants(48)
-    j, w = evaluator._nearest_pole_frame(ctx, -K + 0.01)
+    assert ctx.constants is dixon_constants() and ctx.pair is series.generate_series(48)
+    fresh = constants.dixon_constants.__wrapped__(48)
+    assert fresh == ctx.constants and fresh is not ctx.constants
+    z = -K + 0.01 + W1 - 2 * W2
+    zr = evaluator.reduce_to_fundamental(z, ctx.constants).z_reduced
+    j, w = evaluator._nearest_pole_frame(ctx, zr)
+    assert abs(w) <= evaluator.NEAR_TOL
     p = evaluator._near_pole_pair(ctx, j, w)
-    assert (p.s, p.c) == tuple(v.value for v in sm_cm(-K + 0.01))
+    assert repr((p.s, p.c)) == repr(tuple(v.value for v in sm_cm(z)))
     assert evaluator.POLE_TOL < evaluator.NEAR_TOL
+    # each name that takes an order accepts only the one
+    for pin in PINS:
+        with pytest.raises(ValueError, match="the series order is fixed at 48, got 47"):
+            pin(47)
 
 
 def test_one_constants_record_per_order():
-    # every accepted order, the evaluator, the selftest and the default
+    # the public record, the evaluator, the selftest and the default
     # reduction share the one record built from the tabulated K; the
     # benchmark times a fresh build through __wrapped__
     code = (
         "from dixonian import constants, dixon_constants, evaluator, reduce_to_fundamental, run_selftest, sm\n"
         "sm(0.3); run_selftest(); reduce_to_fundamental(1.0)\n"
-        "records = [dixon_constants(), dixon_constants(48), dixon_constants(order=48), dixon_constants(27),\n"
-        "           evaluator._context(48).constants, evaluator._context(64).constants]\n"
+        "records = [dixon_constants(), evaluator._CTX.constants, evaluator._context(48).constants]\n"
         "assert all(r is constants.CONSTANTS for r in records)\n"
         "assert constants.CONSTANTS.K.hex() == '0x1.c4426fe852836p+0'\n"
         "fresh = dixon_constants.__wrapped__(48)\n"
         "assert fresh == constants.CONSTANTS and fresh is not constants.CONSTANTS\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-
-
-#: Each entry point that takes a series order, called with one.
-NON_INT_ORDER_CODE = """\
-from dixonian import Region, dixon_constants, generate_series, sample_grid, sm, sm_cm, sm_inverse, wp
-
-region = Region(0j, 1.0, 1.0, 2, 2)
-calls = (
-    generate_series, dixon_constants, lambda o: dixon_constants(order=o), lambda o: sm_cm(0.3, order=o),
-    lambda o: sm(0.3, order=o), lambda o: wp(0.3, order=o), lambda o: sm_inverse(0.3, order=o),
-    lambda o: sample_grid(region, "sm", order=o), lambda o: sample_grid(region, "wp", order=o),
-)
-
-
-def refused():
-    for order in (48.0, 27.0, 64.0, "48", None):
-        for call in calls:
-            try:
-                call(order)
-            except TypeError as exc:
-                assert str(exc) == f"series order must be an int, got {type(order).__name__} {order!r}", exc
-            else:
-                raise AssertionError(f"order {order!r} accepted")
-
-
-refused()
-sm_cm(0.3), sm_cm(0.3, order=27), wp(0.3, order=64), sm_inverse(0.3), sample_grid(region, "sm")
-refused()
-"""
-
-
-def test_non_int_order_refused():
-    # a float equal to an order whose context or pair is already stored
-    # would find it: every entry point refuses a non-int order, both in a
-    # fresh interpreter and after the orders were used
-    proc = subprocess.run([sys.executable, "-c", NON_INT_ORDER_CODE], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -222,10 +222,10 @@ def _bits(v):
     return v.value.real.hex(), v.value.imag.hex(), v.pole_rep
 
 
-def _one_point(selector, z, order):
+def _one_point(selector, z):
     if selector == "wp":
-        return wp(z, order=order)
-    return sm_cm(z, order=order)[0 if selector == "sm" else 1]
+        return wp(z)
+    return sm_cm(z)[0 if selector == "sm" else 1]
 
 
 @pytest.mark.parametrize("selector", ["sm", "cm", "wp"])
@@ -239,23 +239,21 @@ def test_grid_values_match_one_point_api(name, selector):
     points = [complex(x, y) for y in ys for x in xs]
     if pole is not None:
         assert pole in points, name  # the case this region exists for
-    for order in (48, 27):
-        grid, calls = kernel_calls(sample_grid, region, selector, order=order)
-        if separable:
-            ran = {j * region.nx + i for i, j in kernel_pixels(region, calls)}
+    grid, calls = kernel_calls(sample_grid, region, selector)
+    if separable:
+        ran = {j * region.nx + i for i, j in kernel_pixels(region, calls)}
+    else:
+        assert calls == points, name
+        ran = range(len(points))
+    assert len(grid.values) == len(points)
+    assert all(type(v) is EllipticValue for v in grid.values)
+    for idx, (z, got) in enumerate(zip(points, grid.values)):
+        want = _one_point(selector, z)
+        if want.value is None or idx in ran:
+            assert _bits(got) == _bits(want), (name, selector, z)
         else:
-            assert calls == points, name
-            ran = range(len(points))
-        assert len(grid.values) == len(points)
-        assert all(type(v) is EllipticValue for v in grid.values)
-        for idx, (z, got) in enumerate(zip(points, grid.values)):
-            want = _one_point(selector, z, order)
-            if want.value is None or idx in ran:
-                assert _bits(got) == _bits(want), (name, selector, order, z)
-            else:
-                assert got.value is not None, (name, selector, order, z)
-                assert abs(got.value - want.value) <= STEP_BOUND * max(1.0, abs(want.value)), (
-                    name, selector, order, z)
+            assert got.value is not None, (name, selector, z)
+            assert abs(got.value - want.value) <= STEP_BOUND * max(1.0, abs(want.value)), (name, selector, z)
 
 
 @pytest.mark.parametrize("selector", ["sm", "cm", "wp"])
@@ -506,9 +504,9 @@ def test_writers_refuse_a_grid_of_the_wrong_size(count):
 # -- the streaming writer against the in-memory ones -----------------------------
 
 
-def _streamed(region, selector, fmt, order):
+def _streamed(region, selector, fmt):
     out = io.BytesIO() if fmt == "ppm" else io.StringIO()
-    write_grid(out, region, selector, fmt, order=order)
+    write_grid(out, region, selector, fmt)
     return out.getvalue()
 
 
@@ -520,22 +518,21 @@ STREAM_REGIONS = {**{name: spec[0] for name, spec in KERNEL_REGIONS.items()},
 @pytest.mark.parametrize("name", sorted(STREAM_REGIONS))
 def test_write_grid_matches_in_memory_writers(name, selector):
     region = STREAM_REGIONS[name]
-    for order in (48, 27):
-        grid = sample_grid(region, selector, order=order)
-        assert _streamed(region, selector, "ppm", order) == domain_color(grid), (name, selector, order)
-        assert _streamed(region, selector, "csv", order) == grid_to_csv(grid), (name, selector, order)
+    grid = sample_grid(region, selector)
+    assert _streamed(region, selector, "ppm") == domain_color(grid), (name, selector)
+    assert _streamed(region, selector, "csv") == grid_to_csv(grid), (name, selector)
 
 
 def test_write_grid_validation():
     region = Region(0j, 1.0, 1.0, 2, 2)
     sink = io.StringIO()
-    for selector, fmt, order in (("sn", "csv", 48), ("sm", "png", 48), ("sm", "csv", 26)):
+    for selector, fmt in (("sn", "csv"), ("sm", "png")):
         with pytest.raises(ValueError) as written:
-            write_grid(sink, region, selector, fmt, order=order)
+            write_grid(sink, region, selector, fmt)
         if fmt == "csv":
-            # both writers run the one check of the selector and the order
+            # both writers run the one check of the selector
             with pytest.raises(ValueError) as sampled:
-                sample_grid(region, selector, order=order)
+                sample_grid(region, selector)
             assert str(sampled.value) == str(written.value)
     assert sink.getvalue() == ""
 
@@ -579,7 +576,7 @@ def test_value_grid_holds_plain_values():
     # a grid stores each pixel's complex (32 B) and its slot (8 B); an
     # EllipticValue record per pixel held 104 B, each tracked by the collector
     region = _cell(200, 150)
-    sample_grid(_cell(3, 3), "sm")  # the order's context, built once
+    sample_grid(_cell(3, 3), "sm")  # a first grid, so no first-use work is counted
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -600,7 +597,7 @@ def test_value_grid_holds_plain_values():
 @pytest.mark.parametrize("ny", [150, 600])
 def test_write_grid_streams_in_row_memory(ny):
     # one row of pairs, values and text at a time, whatever the row count
-    write_grid(_CountingSink(), _cell(200, 2), "sm", "csv")  # the order's context, built once
+    write_grid(_CountingSink(), _cell(200, 2), "sm", "csv")  # a first grid, so no first-use work is counted
     sink = _CountingSink()
     _, peak = _peak(write_grid, sink, _cell(200, ny), "sm", "csv")
     assert sink.calls == 1 + ny

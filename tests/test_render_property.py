@@ -33,7 +33,7 @@ def test_grid_pixels_match_one_point_api(center, width, height, nx, ny, selector
     grid = sample_grid(region, selector)
     xs, ys = region.xs(), region.ys()
     for z, got in zip((complex(x, y) for y in ys for x in xs), grid.values):
-        want = _one_point(selector, z, 48)
+        want = _one_point(selector, z)
         if want.value is None or got.value is None:
             assert _bits(got) == _bits(want), (region, selector, z)
         else:
