@@ -168,9 +168,10 @@ def _cmd_grid(args: dict) -> int:
     # open --out before the render, so that an unwritable path fails at once;
     # the region corners are checked before this point, so a grid that
     # evaluation would refuse leaves an existing file as it was.
-    # Rows are written as they are sampled, so memory stays one row's worth
+    # Rows are written as they are sampled, so memory stays one row's worth;
+    # newline="" makes the CSV bytes grid_to_csv's on every platform
     try:
-        with open(args["out"], "wb" if ppm else "w", encoding=None if ppm else "ascii") as fh:
+        with open(args["out"], "wb") if ppm else open(args["out"], "w", encoding="ascii", newline="") as fh:
             render.write_grid(fh, region, args["fn"], args["format"])
     except OSError as exc:
         raise ValueError(f"cannot write --out: {exc}") from exc

@@ -71,6 +71,13 @@ class _Context(record("_Context", "constants pair")):
 #: The kernel's one context.
 _CTX = _Context(constants=CONSTANTS, pair=series.generate_series())
 
+#: What stands at a singular point, built once and handed out by ``sm_cm``,
+#: ``wp`` and the grid writers: the marker of sm and cm on pole j (the class
+#: of ``pole_reps[j]``), wp's marker on a lattice point, and plain wp on pole j.
+_POLES = tuple([EllipticValue.pole(rep) for rep in CONSTANTS.pole_reps])
+_LATTICE = EllipticValue.pole(0j)
+_WP_AT_POLES = tuple([g / 3.0 for g in GAMMA_POWERS])
+
 
 def _context(order: int) -> _Context:
     """``_CTX``, for ``benchmarks/run.py:294`` and ``benchmarks/verify.py:126``,
@@ -104,11 +111,9 @@ def sm_cm(z: complex) -> tuple[EllipticValue, EllipticValue]:
     Each result is finite or a pole marker; poles are reported when the
     reduced argument is within POLE_TOL of a pole representative.
     """
-    ctx = _CTX
-    s, c = _pair(ctx, z)
+    s, c = _pair(_CTX, z)
     if s is None:
-        marker = EllipticValue.pole(ctx.constants.pole_reps[c])
-        return marker, marker
+        return _POLES[c], _POLES[c]
     return _new(EllipticValue, (s, None)), _new(EllipticValue, (c, None))
 
 
@@ -170,10 +175,10 @@ def cm(z: complex) -> EllipticValue:
 
 def sm_cm_values(z: complex) -> tuple[complex, complex]:
     """Finite (sm, cm) values; raises PoleError when z is on a pole."""
-    sv, cv = sm_cm(z)
-    if sv.is_pole:
-        raise PoleError(sv.pole_rep)
-    return sv.value, cv.value
+    s, c = _pair(_CTX, z)
+    if s is None:
+        raise PoleError(CONSTANTS.pole_reps[c])
+    return s, c
 
 
 def wp(z: complex) -> EllipticValue:
@@ -184,19 +189,17 @@ def wp(z: complex) -> EllipticValue:
     gamma**j / 3.
     """
     v = _wp_of_pair(*_pair(_CTX, z))
-    if v is None:
-        return EllipticValue.pole(complex(0.0))
-    return _new(EllipticValue, (v, None))
+    return v if v is _LATTICE else _new(EllipticValue, (v, None))
 
 
-def _wp_of_pair(s, c) -> complex | None:
+def _wp_of_pair(s, c) -> complex | EllipticValue:
     """Plain wp from the kernel's plain (sm, cm), or from its (None, j) on
-    pole j; None at a lattice point."""
+    pole j; ``_LATTICE`` at a lattice point."""
     if s is None:
-        return GAMMA_POWERS[c] / 3.0
+        return _WP_AT_POLES[c]
     den = 1.0 - c
     if abs(den) < identities.DENOM_TOL:
-        return None
+        return _LATTICE
     return s / (3.0 * den)
 
 

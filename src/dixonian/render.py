@@ -19,16 +19,16 @@ pixels are pure white, values of magnitude <= 1e-9 pure black. Identical
 grids color to identical bytes. Rows run in order on the calling thread, so
 ``sample_grid``'s ``workers`` changes nothing.
 
-A ValueGrid stores each pixel's plain value, a complex or the shared pole
-marker, and builds a pixel's EllipticValue only when ``values`` is read:
-about 40 B per pixel, in objects the garbage collector does not track.
-Each format has one row encoder, which turns a row of plain values (complex,
-or None at a pole) into its pixels or lines. ``domain_color`` and
-``grid_to_csv`` run it over a ValueGrid's stored rows and join the rows
-once. ``write_grid`` runs it on each row as the row is sampled and writes
-the row out, so it holds one row for every selector, and no grid. Its bytes
-are the in-memory writers' because ``sample_grid`` and ``write_grid`` take
-their rows from one function, and differ only in what stands at a pole.
+A pixel is a plain value: a complex, or at a pole the evaluator's marker,
+the object ``sm_cm`` and ``wp`` return there. A ValueGrid stores them and
+builds a pixel's EllipticValue only when ``values`` is read: about 40 B per
+pixel, in objects the garbage collector does not track. Each format has
+one row encoder, which turns a row of plain values into its pixels or
+lines. ``domain_color`` and ``grid_to_csv`` run it over a ValueGrid's
+stored rows and join the rows once. ``write_grid`` runs it on each row as
+the row is sampled and writes the row out, so it holds one row for every
+selector, and no grid. Its bytes are the in-memory writers' because
+``sample_grid`` and ``write_grid`` take their rows from one function.
 """
 
 from __future__ import annotations
@@ -37,14 +37,13 @@ import math
 # collections.abc's Sequence, without the import of collections that
 # collections.abc makes
 from _collections_abc import Sequence
-from itertools import chain
+from itertools import chain, starmap
 
 from ._record import _new, record
-from .constants import CONSTANTS
 # sample_grid calls the kernel; sm_cm and wp stay module attributes because
 # the benchmark's tracer wraps render.sm_cm and render.wp
 from .evaluator import (  # noqa: F401
-    _CTX, MAX_ARGUMENT, EllipticValue, _pair, _wp_of_pair, sm_cm, wp,
+    _CTX, _POLES, MAX_ARGUMENT, EllipticValue, _pair, _wp_of_pair, sm_cm, wp,
 )
 
 MAX_PIXELS = 4096 * 4096
@@ -166,8 +165,8 @@ class ValueGrid(record("ValueGrid", "region values")):
 
     def __new__(cls, region: Region, values):
         if values.__class__ is not GridValues:
-            # a finite value is stored as its value, a pole marker as itself
-            values = GridValues(tuple([v[0] if v[1] is None else v for v in values]))
+            # a pole marker (value None) is stored as itself, a finite value as its value
+            values = GridValues(tuple([v if v[0] is None else v[0] for v in values]))
         return super().__new__(cls, region, values)
 
 
@@ -177,10 +176,11 @@ def sample_grid(region: Region, selector: str, workers: int = 1) -> ValueGrid:
     Every selector takes its values from rows of (sm, cm) pairs, each the
     sum of its column's and its row's pair by the addition theorem or,
     where a rule of the module docstring sends it there, the kernel's at
-    the pixel, and stores only the selected plain value. Pole markers, the
-    pixels the kernel ran on and every pixel of a grid where it runs at
-    every pixel are bit for bit those of ``sm_cm`` and ``wp``; the tests
-    hold every other value within 2e-13 * max(1, |v|) of theirs.
+    the pixel, and stores only the selected plain value. Pole pixels hold
+    the very markers ``sm_cm`` and ``wp`` return; the pixels the kernel ran
+    on and every pixel of a grid where it runs at every pixel are bit for
+    bit theirs, and the tests hold every other value within
+    2e-13 * max(1, |v|) of theirs.
 
     ``workers`` must be at least 1 and changes nothing: rows run in order on
     the calling thread, since evaluation is pure Python and holds the
@@ -189,29 +189,26 @@ def sample_grid(region: Region, selector: str, workers: int = 1) -> ValueGrid:
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    # the three sm and cm pole markers, and wp's one lattice marker, are
-    # built once and shared by every pole pixel
-    poles = [EllipticValue.pole(rep) for rep in CONSTANTS.pole_reps]
-    rows = _selected_rows(region, selector, poles, EllipticValue.pole(0j))
+    rows = _selected_rows(region, selector)
     # rows are chained into the grid's tuple, so no whole-grid list is built
     return ValueGrid(region, GridValues(tuple(chain.from_iterable(rows))))
 
 
-def _selected_rows(region: Region, selector: str, poles, lattice):
-    """One list per row of the selected function's plain values, with
-    ``poles[j]`` on pole j of sm and cm and ``lattice`` on a lattice point
-    of wp: the one selection both ``sample_grid`` and ``write_grid`` run.
-    The selector is checked here, before any row is sampled.
+def _selected_rows(region: Region, selector: str):
+    """One list per row of the selected function's plain values, with the
+    evaluator's marker at a pole of sm and cm and at a lattice point of wp:
+    the one selection both ``sample_grid`` and ``write_grid`` run. The
+    selector is checked here, before any row is sampled.
     """
     if selector not in SELECTORS:
         raise ValueError(f"selector must be one of {SELECTORS}, got {selector!r}")
     rows = _pair_rows(_CTX, region, selector)
     # a pole pair is (None, j)
     if selector == "sm":
-        return ([poles[c] if s is None else s for s, c in row] for row in rows)
+        return ([_POLES[c] if s is None else s for s, c in row] for row in rows)
     if selector == "cm":
-        return ([poles[c] if s is None else c for s, c in row] for row in rows)
-    return ([lattice if (w := _wp_of_pair(s, c)) is None else w for s, c in row] for row in rows)
+        return ([_POLES[c] if s is None else c for s, c in row] for row in rows)
+    return (list(starmap(_wp_of_pair, row)) for row in rows)
 
 
 def _pair_rows(ctx, region: Region, selector: str):
@@ -281,12 +278,11 @@ def write_grid(out, region: Region, selector: str, fmt: str) -> None:
     (bytes) or ``grid_to_csv(...)`` of it (text), byte for byte, and goes to
     ``out.write`` in that type: the header, then one call per row as the row
     is sampled. The bytes agree because both writers select their values
-    through one function and encode them with one encoder per format.
-    Memory stays one row's worth for every selector, whatever ``ny``: no
-    ``ValueGrid`` is built.
+    through one function, poles as the evaluator's markers, and encode them
+    with one encoder per format. Memory stays one row's worth for every
+    selector, whatever ``ny``: no ``ValueGrid`` is built.
     """
-    # the encoders read None at every pole
-    rows = _selected_rows(region, selector, (None, None, None), None)
+    rows = _selected_rows(region, selector)
     if fmt not in _FORMATS:
         raise ValueError(f"format must be one of {_FORMATS}, got {fmt!r}")
     write = out.write
@@ -295,15 +291,13 @@ def write_grid(out, region: Region, selector: str, fmt: str) -> None:
 
 
 def _value_rows(grid: ValueGrid):
-    """The grid's plain values (None at a pole), one list per row."""
+    """The grid's stored plain values, one slice per row."""
     region, values = grid
     items = values._items
     nx, ny = region.nx, region.ny
     if len(items) != nx * ny:
         raise ValueError(f"grid has {len(items)} values; its {nx}x{ny} region needs {nx * ny}")
-    # a stored EllipticValue is a pole marker, whose value is None
-    return ([v if v.__class__ is not EllipticValue else v[0] for v in items[i : i + nx]]
-            for i in range(0, len(items), nx))
+    return (items[i : i + nx] for i in range(0, len(items), nx))
 
 
 def _encode(region: Region, rows, fmt: str):
@@ -322,12 +316,13 @@ def _encode(region: Region, rows, fmt: str):
 
 
 def _ppm_row(values) -> bytearray:
-    """One row of pixels, three bytes each, for plain values (None at a pole)."""
+    """One row of pixels, three bytes each, for plain values. A pole is known
+    by its class: unpickled grids hold copies of the evaluator's markers."""
     atan2, log1p = math.atan2, math.log1p
     row = bytearray()
     append = row.append
     for value in values:
-        if value is None:
+        if value.__class__ is EllipticValue:
             row += _POLE_PX
             continue
         mag = abs(value)
@@ -368,7 +363,7 @@ def _csv_row(xs: list, y_text: str, values) -> str:
     """One row's CSV lines, each ending in a newline, from the formatted
     column prefixes ``xs``, the row's ``y_text`` and its plain values."""
     return "".join([
-        f"{x_text}{y_text}nan,nan,1\n" if value is None
+        f"{x_text}{y_text}nan,nan,1\n" if value.__class__ is EllipticValue
         else f"{x_text}{y_text}{value.real:.17g},{value.imag:.17g},0\n"
         for x_text, value in zip(xs, values)
     ])

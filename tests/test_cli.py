@@ -220,6 +220,24 @@ def test_grid_csv(tmp_path, capsys):
     assert len(lines) == 1 + 12
 
 
+def test_grid_csv_bytes_are_grid_to_csv_on_crlf_platforms(tmp_path, capsys, monkeypatch):
+    # a text file opened with newline=None writes each "\n" as the
+    # platform's line separator; this open does so as where it is "\r\n"
+    def crlf_open(file, mode="r", *args, newline=None, **kwargs):
+        if "b" not in mode and newline is None:
+            newline = "\r\n"
+        return open(file, mode, *args, newline=newline, **kwargs)
+
+    monkeypatch.setattr(cli, "open", crlf_open, raising=False)
+    out = tmp_path / "g.csv"
+    code, _, _ = run_cli(capsys, "grid", "--fn", "cm", "--center", "0", "--width", "1",
+                         "--height", "1", "--nx", "4", "--ny", "3", "--format", "csv",
+                         "--out", str(out))
+    assert code == 0
+    grid = render.sample_grid(Region(0j, 1.0, 1.0, 4, 3), "cm")
+    assert out.read_bytes() == render.grid_to_csv(grid).encode("ascii")
+
+
 def test_grid_preset_cell(tmp_path, capsys):
     out = tmp_path / "cell.ppm"
     code, _, _ = run_cli(capsys, "grid", "--fn", "sm", "--preset", "cell", "--out", str(out))

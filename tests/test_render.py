@@ -11,13 +11,17 @@ import pytest
 
 from dixonian import (
     EllipticValue,
+    PoleError,
     Region,
     ValueGrid,
+    cm,
     domain_color,
     grid_to_csv,
     reduce_to_fundamental,
     sample_grid,
+    sm,
     sm_cm,
+    sm_cm_values,
     wp,
     write_grid,
 )
@@ -143,6 +147,29 @@ def test_wp_grid():
     assert origin.is_pole  # double pole of wp at the lattice point
     assert abs(left.value - 1.0 / 3.0) <= 1e-12  # finite at the sm pole
     assert abs(right.value - 1.0 / 3.0) <= 1e-12
+
+
+def test_one_object_per_pole():
+    # the evaluator builds each pole marker once: every call and every grid
+    # pixel on a pole of one class hands out that object
+    on_k = Region(0j, 2.0 * K, math.sqrt(3.0) * K, 5, 3)
+    grid = sample_grid(on_k, "sm")
+    classes = set()
+    for v in grid.values:
+        if v.is_pole:
+            j = CONSTS.pole_reps.index(v.pole_rep)
+            assert v is sm(CONSTS.pole_reps[j])
+            classes.add(j)
+    assert classes == {0, 1, 2}
+    for j, p in enumerate(CONSTS.pole_reps):
+        assert sm(p) is sm(p) and sm(p) is cm(p)
+        with pytest.raises(PoleError) as info:
+            sm_cm_values(p)
+        assert info.value.pole_rep == CONSTS.pole_reps[j]
+    lattice = wp(0.0)
+    assert lattice.is_pole and lattice is wp(3 * K)
+    poles = [v for v in sample_grid(on_k, "wp").values if v.is_pole]
+    assert poles and all(v is lattice for v in poles)
 
 
 def test_cell_grid_pole_and_zero_clusters():
