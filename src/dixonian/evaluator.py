@@ -36,12 +36,17 @@ class EllipticValue(record("EllipticValue", "value pole_rep", defaults=(None,)))
     """A finite complex value, or a pole marker with its lattice representative.
 
     ``value`` is None exactly at a pole; ``pole_rep`` is None off the poles.
-    Immutable, and equal only to an EllipticValue with equal fields. The
-    kernel builds instances with ``_new``, which skips the keyword handling
-    of the class call.
+    The class call refuses both set with ValueError. Immutable, and equal
+    only to an EllipticValue with equal fields. The kernel builds instances
+    with ``_new``, which skips the class call and its check.
     """
 
     __slots__ = ()
+
+    def __new__(cls, value, pole_rep=None):
+        if value is not None and pole_rep is not None:
+            raise ValueError(f"an EllipticValue is a finite value or a pole, not both: got {value!r} and {pole_rep!r}")
+        return super().__new__(cls, value, pole_rep)
 
     @property
     def is_pole(self) -> bool:

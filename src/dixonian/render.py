@@ -15,25 +15,31 @@ for bit.
 
 Output is binary PPM (P6, maxval 255): hue encodes phase (hue angle =
 arg/2pi), lightness grows with log(1 + |v|) mapped into [0.15, 0.95]. Pole
-pixels are pure white, values of magnitude <= 1e-9 pure black. Identical
-grids color to identical bytes. Rows run in order on the calling thread, so
-``sample_grid``'s ``workers`` changes nothing.
+pixels are pure white, values of magnitude <= 1e-9 pure black. A pixel's
+bytes are ``colorsys.hls_to_rgb(hue, lightness, 1.0)``'s channels, each
+rounded as int(255 * c + 0.5). A value that is not finite has no color:
+the PPM encoder raises ValueError naming it and its pixel, where CSV
+writes inf and nan. Identical grids color to identical bytes. Rows run in
+order on the calling thread, so ``sample_grid``'s ``workers`` changes
+nothing.
 
 A pixel is a plain value: a complex, or at a pole the evaluator's marker,
 the object ``sm_cm`` and ``wp`` return there. A ValueGrid stores them and
 builds a pixel's EllipticValue only when ``values`` is read: about 40 B per
 pixel, in objects the garbage collector does not track. Each format has
 one row encoder, which turns a row of plain values into its pixels or
-lines. ``domain_color`` and ``grid_to_csv`` run it over a ValueGrid's
-stored rows and join the rows once. ``write_grid`` runs it on each row as
-the row is sampled and writes the row out, so it holds one row for every
-selector, and no grid. Its bytes are the in-memory writers' because
-``sample_grid`` and ``write_grid`` take their rows from one function.
+lines; the PPM one runs in two stages, the values to hues and
+lightnesses and those to bytes. ``domain_color`` and ``grid_to_csv`` run
+it over a ValueGrid's stored rows and join the rows once. ``write_grid``
+runs it on each row as the row is sampled and writes the row out, so it
+holds one row for every selector, and no grid. Its bytes are the
+in-memory writers' because ``sample_grid`` and ``write_grid`` take their
+rows from one function.
 """
 
 from __future__ import annotations
 
-import math
+from math import atan2, isfinite, log1p, pi
 # collections.abc's Sequence, without the import of collections that
 # collections.abc makes
 from _collections_abc import Sequence
@@ -71,7 +77,8 @@ STEP_MAX_COORD = 64.0
 
 ZERO_CLIP = 1e-9
 _L_MIN, _L_MAX = 0.15, 0.95
-_TWO_PI = 2.0 * math.pi
+_L_SPAN = _L_MAX - _L_MIN
+_TWO_PI = 2.0 * pi
 
 SELECTORS = ("sm", "cm", "wp")
 _FORMATS = ("ppm", "csv")
@@ -250,8 +257,6 @@ def _pair_rows(ctx, region: Region, selector: str):
         yield row
 
 
-_POLE_PX = b"\xff\xff\xff"
-_ZERO_PX = b"\x00\x00\x00"
 # colorsys's constants, to the bit
 _ONE_THIRD, _ONE_SIXTH, _TWO_THIRD = 1.0 / 3.0, 1.0 / 6.0, 2.0 / 3.0
 
@@ -305,8 +310,14 @@ def _encode(region: Region, rows, fmt: str):
     both the in-memory writers and ``write_grid`` run."""
     if fmt == "ppm":
         yield f"P6\n{region.nx} {region.ny}\n255\n".encode("ascii")
-        for row in rows:
-            yield _ppm_row(row)
+        for j, row in enumerate(rows):
+            try:
+                pixels = _rgb_row(*_hue_light_row(row))
+            except ValueError:
+                # only a NaN lightness fails to round, and only a value
+                # that is not finite gives one
+                raise _not_finite(row, j) from None
+            yield pixels
         return
     yield "re,im,s_re,s_im,pole\n"
     # float(x) is complex(x, y).real, also for an int centre
@@ -315,48 +326,69 @@ def _encode(region: Region, rows, fmt: str):
         yield _csv_row(xs, f"{float(y):.17g},", row)
 
 
-def _ppm_row(values) -> bytearray:
-    """One row of pixels, three bytes each, for plain values. A pole is known
-    by its class: unpickled grids hold copies of the evaluator's markers."""
-    atan2, log1p = math.atan2, math.log1p
-    row = bytearray()
-    append = row.append
+def _hue_light_row(values) -> tuple:
+    """The PPM encoder's first stage: a row of plain values' hues and
+    lightnesses, as two lists. A pole takes lightness 1.0 (white), a value
+    of magnitude <= ZERO_CLIP 0.0 (black). A pole is known by its class:
+    unpickled grids hold copies of the evaluator's markers."""
+    hues, lights = [], []
+    add_hue, add_light = hues.append, lights.append
     for value in values:
         if value.__class__ is EllipticValue:
-            row += _POLE_PX
-            continue
-        mag = abs(value)
-        if mag <= ZERO_CLIP:
-            row += _ZERO_PX
-            continue
-        x = log1p(mag)
-        _append_rgb(
-            append,
-            (atan2(value.imag, value.real) / _TWO_PI) % 1.0,
-            _L_MIN + (_L_MAX - _L_MIN) * x / (1.0 + x),
-        )
-    return row
-
-
-def _append_rgb(append, hue: float, light: float) -> None:
-    """Append ``colorsys.hls_to_rgb(hue, light, 1.0)`` as three bytes, each
-    channel rounded as int(255 * c + 0.5): the same float operations in the
-    same order, without colorsys's four calls per pixel."""
-    # hls_to_rgb at s = 1.0: l * (1.0 + s) and l + s - (l * s)
-    m2 = light * 2.0 if light <= 0.5 else light + 1.0 - light
-    m1 = 2.0 * light - m2
-    for h in (hue + _ONE_THIRD, hue, hue - _ONE_THIRD):
-        # colorsys._v
-        h %= 1.0
-        if h < _ONE_SIXTH:
-            c = m1 + (m2 - m1) * h * 6.0
-        elif h < 0.5:
-            c = m2
-        elif h < _TWO_THIRD:
-            c = m1 + (m2 - m1) * (_TWO_THIRD - h) * 6.0
+            hue, light = 0.0, 1.0
         else:
-            c = m1
-        append(int(255.0 * c + 0.5))
+            mag = abs(value)
+            if mag <= ZERO_CLIP:
+                hue, light = 0.0, 0.0
+            else:
+                x = log1p(mag)
+                hue = (atan2(value.imag, value.real) / _TWO_PI) % 1.0
+                light = _L_MIN + _L_SPAN * x / (1.0 + x)
+        add_hue(hue)
+        add_light(light)
+    return hues, lights
+
+
+def _rgb_row(hues, lights) -> bytes:
+    """The PPM encoder's second stage: ``colorsys.hls_to_rgb(hue, light,
+    1.0)`` of each pair, each channel rounded as int(255 * c + 0.5), for hue
+    in [-1/3, 4/3] and lightness in [0, 1], with colorsys's float operations
+    in its order but two whose result is known. A NaN lightness raises
+    ValueError."""
+    out = []
+    append = out.append
+    for hue, light in zip(hues, lights):
+        # colorsys's m2 and m1 = 2.0 * light - m2 at saturation 1.0. Below
+        # 0.5, m1 is light * 2.0 subtracted from itself: 0.0, byte 0. Above,
+        # m2 = light + 1.0 - light lies within 2**-53 of 1.0: byte 255.
+        if light <= 0.5:
+            m1, m2 = 0.0, light * 2.0
+            lo, hi = 0, int(255.0 * m2 + 0.5)
+        else:
+            m2 = light + 1.0 - light
+            m1 = 2.0 * light - m2
+            lo, hi = int(255.0 * m1 + 0.5), 255
+        # colorsys._v at the red, green and blue hues, each in (-1, 2). The
+        # compare and the add or subtract are its hue % 1.0 there: below 0
+        # Python's % adds 1.0, and above 1 subtracting 1.0 is exact
+        # (Sterbenz).
+        for h in (hue + _ONE_THIRD, hue, hue - _ONE_THIRD):
+            if h >= 1.0:
+                h -= 1.0
+            elif h < 0.0:
+                h += 1.0
+            if h < 0.5:
+                append(hi if h >= _ONE_SIXTH else int(255.0 * (m1 + (m2 - m1) * h * 6.0) + 0.5))
+            else:
+                append(lo if h >= _TWO_THIRD else int(255.0 * (m1 + (m2 - m1) * (_TWO_THIRD - h) * 6.0) + 0.5))
+    return bytes(out)
+
+
+def _not_finite(row, j: int) -> ValueError:
+    """The error for row j's first value that is neither finite nor a pole."""
+    i, value = next((i, v) for i, v in enumerate(row)
+                    if v.__class__ is not EllipticValue and not (isfinite(v.real) and isfinite(v.imag)))
+    return ValueError(f"cannot color {value!r} at column {i}, row {j}: only finite values and poles have a color")
 
 
 def _csv_row(xs: list, y_text: str, values) -> str:

@@ -123,6 +123,20 @@ def test_elliptic_value_api():
     assert type(EllipticValue.finite(2).value) is complex and type(p.pole_rep) is complex
 
 
+def test_elliptic_value_refuses_both_fields():
+    # a finite value with a pole representative is neither finite nor a pole;
+    # the class call, _make, _replace and unpickling all refuse it
+    v, p = EllipticValue(1.0), EllipticValue(None, -K)
+    # what unpickling calls with the pickled fields
+    newobj, (cls, *_) = v.__reduce_ex__(2)[:2]
+    for build in (lambda: EllipticValue(1.0, 5j), lambda: EllipticValue(value=1.0, pole_rep=-K),
+                  lambda: EllipticValue._make((1.0, 5j)), lambda: v._replace(pole_rep=5j),
+                  lambda: p._replace(value=1.0), lambda: newobj(cls, 1.0, 5j)):
+        with pytest.raises(ValueError, match="not both"):
+            build()
+    assert v.value == 1.0 and not v.is_pole and p.is_pole
+
+
 _REGION = dict(center=0j, width=1.0, height=2.0, nx=3, ny=1)
 _REGION_REPR = "Region(center=0j, width=1.0, height=2.0, nx=3, ny=1)"
 

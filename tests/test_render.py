@@ -5,6 +5,7 @@ import gc
 import io
 import math
 import pickle
+import re
 import tracemalloc
 
 import pytest
@@ -18,6 +19,7 @@ from dixonian import (
     domain_color,
     grid_to_csv,
     reduce_to_fundamental,
+    render,
     sample_grid,
     sm,
     sm_cm,
@@ -25,7 +27,7 @@ from dixonian import (
     wp,
     write_grid,
 )
-from dixonian.render import ZERO_CLIP, _append_rgb
+from dixonian.render import ZERO_CLIP, _rgb_row
 from conftest import CONSTS, K, W1, W2, kernel_calls, kernel_pixels
 
 
@@ -509,13 +511,14 @@ def _rounding_edges():
 
 
 def test_append_rgb_matches_colorsys_at_rounding_edges():
+    # the encoder's (hue, light) -> bytes stage, fed every pair in one row
     edges = _rounding_edges()
     assert len(edges) > 20000
-    for hue, light in edges:
-        got = bytearray()
-        _append_rgb(got.append, hue, light)
+    got = _rgb_row([h for h, _ in edges], [l for _, l in edges])
+    assert len(got) == 3 * len(edges)
+    for k, (hue, light) in enumerate(edges):
         want = bytes(int(255.0 * c + 0.5) for c in colorsys.hls_to_rgb(hue, light, 1.0))
-        assert bytes(got) == want, (hue.hex(), light.hex())
+        assert got[3 * k : 3 * k + 3] == want, (hue.hex(), light.hex())
 
 
 @pytest.mark.parametrize("count", [0, 4, 5, 7, 9])
@@ -526,6 +529,23 @@ def test_writers_refuse_a_grid_of_the_wrong_size(count):
     for writer in (domain_color, grid_to_csv):
         with pytest.raises(ValueError, match=f"grid has {count} values; its 3x2 region needs 6"):
             writer(grid)
+
+
+@pytest.mark.parametrize("bad", [complex(math.inf, 0.0), complex(math.nan, 0.0), complex(0.5, -math.inf),
+                                 complex(math.inf, math.nan)], ids=repr)
+def test_ppm_names_a_non_finite_pixel(bad, monkeypatch):
+    region = Region(0j, 1.0, 1.0, 3, 2)
+    rows = [[0.5, EllipticValue.pole(P0), 1e-12], [-2.0, bad, 1j]]
+    grid = ValueGrid(region, [v if v.__class__ is EllipticValue else EllipticValue.finite(v) for v in rows[0] + rows[1]])
+    message = re.escape(f"cannot color {bad!r} at column 1, row 1")
+    with pytest.raises(ValueError, match=message):
+        domain_color(grid)
+    # write_grid encodes its sampled rows with the same encoder
+    monkeypatch.setattr(render, "_selected_rows", lambda region, selector: iter(rows))
+    with pytest.raises(ValueError, match=message):
+        write_grid(io.BytesIO(), region, "sm", "ppm")
+    # CSV has a text for every float
+    assert grid_to_csv(grid).splitlines()[5] == f"0,0.5,{bad.real:.17g},{bad.imag:.17g},0"
 
 
 # -- the streaming writer against the in-memory ones -----------------------------
@@ -597,6 +617,14 @@ def test_grid_to_csv_peak_memory():
     grid = sample_grid(_cell(200, 150), "sm")
     text, peak = _peak(grid_to_csv, grid)
     assert peak <= 2.5 * len(text), peak / len(text)
+
+
+def test_domain_color_peak_memory():
+    # the row encodings and the joined image, plus one row's hues and
+    # lightnesses; a whole-grid buffer copied at the end peaked at 3.1x
+    grid = sample_grid(_cell(200, 150), "sm")
+    image, peak = _peak(domain_color, grid)
+    assert peak <= 2.5 * len(image), peak / len(image)
 
 
 def test_value_grid_holds_plain_values():
