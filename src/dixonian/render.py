@@ -19,9 +19,10 @@ pixels are pure white, values of magnitude <= 1e-9 pure black. A pixel's
 bytes are ``colorsys.hls_to_rgb(hue, lightness, 1.0)``'s channels, each
 rounded as int(255 * c + 0.5). A value that is not finite has no color:
 the PPM encoder raises ValueError naming it and its pixel, where CSV
-writes inf and nan. Identical grids color to identical bytes. Rows run in
-order on the calling thread, so ``sample_grid``'s ``workers`` changes
-nothing.
+writes inf and nan. A finite value whose modulus is above the largest
+double, where abs overflows, is colored from log(|v / 2|) + log(2).
+Identical grids color to identical bytes. Rows run in order on the
+calling thread, so ``sample_grid``'s ``workers`` changes nothing.
 
 A pixel is a plain value: a complex, or at a pole the evaluator's marker,
 the object ``sm_cm`` and ``wp`` return there. A ValueGrid stores them and
@@ -39,7 +40,7 @@ rows from one function.
 
 from __future__ import annotations
 
-from math import atan2, isfinite, log1p, pi
+from math import atan2, isfinite, log, log1p, pi
 # collections.abc's Sequence, without the import of collections that
 # collections.abc makes
 from _collections_abc import Sequence
@@ -79,6 +80,7 @@ ZERO_CLIP = 1e-9
 _L_MIN, _L_MAX = 0.15, 0.95
 _L_SPAN = _L_MAX - _L_MIN
 _TWO_PI = 2.0 * pi
+_LOG_2 = log(2.0)
 
 SELECTORS = ("sm", "cm", "wp")
 _FORMATS = ("ppm", "csv")
@@ -312,7 +314,12 @@ def _encode(region: Region, rows, fmt: str):
         yield f"P6\n{region.nx} {region.ny}\n255\n".encode("ascii")
         for j, row in enumerate(rows):
             try:
-                pixels = _rgb_row(*_hue_light_row(row))
+                hues, lights = _hue_light_row(row)
+            except OverflowError:
+                # abs overflowed on a modulus above the largest double
+                hues, lights = _hue_light_huge(row)
+            try:
+                pixels = _rgb_row(hues, lights)
             except ValueError:
                 # only a NaN lightness fails to round, and only a value
                 # that is not finite gives one
@@ -346,6 +353,24 @@ def _hue_light_row(values) -> tuple:
                 light = _L_MIN + _L_SPAN * x / (1.0 + x)
         add_hue(hue)
         add_light(light)
+    return hues, lights
+
+
+def _hue_light_huge(values) -> tuple:
+    """``_hue_light_row`` of a row on which abs overflows, run one value at a
+    time. A value whose modulus is above the largest double takes the
+    lightness of log1p(|v|) = log(|v / 2|) + log(2): 1 is far below the last
+    bit of |v| there, and halving the parts is exact."""
+    hues, lights = [], []
+    for value in values:
+        try:
+            (hue,), (light,) = _hue_light_row((value,))
+        except OverflowError:
+            x = log(abs(complex(value.real * 0.5, value.imag * 0.5))) + _LOG_2
+            hue = (atan2(value.imag, value.real) / _TWO_PI) % 1.0
+            light = _L_MIN + _L_SPAN * x / (1.0 + x)
+        hues.append(hue)
+        lights.append(light)
     return hues, lights
 
 

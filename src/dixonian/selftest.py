@@ -94,10 +94,6 @@ def _worst(terms: Iterable) -> float:
 # ---------------------------------------------------------------------------
 # sampling helpers
 
-def _values(z: complex) -> tuple[complex, complex]:
-    return sm_cm_values(z)
-
-
 def _cell_points(rng: random.Random, count: int, pole_margin: float = 0.05) -> list[complex]:
     """Uniform points of the centered cell, at least ``pole_margin`` from the poles."""
     k = CONSTANTS
@@ -256,7 +252,7 @@ _CARDINALS = [
 @_check("cardinal_values", 1e-10, _CARDINALS)
 def _cardinal(point: tuple[float, float, float]) -> tuple[float, float]:
     z, s_want, c_want = point
-    s, c = _values(z)
+    s, c = sm_cm_values(z)
     return abs(s - s_want), abs(c - c_want)
 
 
@@ -268,7 +264,7 @@ def _pole_probes() -> list[complex]:
 
 @_check("pole_probe", 1e-8, _pole_probes())
 def _pole_probe(z: complex) -> float:
-    return 1.0 / abs(_values(z)[0])
+    return 1.0 / abs(sm_cm_values(z)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +272,7 @@ def _pole_probe(z: complex) -> float:
 
 @_check("cube_identity_cell", 1e-10, seed=303, count=400)
 def _cube(z: complex) -> float:
-    s, c = _values(z)
+    s, c = sm_cm_values(z)
     return abs(s * s * s + c * c * c - 1.0)
 
 
@@ -284,9 +280,9 @@ def _ivp_errors(z: complex) -> tuple[tuple[float, complex], tuple[float, complex
     """Central differences at h = 1e-5 against sm' = cm^2 and cm' = -sm^2:
     the absolute error of each, with the derivative it tests."""
     h = 1e-5
-    s0, c0 = _values(z)
-    sp, cp = _values(z + h)
-    sn, cn = _values(z - h)
+    s0, c0 = sm_cm_values(z)
+    sp, cp = sm_cm_values(z + h)
+    sn, cn = sm_cm_values(z - h)
     ds = (sp - sn) / (2.0 * h)
     dc = (cp - cn) / (2.0 * h)
     return (abs(ds - c0 * c0), c0 * c0), (abs(dc + s0 * s0), s0 * s0)
@@ -306,15 +302,15 @@ _SHIFTS = ((1, 0), (0, 1), (-1, -1), (2, -1), (-2, 2))
 @_check("periodicity", 1e-9, seed=505, count=100)
 def _periodicity(z: complex, shifts: Iterable[tuple[int, int]] = _SHIFTS) -> list[tuple[float, float]]:
     w1, w2 = CONSTANTS.periods
-    s, c = _values(z)
-    shifted = [_values(z + m * w1 + n * w2) for m, n in shifts]
+    s, c = sm_cm_values(z)
+    shifted = [sm_cm_values(z + m * w1 + n * w2) for m, n in shifts]
     return [(abs(s2 - s), abs(c2 - c)) for s2, c2 in shifted]
 
 
 @_check("conjugation_symmetry", 1e-10, seed=606, count=150)
 def _conjugation(z: complex) -> tuple[float, float]:
-    s, c = _values(z)
-    sb, cb = _values(z.conjugate())
+    s, c = sm_cm_values(z)
+    sb, cb = sm_cm_values(z.conjugate())
     return abs(sb - s.conjugate()), abs(cb - c.conjugate())
 
 
@@ -324,23 +320,23 @@ def _negation(z: complex) -> tuple[float, float] | None:
     K = CONSTANTS.K
     if _near(z, [K * g for g in GAMMA_POWERS]):
         return None
-    s, c = _values(z)
-    sn, cn = _values(-z)
+    s, c = sm_cm_values(z)
+    sn, cn = sm_cm_values(-z)
     return abs(cn - 1.0 / c), abs(sn + s / c)
 
 
 @_check("rotation_symmetry", 1e-10, seed=808, count=150)
 def _rotation(z: complex) -> tuple[float, float]:
     g = CONSTANTS.gamma
-    s, c = _values(z)
-    sg, cg = _values(g * z)
+    s, c = sm_cm_values(z)
+    sg, cg = sm_cm_values(g * z)
     return abs(sg - g * s), abs(cg - c)
 
 
 @_check("reflection_identity", 1e-10, seed=909, count=150)
 def _reflection(z: complex) -> tuple[float, float]:
-    s, c = _values(z)
-    sr, cr = _values(CONSTANTS.K - z)
+    s, c = sm_cm_values(z)
+    sr, cr = sm_cm_values(CONSTANTS.K - z)
     return abs(sr - c), abs(cr - s)
 
 
@@ -349,8 +345,8 @@ def _translation(z: complex) -> tuple[float, float] | None:
     k = CONSTANTS
     if _near(z, k.zero_reps):
         return None
-    s, c = _values(z)
-    st, ct = _values(2.0 * k.K + z)
+    s, c = sm_cm_values(z)
+    st, ct = sm_cm_values(2.0 * k.K + z)
     return abs(ct - 1.0 / s), abs(st + c / s)
 
 
@@ -364,14 +360,14 @@ _ZEROS = [
 
 @_check("zeros", 1e-9, _ZEROS)
 def _zero(z: complex) -> float:
-    return abs(_values(z)[0])
+    return abs(sm_cm_values(z)[0])
 
 
 def _ring_average(p: complex, component: int, radius: float = 1e-4) -> complex:
     total = 0.0j
     for i in range(8):
         z = p + cmath.rect(radius, i * math.pi / 4.0)
-        total += (z - p) * _values(z)[component]
+        total += (z - p) * sm_cm_values(z)[component]
     return total / 8.0
 
 
@@ -411,12 +407,12 @@ _TRIANGLE = [
 
 @_check("triangle_boundary", 1e-9, _TRIANGLE)
 def _triangle(z: complex) -> float:
-    return abs(abs(_values(z)[0]) - 1.0)
+    return abs(abs(sm_cm_values(z)[0]) - 1.0)
 
 
 @_check("imaginary_axis", 1e-9, [complex(0.0, -4.5 + 9.0 * i / 99.0) for i in range(100)])
 def _imaginary_axis(z: complex) -> float:
-    return abs(abs(_values(z)[1]) - 1.0)
+    return abs(abs(sm_cm_values(z)[1]) - 1.0)
 
 
 #: The edge from K toward -K*conj(gamma) = K + K*gamma, short of the pole
@@ -427,7 +423,7 @@ _HEXAGON_EDGE = [CONSTANTS.K + i / 100.0 * CONSTANTS.K * GAMMA_POWERS[1] for i i
 @_check("hexagon_edge", 1e-9, _HEXAGON_EDGE)
 def _hexagon_edge(z: complex) -> tuple[float, float]:
     # sm is real there and cm lies on the line gamma * R
-    s, c = _values(z)
+    s, c = sm_cm_values(z)
     return abs(s.imag), abs((c * GAMMA_POWERS[2]).imag)
 
 
@@ -443,7 +439,7 @@ def _ray_points(per_sextant: int) -> list[complex]:
 @_check("reality_rays", 1e-9, _ray_points(10))
 def _reality(z: complex) -> tuple[float, float]:
     # sm(z)/z is real and positive along the rays
-    ratio = _values(z)[0] / z
+    ratio = sm_cm_values(z)[0] / z
     return abs(ratio.imag), 0.0 if ratio.real > 0.0 else math.inf
 
 
@@ -452,7 +448,7 @@ def _check_quartic_root() -> tuple[float, float]:
     # sigma = sm(-K/4)**3 is the unique root of the quartic in the unit disc;
     # doubling -K/4 forces sm(-K/2)**3 = -1
     k = CONSTANTS
-    s, _ = _values(-k.K / 4.0)
+    s, _ = sm_cm_values(-k.K / 4.0)
     sigma = s * s * s
     quartic = 1.0 + 10.0 * sigma - 12.0 * sigma ** 2 + 4.0 * sigma ** 3 - 2.0 * sigma ** 4
     return abs(sigma - QUARTIC_ROOT_REFERENCE), abs(quartic)
@@ -463,17 +459,17 @@ def _check_quartic_root() -> tuple[float, float]:
 
 @_check("addition_formula", 1e-9, seed=1111, count=150, arity=2)
 def _addition(a: complex, z: complex) -> tuple[float, float] | None:
-    pa, pz = FunctionPair(*_values(a)), FunctionPair(*_values(z))
+    pa, pz = FunctionPair(*sm_cm_values(a)), FunctionPair(*sm_cm_values(z))
     if abs(pa.s * pa.c * pz.s * pz.s + pz.c) < 0.05:
         return None
     got = identities.add(pa, pz)
-    s, c = _values(a + z)
+    s, c = sm_cm_values(a + z)
     return abs(got.s - s), abs(got.c - c)
 
 
 @_check("duplication_consistency", 1e-11, seed=1212, count=150)
 def _duplication(z: complex) -> tuple[float, float] | None:
-    p = FunctionPair(*_values(z))
+    p = FunctionPair(*sm_cm_values(z))
     if abs(p.c * (1.0 + p.s ** 3)) < 0.05:
         return None
     d = identities.duplicate(p)
@@ -483,7 +479,7 @@ def _duplication(z: complex) -> tuple[float, float] | None:
 
 @_check("triplication_consistency", 1e-10, seed=1313, count=150)
 def _triplication(z: complex) -> tuple[float, float] | None:
-    p = FunctionPair(*_values(z))
+    p = FunctionPair(*sm_cm_values(z))
     s3, c3 = p.s ** 3, p.c ** 3
     trip_den = c3 - s3 * s3 + 3.0 * s3 * c3 + s3 * c3 * c3
     dup_den = p.c * (1.0 + s3)
@@ -501,7 +497,7 @@ def _triplication(z: complex) -> tuple[float, float] | None:
 def _weierstrass(z: complex) -> tuple[float, float, float] | None:
     if abs(z) < _LATTICE_MARGIN:
         return None
-    p = FunctionPair(*_values(z))
+    p = FunctionPair(*sm_cm_values(z))
     if abs(1.0 - p.c) < 0.05:
         return None
     w = identities.to_weierstrass(p)
@@ -526,7 +522,7 @@ def _wp_periodicity(z: complex) -> list[float] | None:
 
 @_check("inverse_roundtrip", 1e-9, seed=1616, count=60, draw=_disc(0.9))
 def _inverse_roundtrip(w: complex) -> float:
-    return abs(_values(sm_inverse(w).z)[0] - w)
+    return abs(sm_cm_values(sm_inverse(w).z)[0] - w)
 
 
 #: (w, sm_inverse(w)) at 1, 2^(-1/3), -1 and -|sigma|^(1/3)

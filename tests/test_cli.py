@@ -1,6 +1,8 @@
 """CLI surface: subcommands, literals, exit codes, files."""
 
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -207,6 +209,7 @@ def test_grid_ppm_deterministic(tmp_path, capsys):
     b1, b2 = out1.read_bytes(), out2.read_bytes()
     assert b1.startswith(b"P6\n24 18\n255\n")
     assert b1 == b2
+    assert b1 == render.domain_color(render.sample_grid(Region(0.2 + 0.1j, 3.0, 2.0, 24, 18), "sm"))
 
 
 def test_grid_csv(tmp_path, capsys):
@@ -420,6 +423,82 @@ def test_entry_point_subprocess():
     assert json.loads(proc.stdout) == {"re": 0.0, "im": 0.0, "pole": False}
 
 
+#: the package's source directory, the one path a cold ``python -S`` child gets
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
+def _cold_child(*argv):
+    """A fresh ``python -S`` with only SRC on PYTHONPATH, run on ``argv``."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-S", *argv], env=env, capture_output=True, text=True)
+
+
+#: one command line per subcommand, per help and per error, and the exit
+#: status each has
+COLD_ARGV = [
+    (["eval", "--fn", "sm", "--z", "0.3"], 0),
+    (["eval", "--fn", "sm", "--z", "-0.5+1i"], 0),
+    (["--help"], 0),
+    (["eval", "--help"], 0),
+    (["eval", "--fn", "sm", "--z", "abc"], 2),
+    (["eval", "--fn", "sm", "--z", "0.3", "--order", "48"], 2),
+    (["constants"], 0),
+    (["invert", "--w=-0.5+0.8660254037844386i"], 0),
+    # main returns this status rather than raising SystemExit
+    (["invert", "--w", "1.5"], 2),
+    (["selftest", "--list"], 0),
+    (["selftest"], 0),
+]
+
+
+@pytest.mark.parametrize("argv, status", COLD_ARGV, ids=[" ".join(a) for a, _ in COLD_ARGV])
+def test_cold_entry_point(capsys, argv, status):
+    # python -S -m dixonian.cli: runpy, the __main__ guard and the exit
+    # status, with the output of main in this process
+    proc = _cold_child("-m", "dixonian.cli", *argv)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (proc.returncode, proc.stdout, proc.stderr) == (status, out, err)
+    assert code == status
+
+
+@pytest.mark.parametrize("fmt", ["ppm", "csv"])
+def test_cold_entry_point_grid(tmp_path, fmt):
+    # the file is read as bytes, so that a line-end translation shows
+    out = tmp_path / f"cell.{fmt}"
+    proc = _cold_child("-m", "dixonian.cli", "grid", "--fn", "sm", "--preset", "cell", "--nx", "40", "--ny", "30",
+                       "--format", fmt, "--out", str(out))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    grid = render.sample_grid(Region(**dict(cli._cell_preset(), nx=40, ny=30)), "sm")
+    want = render.domain_color(grid) if fmt == "ppm" else render.grid_to_csv(grid).encode("ascii")
+    assert out.read_bytes() == want
+
+
+#: a 1024x768 sm grid on the cell framing, streamed as CSV through the CLI
+#: (65 MB of output) and sampled in memory, where it stores plain values;
+#: each child prints its peak RSS in KiB
+RSS_SCRIPTS = {
+    "streamed-csv": "import os, resource, subprocess, sys; subprocess.run([sys.executable, '-S', '-m', 'dixonian.cli', "
+                    "'grid', '--fn', 'sm', '--preset', 'cell', '--nx', '1024', '--ny', '768', '--format', 'csv', "
+                    "'--out', os.devnull], check=True); print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)",
+    "in-memory-grid": "import resource; from dixonian import cli, render; render.sample_grid(render.Region("
+                      "**dict(cli._cell_preset(), nx=1024, ny=768)), 'sm'); "
+                      "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)",
+}
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux, in other units elsewhere")
+@pytest.mark.parametrize("name", sorted(RSS_SCRIPTS))
+def test_large_grid_peak_rss(name):
+    proc = _cold_child("-c", RSS_SCRIPTS[name])
+    assert proc.returncode == 0, proc.stderr
+    mb = int(proc.stdout) / 1024
+    assert mb <= 64, f"peak RSS {mb:.1f} MB"
+
+
 # --- usage errors and help --------------------------------------------------------------
 
 USAGE_ERRORS = [
@@ -529,7 +608,7 @@ def test_constants_output_is_json_dumps(capsys):
 
 
 def test_invert_output_is_json_dumps(capsys):
-    targets = [0j, 0.5, complex(0.3, -0.2), complex(0.6, 0.7), complex(-0.05, 0.97), 0.9999999]
+    targets = [0j, 0.5, complex(0.3, -0.2), complex(0.6, 0.7), complex(-0.05, 0.97), 0.9999999, -0.99999]
     targets += [s * GAMMA ** j for s in (1, -1) for j in range(3)]
     for w in targets:
         code, out, _ = run_cli(capsys, "invert", f"--w={_literal(complex(w))}")

@@ -6,6 +6,7 @@ import io
 import math
 import pickle
 import re
+import sys
 import tracemalloc
 
 import pytest
@@ -198,6 +199,7 @@ def test_cell_grid_pole_and_zero_clusters():
 # -- the grid rows against the one-point API ---------------------------------
 
 P0, P1, P2 = CONSTS.pole_reps
+MAX = sys.float_info.max
 
 #: region, the pole representative it must sample, and whether the grid is
 #: separable, its pixels sums of a column pair and a row pair (otherwise
@@ -386,11 +388,17 @@ def test_cube_identity_on_the_cell_framing():
 def _reference_pixel(v):
     if v.is_pole:
         return 255, 255, 255
-    mag = abs(v.value)
-    if mag <= ZERO_CLIP:
-        return 0, 0, 0
+    try:
+        mag = abs(v.value)
+    except OverflowError:
+        # |v| is above the largest double, where both parts are integers:
+        # log1p(|v|) is half the log of the exact integer |v|**2
+        x = math.log(int(v.value.real) ** 2 + int(v.value.imag) ** 2) / 2.0
+    else:
+        if mag <= ZERO_CLIP:
+            return 0, 0, 0
+        x = math.log1p(mag)
     hue = (math.atan2(v.value.imag, v.value.real) / (2.0 * math.pi)) % 1.0
-    x = math.log1p(mag)
     light = 0.15 + (0.95 - 0.15) * x / (1.0 + x)
     r, g, b = colorsys.hls_to_rgb(hue, light, 1.0)
     return int(255.0 * r + 0.5), int(255.0 * g + 0.5), int(255.0 * b + 0.5)
@@ -546,6 +554,30 @@ def test_ppm_names_a_non_finite_pixel(bad, monkeypatch):
         write_grid(io.BytesIO(), region, "sm", "ppm")
     # CSV has a text for every float
     assert grid_to_csv(grid).splitlines()[5] == f"0,0.5,{bad.real:.17g},{bad.imag:.17g},0"
+
+
+#: values whose modulus is above the largest double, where abs overflows
+HUGE = [complex(1.5e308, 1.5e308), complex(-MAX, MAX), complex(MAX, -1e308), _value_at_hue(1.0 / 6.0, 1e308) * 2]
+
+
+@pytest.mark.parametrize("huge", HUGE, ids=repr)
+def test_writers_color_a_modulus_above_the_largest_double(huge, monkeypatch):
+    # abs(huge) raises OverflowError; the pixel still has a color, the
+    # other pixels of its row keep theirs, and a non-finite one later in the
+    # row is still named
+    with pytest.raises(OverflowError):
+        abs(huge)
+    region = Region(0j, 1.0, 1.0, 3, 2)
+    rows = [[0.5, huge, EllipticValue.pole(P0)], [huge, 1e-12, -huge]]
+    grid = ValueGrid(region, [v if v.__class__ is EllipticValue else EllipticValue.finite(v) for v in rows[0] + rows[1]])
+    image = domain_color(grid)
+    assert image == _reference_ppm(grid)
+    # write_grid encodes its sampled rows with the same encoder
+    monkeypatch.setattr(render, "_selected_rows", lambda region, selector: iter(rows))
+    assert _streamed(region, "sm", "ppm") == image
+    rows[1][1] = complex(math.nan, 0.0)
+    with pytest.raises(ValueError, match=re.escape("cannot color (nan+0j) at column 1, row 1")):
+        _streamed(region, "sm", "ppm")
 
 
 # -- the streaming writer against the in-memory ones -----------------------------

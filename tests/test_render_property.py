@@ -4,6 +4,7 @@ every pole where the one-point API reports it; and the PPM encoder against
 its colorsys reference on rows of arbitrary finite values and poles."""
 
 import math
+import sys
 
 import pytest
 
@@ -55,8 +56,9 @@ def _polar(mags):
                      mags, st.floats(-math.pi, math.pi))
 
 
-#: parts of every scale: hypothesis's floats reach +-0, subnormals and 1e308
-PARTS = st.floats(-1e308, 1e308)
+#: parts of every scale: hypothesis's floats reach +-0, subnormals and the
+#: largest double, where the modulus is above it
+PARTS = st.floats(-sys.float_info.max, sys.float_info.max)
 #: on an axis, within a few ulps of ZERO_CLIP, the black clip
 NEAR_CLIP = st.builds(lambda k, unit: unit * _ulps(ZERO_CLIP, k), st.integers(-3, 3), st.sampled_from([1, -1, 1j, -1j]))
 VALUES = st.one_of(

@@ -32,9 +32,9 @@ def test_worst_is_nan_at_any_nan_term():
     ids=["sm_and_cm", "sm_only", "cm_only"],
 )
 def test_nan_value_fails_every_check_that_reads_it(monkeypatch, nan_sm, nan_cm, unread):
-    # the selftest's point evaluator returns NaN on its first call in each
+    # the kernel the checks call returns NaN on its first call in each
     # check; later calls, and every other path to a value, are untouched
-    values = selftest._values
+    values = selftest.sm_cm_values
     calls = []
 
     def first_call_nan(z):
@@ -44,7 +44,7 @@ def test_nan_value_fails_every_check_that_reads_it(monkeypatch, nan_sm, nan_cm, 
         calls.append(z)
         return s, c
 
-    monkeypatch.setattr(selftest, "_values", first_call_nan)
+    monkeypatch.setattr(selftest, "sm_cm_values", first_call_nan)
     evaluating, failed = set(), set()
     for name in selftest.list_checks():
         calls.clear()
