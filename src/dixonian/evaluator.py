@@ -4,10 +4,11 @@ Pipeline: reduce the argument modulo the period lattice to the cell centered
 at 0; report a pole if the reduced point sits on one; rescue near-pole
 arguments through the 2K translation identity (full relative accuracy where
 direct duplication would cancel); otherwise halve k times into the series
-disc, evaluate the series there and duplicate k times back out. Outside the
-near-pole discs no duplication denominator comes near zero: one would
-vanish only where the doubled point is a pole, and the doubles of the poles
-lie outside the cell.
+disc, evaluate the series there and duplicate k times back out. Every pole
+representative is K from 0, so only a reduced point about K - NEAR_TOL or
+farther from 0 has its nearest pole framed. Outside the near-pole discs no
+duplication denominator comes near zero: one would vanish only where the
+doubled point is a pole, and the doubles of the poles lie outside the cell.
 
 One kernel, ``_pair``, runs this pipeline, halvings included, and returns
 plain complex values; ``sm_cm`` and ``wp`` wrap them in records, the grid
@@ -26,6 +27,11 @@ from .series import SERIES_EVAL_RADIUS
 POLE_TOL = 1e-12
 #: Closer than this to a pole: evaluate through the 2K translation.
 NEAR_TOL = 0.05
+#: From this |z_reduced| on the kernel frames the nearest pole. Every pole
+#: representative is K from 0, so a point closer to 0 is more than NEAR_TOL
+#: from each, and the frame would send it to the series anyway; the 1e-6
+#: covers the rounding of both distances many times over.
+_FRAME_RADIUS = CONSTANTS.K - NEAR_TOL - 1e-6
 #: Largest |Re z| and |Im z| the reduction accepts. From 2**45 on, one ulp
 #: of z (2**-7) exceeds 1e-3 of the period 3K, so the reduced argument says
 #: little about the point meant; from about 1e17 it comes out exactly 0.
@@ -126,19 +132,23 @@ def _pair(ctx: _Context, z: complex) -> tuple:
     """The kernel: plain (sm, cm) at z, or (None, j) where z sits on pole j
     (the class of ``pole_reps[j]``)."""
     zr = reduce_to_fundamental(z, ctx.constants).z_reduced
-    j, w = _nearest_pole_frame(ctx, zr)
-    dist = abs(w)
-    if dist <= POLE_TOL:
-        return None, j
-    if dist <= NEAR_TOL:
-        return _near_pole_pair(ctx, j, w)
+    r = abs(zr)
+    if r >= _FRAME_RADIUS:
+        j, w = _nearest_pole_frame(ctx, zr)
+        dist = abs(w)
+        if dist <= POLE_TOL:
+            return None, j
+        if dist <= NEAR_TOL:
+            return _near_pole_pair(ctx, j, w)
     # k halvings bring zr (|zr| < 4.6 in the cell) into the series disc
-    r, k = abs(zr), 0
+    k = 0
     while r > SERIES_EVAL_RADIUS:
         r *= 0.5
         k += 1
     s, c = series.eval_series(ctx.pair, zr / (1 << k))
-    return identities.duplicate_values(s, c, k)
+    if k:
+        return identities.duplicate_values(s, c, k)
+    return s, c
 
 
 def compute_K_root() -> float:

@@ -3,8 +3,9 @@
 sm^-1(w) is the integral of (1 - t^3)^(-2/3) from 0 to w, whose Taylor
 series is w 2F1(1/3, 2/3; 4/3; w^3) = sum a_n w^(3n+1) with a_n =
 (2/3)_n / (n! (3n+1)) (DLMF 15.2). For |w| <= SERIES_SEED_RADIUS the seed is
-that series, one Horner pass in w^3 over the tabulated a_0..a_64
-(``_tables.INVERSE_COEFFS``): the a_n decrease, so the dropped tail is at
+that series, one Horner pass in w^3 over the tabulated a_64..a_0
+(``_tables.INVERSE_COEFFS``), written out as straight-line code in
+``_tables.horner_seed``: the a_n decrease, so the dropped tail is at
 most a_65 x^65 / (1 - x) with x = |w|^3, which stays within binary64's unit
 roundoff 2^-53 on that disc (tests/test_series.py certifies the radius).
 
@@ -31,7 +32,7 @@ from __future__ import annotations
 import math
 
 from ._record import record
-from ._tables import INVERSE_COEFFS
+from ._tables import horner_seed
 from .constants import CONSTANTS, GAMMA_POWERS
 from .errors import ConvergenceError
 from .evaluator import sm_cm_values
@@ -42,9 +43,6 @@ NEWTON_MAX_ITER = 50
 #: Largest |w| whose seed is the series: up to 0.854 the tail it drops past
 #: a_64 stays within 2^-53.
 SERIES_SEED_RADIUS = 0.85
-
-#: a_64 .. a_0, the order the Horner pass reads them in.
-_SERIES_SEED_STEPS = INVERSE_COEFFS[::-1]
 
 #: Newton cannot improve the iterate once |cm^2| is this small (w at a
 #: branch point gamma**j, where z = gamma**j K and cm vanishes).
@@ -87,11 +85,7 @@ def sm_inverse(w: complex, tol: float = 1e-12) -> InverseResult:
     if w == 0:
         return InverseResult(complex(0.0), 0.0)
     if abs(w) <= SERIES_SEED_RADIUS:
-        u = w * w * w
-        acc = 0j
-        for a in _SERIES_SEED_STEPS:
-            acc = acc * u + a
-        z = w * acc
+        z = w * horner_seed(w * w * w)
     elif abs(w) >= 1.0:
         z = _unit_circle_preimage(w, CONSTANTS.K)
     else:

@@ -31,7 +31,9 @@ pixel, in objects the garbage collector does not track. Each format has
 one row encoder, which turns a row of plain values into its pixels or
 lines; the PPM one runs in two stages, the values to hues and
 lightnesses and those to bytes. ``domain_color`` and ``grid_to_csv`` run
-it over a ValueGrid's stored rows and join the rows once. ``write_grid``
+it over a ValueGrid's stored rows: ``domain_color`` joins the rows once,
+and ``grid_to_csv`` appends each row to its text, which CPython extends in
+place, so the CSV text is its one copy. ``write_grid``
 runs it on each row as the row is sampled and writes the row out, so it
 holds one row for every selector, and no grid. Its bytes are the
 in-memory writers' because ``sample_grid`` and ``write_grid`` take their
@@ -274,7 +276,12 @@ def grid_to_csv(grid: ValueGrid) -> str:
     17 significant digits; pole rows carry nan values and pole = 1. Each
     column's x and each row's y is formatted once.
     """
-    return "".join(_encode(grid.region, _value_rows(grid), "csv"))
+    text = ""
+    for row in _encode(grid.region, _value_rows(grid), "csv"):
+        # CPython extends a str that only this name holds in place, so the
+        # text is built in one copy; a join would hold the rows beside it
+        text += row
+    return text
 
 
 def write_grid(out, region: Region, selector: str, fmt: str) -> None:

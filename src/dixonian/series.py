@@ -9,13 +9,15 @@ rationals:
 
 The library keeps one truncation of the two series, through z**48
 (DEFAULT_ORDER). Its coefficients are the same in every process, so
-evaluation reads their correctly rounded doubles from the checked-in table
-``_tables``. The exact ``fractions.Fraction`` coefficients, the ground
-truth the table is derived from and tested against, are built from the
-recurrence only when a caller reads them.
+evaluation runs on their correctly rounded doubles from the checked-in
+table ``_tables``, through the Horner function generated there with those
+doubles written in (``_tables.horner_pq``). The exact
+``fractions.Fraction`` coefficients, the ground truth the table is derived
+from and tested against, are built from the recurrence only when a caller
+reads them.
 """
 
-from ._tables import P_COEFFS, Q_COEFFS
+from ._tables import P_COEFFS, Q_COEFFS, horner_pq
 
 #: The one series order: the highest power of z the series keep. 48 was the
 #: default when the order could still be chosen, so every output keeps its
@@ -38,18 +40,20 @@ class SeriesPair:
     ``s_coeffs[n]`` is the exact rational coefficient of z**n; both tuples
     run from index 0 through ``order`` (DEFAULT_ORDER) inclusive, and are
     built from the recurrence the first time either is read. Evaluation
-    never reads them: it takes the Horner steps built from the binary64
-    table. Every pair holds the same coefficients, so any two are equal;
-    pairs are not hashable.
+    never reads them: it calls ``_horner``, the table's generated Horner
+    function, whose steps ``_horner_steps`` lists. Every pair holds the
+    same coefficients, so any two are equal; pairs are not hashable.
     """
 
     __hash__ = None
     order = DEFAULT_ORDER
 
     def __init__(self) -> None:
-        # sm(z) = z * P(z^3) and cm(z) = Q(z^3) in binary64: the coefficients
-        # of P and Q from the top down, paired for one loop. Q has one more
-        # than P, and that top coefficient comes first, on its own
+        # sm(z) = z * P(z^3) and cm(z) = Q(z^3) in binary64: (P(u), Q(u))
+        self._horner = horner_pq
+        # the coefficients of P and Q from the top down, paired as the steps
+        # of one loop. Q has one more than P, and that top coefficient comes
+        # first, on its own
         s_rev, c_rev = P_COEFFS[::-1], Q_COEFFS[::-1]
         self._horner_steps = c_rev[0], tuple(zip(s_rev, c_rev[1:], strict=True))
 
@@ -119,20 +123,14 @@ def _recurrence(order: int) -> tuple[tuple, tuple]:
 def eval_series(pair: SeriesPair, z: complex) -> tuple[complex, complex]:
     """Evaluate the truncated series at z, for |z| <= SERIES_EVAL_RADIUS.
 
-    Horner evaluation in u = z**3 (two of every three coefficients vanish).
-    The dropped tail stays within SERIES_TOL on the whole disc;
-    tests/test_series.py certifies it. A |z| beyond SERIES_EVAL_RADIUS, or
-    not a number, raises ValueError.
+    Horner evaluation in u = z**3 (two of every three coefficients vanish),
+    by the pair's straight-line ``_horner``. The dropped tail stays within
+    SERIES_TOL on the whole disc; tests/test_series.py certifies it. A |z|
+    beyond SERIES_EVAL_RADIUS, or not a number, raises ValueError.
     """
     z = complex(z)
     r = abs(z)
     if not r <= SERIES_EVAL_RADIUS:
         raise ValueError(f"|z| = {r:.6g} exceeds the series evaluation radius {SERIES_EVAL_RADIUS}")
-    u = z * z * z
-    c_top, steps = pair._horner_steps
-    s = 0j
-    c = 0j * u + c_top
-    for a, b in steps:
-        s = s * u + a
-        c = c * u + b
+    s, c = pair._horner(z * z * z)
     return s * z, c

@@ -102,16 +102,47 @@ LOWEST_USABLE_ORDER = 27
 MAX_TRUNCATION = 64
 
 
+def horner_source(name, **series):
+    """The source of ``def name(u)``, which sums each named coefficient tuple
+    (lowest power first) by Horner's rule in u and returns the sums, one
+    statement per step.
+
+    Each sum runs the loop ``acc = 0j; for a in reversed(coeffs): acc =
+    acc * u + a`` written out, its first step ``0j * u + top``. The series'
+    steps are interleaved top row first, each series' lowest coefficient in
+    the last row; the sums do not depend on one another, so the order of
+    rows changes no bit. ``python tests/test_series.py`` prints the
+    library's two such functions for ``_tables.py`` with it, and
+    ``Truncation`` builds its own.
+    """
+    rows = max(len(coeffs) for coeffs in series.values())
+    lines = [f"def {name}(u):"]
+    for i in range(rows - 1, -1, -1):
+        for var, coeffs in series.items():
+            if i < len(coeffs):
+                acc = "0j" if i == len(coeffs) - 1 else var
+                # "+ -x" adds the negative double as the loop does; "- x"
+                # would give -0.0 - 0.0 = -0.0 where the loop gives 0.0
+                lines.append(f"    {var} = {acc} * u + {coeffs[i]!r}")
+    lines.append(f"    return {', '.join(series)}")
+    return "\n".join(lines) + "\n"
+
+
 class Truncation:
     """The series of sm and cm through z**order, rounded to doubles and
-    stepped as ``eval_series`` steps the library's pair, which is all it
-    reads (``_horner_steps``)."""
+    summed as ``eval_series`` sums the library's pair, through a Horner
+    function (``_horner``) generated from these coefficients as the
+    library's is from its table. ``_horner_steps`` lists its steps as the
+    library's pair lists them."""
 
     def __init__(self, order):
         self.order = order
         self.s_coeffs, self.c_coeffs = series._recurrence(order)
         # sm(z) = z * P(z^3) and cm(z) = Q(z^3)
         self.packed = tuple(float(a) for a in self.s_coeffs[1::3]), tuple(float(a) for a in self.c_coeffs[0::3])
+        namespace = {}
+        exec(horner_source("horner_pq", p=self.packed[0], q=self.packed[1]), namespace)
+        self._horner = namespace["horner_pq"]
         s_rev, c_rev = self.packed[0][::-1], self.packed[1][::-1]
         # Q has as many coefficients as P or one more; without one more, a
         # zero top coefficient starts cm's loop from zero

@@ -158,6 +158,66 @@ def test_duplicate_values_is_duplicate():
     assert duplicate_values(0.25j, 1.0, 0) == (0.25j, 1.0)
 
 
+def _always_framed(z):
+    """The kernel's (sm, cm) at z with the nearest pole framed at every
+    reduced argument, (None, j) on pole j: the reference for the kernel,
+    which frames only from ``_FRAME_RADIUS`` out."""
+    zr = reduce_to_fundamental(z, CONSTS).z_reduced
+    j, w = _nearest_pole_frame(_CTX, zr)
+    if abs(w) <= POLE_TOL:
+        return None, j
+    if abs(w) <= NEAR_TOL:
+        return tuple(evaluator._near_pole_pair(_CTX, j, w))
+    k = _halvings(zr)
+    return duplicate_values(*eval_series(_CTX.pair, zr / (1 << k)), k)
+
+
+def _frame_edge_points():
+    rng = random.Random(405)
+    radii = []
+    for r in (K - NEAR_TOL, evaluator._FRAME_RADIUS):
+        radii += [r - 1e-9, r + 1e-9, math.nextafter(r, 0.0), r, math.nextafter(r, 4.0)]
+    pts = []
+    for rep in CONSTS.pole_reps:
+        toward = rep / abs(rep)
+        # on the ray toward the pole, on the ray between two poles, and off both
+        for d in (toward, -toward, toward * cmath.rect(1.0, 0.3), toward * cmath.rect(1.0, -1e-4)):
+            pts += [r * d for r in radii]
+        # inside the near-pole disc, and within POLE_TOL of the pole
+        pts += [rep + cmath.rect(math.exp(rng.uniform(math.log(1e-11), math.log(NEAR_TOL))),
+                                 rng.uniform(0, 2 * math.pi)) for _ in range(40)]
+        pts += [rep + cmath.rect(rng.uniform(0, POLE_TOL), rng.uniform(0, 2 * math.pi)) for _ in range(10)]
+        pts += [rep, rep + cmath.rect(NEAR_TOL, rng.uniform(0, 2 * math.pi))]
+    pts += [z + 2 * W1 - W2 for z in pts[::7]]
+    return pts
+
+
+def test_frame_skipped_only_where_no_pole_is_near(monkeypatch):
+    # every pole is K from 0, so below _FRAME_RADIUS (K - NEAR_TOL - 1e-6)
+    # the frame could find no pole within NEAR_TOL; the kernel skips it there
+    # and gives the always-framing kernel's bits on both sides of that
+    # radius, of NEAR_TOL's circle and of POLE_TOL's
+    framed = []
+    frame = evaluator._nearest_pole_frame
+
+    def recording(ctx, zr):
+        framed.append(zr)
+        return frame(ctx, zr)
+
+    monkeypatch.setattr(evaluator, "_nearest_pole_frame", recording)
+    assert evaluator._FRAME_RADIUS == K - NEAR_TOL - 1e-6
+    paths = set()
+    for z in _frame_edge_points():
+        framed.clear()
+        got, want = evaluator._pair(_CTX, z), _always_framed(z)
+        assert repr(tuple(got)) == repr(want), z
+        zr = reduce_to_fundamental(z, CONSTS).z_reduced
+        assert framed == ([zr] if abs(zr) >= evaluator._FRAME_RADIUS else []), z
+        d = min(abs(zr - rep) for rep in CONSTS.pole_reps)
+        paths.add((bool(framed), "pole" if d <= POLE_TOL else "near" if d <= NEAR_TOL else "series"))
+    assert paths == {(False, "series"), (True, "series"), (True, "near"), (True, "pole")}
+
+
 def test_reduction_beyond_cell_raises():
     # from about |z| = 1e17 the double-precision reduction loses the argument
     for z in (1.7e308, 1.234567e17, complex(1e300, 1e300), complex(1.7e308, 1.7e308)):

@@ -23,6 +23,7 @@ from conftest import (
     MAX_TRUNCATION,
     assert_checks,
     assert_fact,
+    horner_source,
     tail_bound,
     truncation,
     truncation_k,
@@ -139,14 +140,18 @@ def _rounded_inverse():
 
 
 def table_text():
-    """The table's three tuples and K, as ``_tables.py`` writes them."""
+    """The table's three tuples, K and the two Horner functions, as
+    ``_tables.py`` writes them."""
+    p, q = _rounded_recurrence()
+    inv = _rounded_inverse()
     names = ("P_COEFFS", "Q_COEFFS", "INVERSE_COEFFS")
     blocks = [
         "\n".join((f"{name} = (", *(f"    {v!r}," for v in values), ")"))
-        for name, values in zip(names, (*_rounded_recurrence(), _rounded_inverse()))
+        for name, values in zip(names, (p, q, inv))
     ]
     blocks.append(f'K = float.fromhex("{compute_K_root().hex()}")')
-    return "\n\n".join(blocks) + "\n"
+    functions = (horner_source("horner_pq", p=p, q=q), horner_source("horner_seed", a=inv))
+    return "\n\n".join(blocks) + "\n\n\n" + "\n\n".join(functions)
 
 
 def test_table_is_the_rounded_recurrence():
@@ -369,10 +374,56 @@ def test_inverse_seed_radius_is_derived():
     assert len(_tables.INVERSE_COEFFS) == INVERSE_TERMS
 
 
+def test_generated_seed_is_the_loop():
+    # the inverse's series seed, _tables.horner_seed, is the Horner loop over
+    # a_64..a_0 from 0j written out: the same bits on the seeded disc, on
+    # its rim and at the signed zeros
+    def loop(u):
+        acc = 0j
+        for a in reversed(_tables.INVERSE_COEFFS):
+            acc = acc * u + a
+        return acc
+
+    rng = random.Random(10)
+    r = inverse.SERIES_SEED_RADIUS
+    ws = [cmath.rect(rng.uniform(0, r), rng.uniform(0, 2 * math.pi)) for _ in range(2000)]
+    ws += [cmath.rect(r, 2 * math.pi * i / 60) for i in range(60)]
+    ws += [complex(r, -0.0), complex(-r, -0.0), complex(-0.0, r), complex(0.0, -r), complex(-r / 2, -0.0)]
+    ws += [complex(a, b) for a in (0.0, -0.0) for b in (0.0, -0.0)]
+    for w in ws:
+        u = w * w * w
+        assert repr(_tables.horner_seed(u)) == repr(loop(u)), w
+
+
+def test_generated_horner_is_the_loop_over_its_steps():
+    # every pair's _horner, the library's and each truncation's, is the loop
+    # over its _horner_steps written out, to the bit, on the disc, on its
+    # rim and at the signed zeros
+    def loop(steps, u):
+        c_top, pairs = steps
+        s = 0j
+        c = 0j * u + c_top
+        for a, b in pairs:
+            s = s * u + a
+            c = c * u + b
+        return s, c
+
+    rng = random.Random(11)
+    r = SERIES_EVAL_RADIUS
+    zs = [cmath.rect(rng.uniform(0, r), rng.uniform(0, 2 * math.pi)) for _ in range(300)]
+    zs += [cmath.rect(r, 2 * math.pi * i / 24) for i in range(24)]
+    zs += [complex(-r, -0.0), complex(-0.0, r / 3), *(complex(a, b) for a in (0.0, -0.0) for b in (0.0, -0.0))]
+    assert generate_series()._horner is _tables.horner_pq
+    for pair in (generate_series(), *(truncation(order) for order in range(1, MAX_TRUNCATION + 1))):
+        for z in zs:
+            u = z * z * z
+            assert repr(pair._horner(u)) == repr(loop(pair._horner_steps, u)), (pair.order, z)
+
+
 def test_default_order_keeps_half_disc(monkeypatch):
     # the kernel duplicates as often as it halved: twice over the K
-    # root-finder's bracket (1.5, 2.0), never inside the disc, and once just
-    # past its rim
+    # root-finder's bracket (1.5, 2.0), never inside the disc, where it makes
+    # no call and returns the series' values, and once just past its rim
     times = []
     duplicate_values = identities.duplicate_values
 
@@ -381,9 +432,12 @@ def test_default_order_keeps_half_disc(monkeypatch):
         return duplicate_values(s, c, k)
 
     monkeypatch.setattr(identities, "duplicate_values", counting)
-    for z in (1.5, 2.0, 0.5, 0.0, math.nextafter(0.5, 1.0)):
-        sm_cm(z)
-    assert times == [2, 2, 0, 0, 1]
+    for z, want in ((1.5, [2]), (2.0, [2]), (0.5, []), (0.0, []), (math.nextafter(0.5, 1.0), [1])):
+        times.clear()
+        s, c = sm_cm(z)
+        assert times == want, z
+        if not want:
+            assert repr((s.value, c.value)) == repr(eval_series(generate_series(), z)), z
 
 
 def test_generated_once_per_order():
