@@ -1,14 +1,16 @@
 """Global evaluation of sm and cm anywhere in the complex plane.
 
 Pipeline: reduce the argument modulo the period lattice to the cell centered
-at 0; report a pole if the reduced point sits on one; rescue near-pole
+at 0; a reduced point inside the series disc goes straight to the series.
+Otherwise report a pole if the reduced point sits on one; rescue near-pole
 arguments through the 2K translation identity (full relative accuracy where
 direct duplication would cancel); otherwise halve k times into the series
 disc, evaluate the series there and duplicate k times back out. Every pole
-representative is K from 0, so only a reduced point about K - NEAR_TOL or
-farther from 0 has its nearest pole framed. Outside the near-pole discs no
-duplication denominator comes near zero: one would vanish only where the
-doubled point is a pole, and the doubles of the poles lie outside the cell.
+representative is K from 0, so only a reduced point within about NEAR_TOL
+of the circle |z| = K has its nearest pole framed. Outside the near-pole
+discs no duplication denominator comes near zero: one would vanish only
+where the doubled point is a pole, and the doubles of the poles lie outside
+the cell.
 
 One kernel, ``_pair``, runs this pipeline, halvings included, and returns
 plain complex values; ``sm_cm`` and ``wp`` wrap them in records, the grid
@@ -27,11 +29,14 @@ from .series import SERIES_EVAL_RADIUS
 POLE_TOL = 1e-12
 #: Closer than this to a pole: evaluate through the 2K translation.
 NEAR_TOL = 0.05
-#: From this |z_reduced| on the kernel frames the nearest pole. Every pole
-#: representative is K from 0, so a point closer to 0 is more than NEAR_TOL
-#: from each, and the frame would send it to the series anyway; the 1e-6
-#: covers the rounding of both distances many times over.
-_FRAME_RADIUS = CONSTANTS.K - NEAR_TOL - 1e-6
+#: The kernel frames the nearest pole only for _FRAME_INNER <= |z_reduced|
+#: <= _FRAME_OUTER. Every pole representative is K from 0, and the other
+#: pole copies sit at least 0.6 from the cell, so a point outside that
+#: annulus is more than NEAR_TOL from each pole, and the frame would send it
+#: to the series anyway; the 1e-6 covers the rounding of both distances many
+#: times over.
+_FRAME_INNER = CONSTANTS.K - NEAR_TOL - 1e-6
+_FRAME_OUTER = CONSTANTS.K + NEAR_TOL + 1e-6
 #: Largest |Re z| and |Im z| the reduction accepts. From 2**45 on, one ulp
 #: of z (2**-7) exceeds 1e-3 of the period 3K, so the reduced argument says
 #: little about the point meant; from about 1e17 it comes out exactly 0.
@@ -97,22 +102,29 @@ def _context(order: int) -> _Context:
     return _CTX
 
 
+def _period_parts(consts: DixonConstants) -> tuple:
+    """w1, w2, Re w1, Re w2 and Im w2; w1 = 3K is real."""
+    w1, w2 = consts.periods
+    return w1, w2, w1.real, w2.real, w2.imag
+
+
+_PERIOD_PARTS = _period_parts(CONSTANTS)
+
+
 def reduce_to_fundamental(z: complex, consts: DixonConstants | None = None) -> LatticeReduction:
     """Split z = m*w1 + n*w2 + z_reduced with z_reduced in the centered cell.
 
     A part of z beyond MAX_ARGUMENT in magnitude, or not finite, raises
     ValueError.
     """
-    z = complex(z)
+    if z.__class__ is not complex:
+        z = complex(z)
     # also false for NaN and the infinities
     if not (abs(z.real) <= MAX_ARGUMENT and abs(z.imag) <= MAX_ARGUMENT):
         raise ValueError(f"cannot reduce {z}: each part must be finite and at most 2**45 in magnitude")
-    if consts is None:
-        consts = CONSTANTS
-    w1, w2 = consts.periods
-    b = z.imag / w2.imag
-    a = (z.real - b * w2.real) / w1.real
-    m, n = round(a), round(b)
+    w1, w2, w1r, w2r, w2i = _PERIOD_PARTS if consts is None or consts is CONSTANTS else _period_parts(consts)
+    b = z.imag / w2i
+    m, n = round((z.real - b * w2r) / w1r), round(b)
     return _new(LatticeReduction, (m, n, z - (m * w1 + n * w2)))
 
 
@@ -133,7 +145,9 @@ def _pair(ctx: _Context, z: complex) -> tuple:
     (the class of ``pole_reps[j]``)."""
     zr = reduce_to_fundamental(z, ctx.constants).z_reduced
     r = abs(zr)
-    if r >= _FRAME_RADIUS:
+    if r <= SERIES_EVAL_RADIUS:
+        return series.eval_series(ctx.pair, zr)
+    if _FRAME_INNER <= r <= _FRAME_OUTER:
         j, w = _nearest_pole_frame(ctx, zr)
         dist = abs(w)
         if dist <= POLE_TOL:
@@ -146,9 +160,7 @@ def _pair(ctx: _Context, z: complex) -> tuple:
         r *= 0.5
         k += 1
     s, c = series.eval_series(ctx.pair, zr / (1 << k))
-    if k:
-        return identities.duplicate_values(s, c, k)
-    return s, c
+    return identities.duplicate_values(s, c, k)
 
 
 def compute_K_root() -> float:
@@ -199,9 +211,10 @@ def sm_cm_values(z: complex) -> tuple[complex, complex]:
 def wp(z: complex) -> EllipticValue:
     """Weierstrass p for the sm/cm lattice (invariants g2 = 0, g3 = 1/27).
 
-    Double poles at the lattice points. Finite everywhere else, including at
-    the simple poles of sm and cm, where s/(3(1 - c)) has the limit
-    gamma**j / 3.
+    Double poles at the lattice points: the marker where the reduced
+    argument is within about POLE_TOL of one. Finite everywhere else,
+    including at the simple poles of sm and cm, where s/(3(1 - c)) has the
+    limit gamma**j / 3.
     """
     v = _wp_of_pair(*_pair(_CTX, z))
     return v if v is _LATTICE else _new(EllipticValue, (v, None))
@@ -209,13 +222,20 @@ def wp(z: complex) -> EllipticValue:
 
 def _wp_of_pair(s, c) -> complex | EllipticValue:
     """Plain wp from the kernel's plain (sm, cm), or from its (None, j) on
-    pole j; ``_LATTICE`` at a lattice point."""
+    pole j; ``_LATTICE`` where |s| <= POLE_TOL next to a lattice point.
+
+    wp = s/(3(1 - c)), and 1 - c = s^3/(1 + c + c^2) on the curve, so wp =
+    (1 + c + c^2)/(3 s^2), which does not cancel next to the lattice points,
+    where c is near 1. 1 + c + c^2 vanishes only at the zeros of sm where c
+    is gamma or gamma^2, far from |c - 1| < 0.5, where that form is taken.
+    """
     if s is None:
         return _WP_AT_POLES[c]
-    den = 1.0 - c
-    if abs(den) < identities.DENOM_TOL:
-        return _LATTICE
-    return s / (3.0 * den)
+    if abs(c - 1.0) < 0.5:
+        if abs(s) <= POLE_TOL:
+            return _LATTICE
+        return (1.0 + c + c * c) / (3.0 * (s * s))
+    return s / (3.0 * (1.0 - c))
 
 
 def _nearest_pole_frame(ctx: _Context, zr: complex) -> tuple[int, complex]:

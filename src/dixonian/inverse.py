@@ -21,10 +21,11 @@ accurate as the residual makes it, about tol / |cm(z)|^2, which grows next
 to the branch points.
 
 Next to a branch point gamma**j, where the integrand blows up, the seed
-comes instead from sm(gamma**j (K - y)) = gamma**j cm(y) = gamma**j (1 -
-y^3/3 + ...): y is the principal cube root of 3 (1 - w gamma**-j). On the
-unit circle only the six points +-gamma**j are in the domain, solved
-exactly.
+comes instead from sm(gamma**j (K - y)) = gamma**j cm(y): then w**3 =
+cm(y)**3, so sm(y) is the principal cube root of 1 - w**3, and y is the
+series seed at that root. 1 - w**3 is formed exactly from w's parts, so
+the seed does not carry the rounding of gamma. On the unit circle only the
+six points +-gamma**j are in the domain, solved exactly.
 """
 
 from __future__ import annotations
@@ -54,11 +55,11 @@ _FLAT_DERIVATIVE = 1e-9
 _SEED_TOL = 1e-3
 
 #: Within this distance of a branch point the cube-root seed replaces the
-#: quadrature: it costs no integrand calls and is off by about
-#: |y|^6 / 18 <= 5e-19 in w. The other two preimages near gamma**j K lie
-#: sqrt(3)|y| away, and the quadrature seed's error grows against |y| toward
-#: the branch point: at most 1.8% of |y| at 1e-9 and 13% at 1e-15, over five
-#: directions to each branch point.
+#: quadrature: it costs no integrand calls, and its y is the series seed at
+#: a root of 1 - w**3 rounded once. The other two preimages near gamma**j K
+#: lie sqrt(3)|y| away, and the quadrature seed's error grows against |y|
+#: toward the branch point: at most 1.8% of |y| at 1e-9 and 13% at 1e-15,
+#: over five directions to each branch point.
 _BRANCH_RADIUS = 1e-9
 
 
@@ -112,12 +113,16 @@ def sm_inverse(w: complex, tol: float = 1e-12) -> InverseResult:
 
 
 def _branch_guess(w: complex, K: float) -> complex | None:
-    """gamma**j (K - y) with y = (3 (1 - w gamma**-j))**(1/3), for w within
+    """gamma**j (K - y) with sm(y) = (1 - w**3)**(1/3), for w within
     _BRANCH_RADIUS of the branch point gamma**j; None farther out."""
     for b in GAMMA_POWERS:
         if abs(w - b) <= _BRANCH_RADIUS:
-            y = (3.0 * (1.0 - w * b.conjugate())) ** (1.0 / 3.0)
-            return b * (K - y)
+            from fractions import Fraction
+
+            # 1 - w**3 from the exact parts x + iv of w, rounded once
+            x, v = Fraction(w.real), Fraction(w.imag)
+            s = complex(1 - x * x * x + 3 * x * v * v, v * v * v - 3 * x * x * v) ** (1.0 / 3.0)
+            return b * (K - s * horner_seed(s * s * s))
     return None
 
 

@@ -6,7 +6,8 @@ sum of those two pairs by ``identities.add``'s formula. The kernel runs at
 the pixel's own coordinate instead where the column's pair is a pole, where
 the sum's denominator is below STEP_MIN_DEN, and where the sum lies outside
 |sm|, |cm| <= STEP_MAX; for wp also within STEP_LATTICE_GAP of cm = 1,
-where wp = sm / (3 (1 - cm)) cancels. A grid of one column or one row, or
+next to a lattice point, where wp ~ 1 / (3 sm**2) magnifies the sum's
+error of sm. A grid of one column or one row, or
 with a corner beyond STEP_MAX_COORD, runs the kernel at every pixel. Values
 therefore differ from ``sm_cm`` and ``wp`` only in the last bits (the tests
 bound the difference by 2e-13 * max(1, |v|)); pole pixels, the pixels the
@@ -60,8 +61,8 @@ MAX_PIXELS = 4096 * 4096
 #: A pixel is a sum only where it has |sm|, |cm| <= STEP_MAX, and for wp
 #: also |1 - cm| > STEP_LATTICE_GAP. Beyond STEP_MAX it nears a pole, where
 #: the kernel keeps full relative accuracy; within STEP_LATTICE_GAP of
-#: cm = 1 it nears a lattice point, where wp = sm / (3 (1 - cm)) magnifies
-#: the error of cm. sm and cm themselves are well conditioned there.
+#: cm = 1 it nears a lattice point, where wp ~ 1 / (3 sm**2) magnifies the
+#: error of sm. sm and cm themselves are well conditioned there.
 STEP_MAX = 4.0
 STEP_LATTICE_GAP = 0.25
 #: A sum whose denominator s c sh**2 + ch, for (s, c) at x and (sh, ch) at

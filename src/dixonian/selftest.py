@@ -18,6 +18,7 @@ import random
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from . import identities, series
 from .constants import CONSTANTS, GAMMA_POWERS, compute_K_quadrature
@@ -217,10 +218,27 @@ def _check_series_landmarks() -> float:
     return 0.0
 
 
-@_check("series_cube_identity", 1e-12, seed=101, count=300, draw=_disc(0.5))
+@cache
+def _cm_coeffs() -> tuple[float, ...]:
+    """cm's exact coefficients of z**(3k), rounded to doubles."""
+    return tuple(float(a) for a in series.generate_series().c_coeffs[::3])
+
+
+def _cm_series(z: complex) -> complex:
+    """cm's own truncated series at z, summed by Horner in z**3."""
+    u = z * z * z
+    acc = 0j
+    for a in reversed(_cm_coeffs()):
+        acc = acc * u + a
+    return acc
+
+
+# eval_series reads cm off the curve cm^3 = 1 - sm^3, so the cube identity
+# would hold by construction there; the check holds that cm against cm's
+# own series instead, over the whole disc
+@_check("series_cube_identity", 1e-12, seed=101, count=300, draw=_disc(series.SERIES_EVAL_RADIUS))
 def _series_cube(z: complex) -> float:
-    s, c = series.eval_series(series.generate_series(), z)
-    return abs(s * s * s + c * c * c - 1.0)
+    return abs(series.eval_series(series.generate_series(), z)[1] - _cm_series(z))
 
 
 # ---------------------------------------------------------------------------

@@ -7,31 +7,34 @@ rationals:
     (n+1) * s[n+1] = sum_{k=0..n} c[k] * c[n-k]
     (n+1) * c[n+1] = -sum_{k=0..n} s[k] * s[n-k]
 
-The library keeps one truncation of the two series, through z**48
+The library keeps one truncation of sm's series, through z**48
 (DEFAULT_ORDER). Its coefficients are the same in every process, so
 evaluation runs on their correctly rounded doubles from the checked-in
 table ``_tables``, through the Horner function generated there with those
-doubles written in (``_tables.horner_pq``). The exact
-``fractions.Fraction`` coefficients, the ground truth the table is derived
-from and tested against, are built from the recurrence only when a caller
-reads them.
+doubles written in (``_tables.horner_p``). cm is not summed: with alpha = 0
+the pair parametrizes the curve x**3 + y**3 = 1, and on the series disc
+|sm**3| <= 0.68 < 1, so cm is the principal cube root of 1 - sm**3. The
+exact ``fractions.Fraction`` coefficients of both series, the ground truth
+the table is derived from and tested against, are built from the
+recurrence only when a caller reads them.
 """
 
-from ._tables import P_COEFFS, Q_COEFFS, horner_pq
+from ._tables import horner_p
 
 #: The one series order: the highest power of z the series keep. 48 was the
-#: default when the order could still be chosen, so every output keeps its
-#: bits (README, "One series order"). The name is the one
-#: ``benchmarks/verify.py`` imports.
+#: default when the order could still be chosen (README, "One series
+#: order"). The name is the one ``benchmarks/verify.py`` imports.
 DEFAULT_ORDER = 48
 
-#: Radius of the disc on which truncated evaluation is permitted. Chosen
-#: inside the guaranteed-existence radius 2**(-2/3) = 0.62996..., leaving
-#: tail margin at DEFAULT_ORDER.
-SERIES_EVAL_RADIUS = 0.5
+#: Bound on the terms of sm's series that the truncation drops on the
+#: evaluation disc: binary64's unit roundoff.
+SERIES_TOL = 2.0 ** -53
 
-#: Bound on the truncation error of eval_series.
-SERIES_TOL = 1e-13
+#: Radius of the disc on which truncated evaluation is permitted: the
+#: largest radius of one decimal digit on which the dropped tail of sm's
+#: series stays within SERIES_TOL (5.2e-17 at 0.8; the edge is 0.812).
+#: tests/test_series.py certifies it.
+SERIES_EVAL_RADIUS = 0.8
 
 
 class SeriesPair:
@@ -41,21 +44,16 @@ class SeriesPair:
     run from index 0 through ``order`` (DEFAULT_ORDER) inclusive, and are
     built from the recurrence the first time either is read. Evaluation
     never reads them: it calls ``_horner``, the table's generated Horner
-    function, whose steps ``_horner_steps`` lists. Every pair holds the
-    same coefficients, so any two are equal; pairs are not hashable.
+    function for sm's series. Every pair holds the same coefficients, so
+    any two are equal; pairs are not hashable.
     """
 
     __hash__ = None
     order = DEFAULT_ORDER
 
     def __init__(self) -> None:
-        # sm(z) = z * P(z^3) and cm(z) = Q(z^3) in binary64: (P(u), Q(u))
-        self._horner = horner_pq
-        # the coefficients of P and Q from the top down, paired as the steps
-        # of one loop. Q has one more than P, and that top coefficient comes
-        # first, on its own
-        s_rev, c_rev = P_COEFFS[::-1], Q_COEFFS[::-1]
-        self._horner_steps = c_rev[0], tuple(zip(s_rev, c_rev[1:], strict=True))
+        # sm(z) = z * P(z^3) in binary64: P(u)
+        self._horner = horner_p
 
     def _exact_coeffs(self) -> tuple[tuple, tuple]:
         # not a __getattr__: a class with one leaves every attribute read of
@@ -121,16 +119,18 @@ def _recurrence(order: int) -> tuple[tuple, tuple]:
 
 
 def eval_series(pair: SeriesPair, z: complex) -> tuple[complex, complex]:
-    """Evaluate the truncated series at z, for |z| <= SERIES_EVAL_RADIUS.
+    """(sm(z), cm(z)) from the truncated series, for |z| <= SERIES_EVAL_RADIUS.
 
-    Horner evaluation in u = z**3 (two of every three coefficients vanish),
-    by the pair's straight-line ``_horner``. The dropped tail stays within
-    SERIES_TOL on the whole disc; tests/test_series.py certifies it. A |z|
+    sm by Horner evaluation in u = z**3 (two of every three coefficients
+    vanish), through the pair's straight-line ``_horner``; its dropped tail
+    stays within SERIES_TOL on the whole disc. cm is the principal cube
+    root of 1 - sm**3, which is cm on the disc, where |sm**3| <= 0.68. A |z|
     beyond SERIES_EVAL_RADIUS, or not a number, raises ValueError.
     """
-    z = complex(z)
+    if z.__class__ is not complex:
+        z = complex(z)
     r = abs(z)
     if not r <= SERIES_EVAL_RADIUS:
         raise ValueError(f"|z| = {r:.6g} exceeds the series evaluation radius {SERIES_EVAL_RADIUS}")
-    s, c = pair._horner(z * z * z)
-    return s * z, c
+    s = pair._horner(z * z * z) * z
+    return s, (1.0 - s * s * s) ** (1.0 / 3.0)

@@ -89,15 +89,15 @@ def kernel_pixels(region, calls):
 
 # --- truncations of the one series -------------------------------------------
 #
-# The library keeps the series of sm and cm through z**48. A truncation at
-# another order is usable in its place when its dropped tail stays within
-# SERIES_TOL on the SERIES_EVAL_RADIUS disc and, swapped into the kernel, it
-# root-finds the tabulated K to the bit. Every order from 27 through 64 is;
-# order 26 root-finds a K one ulp off. These facts bound the choice of a
-# lower order (ROADMAP item 17).
+# The library keeps sm's series through z**48 and reads cm off the curve. A
+# truncation at another order is usable in its place when its dropped tail
+# stays within SERIES_TOL (2**-53) on the SERIES_EVAL_RADIUS disc and,
+# swapped into the kernel, it root-finds the tabulated K to the bit. Every
+# order from 46 through 64 is; orders 43 to 45 drop 5.6e-16 at the rim.
+# These facts bound the choice of a lower order (ROADMAP item 17).
 
 #: The smallest usable truncation order; test_series.py derives it.
-LOWEST_USABLE_ORDER = 27
+LOWEST_USABLE_ORDER = 46
 #: The longest truncation the per-order checks sweep.
 MAX_TRUNCATION = 64
 
@@ -129,48 +129,40 @@ def horner_source(name, **series):
 
 
 class Truncation:
-    """The series of sm and cm through z**order, rounded to doubles and
-    summed as ``eval_series`` sums the library's pair, through a Horner
-    function (``_horner``) generated from these coefficients as the
-    library's is from its table. ``_horner_steps`` lists its steps as the
-    library's pair lists them."""
+    """sm's series through z**order, rounded to doubles (``packed``, P's
+    coefficients, lowest first) and summed as ``eval_series`` sums the
+    library's, through a Horner function (``_horner``) generated from these
+    coefficients as the library's is from its table. ``s_coeffs`` and
+    ``c_coeffs`` are both series' exact coefficients through ``order``."""
 
     def __init__(self, order):
         self.order = order
         self.s_coeffs, self.c_coeffs = series._recurrence(order)
-        # sm(z) = z * P(z^3) and cm(z) = Q(z^3)
-        self.packed = tuple(float(a) for a in self.s_coeffs[1::3]), tuple(float(a) for a in self.c_coeffs[0::3])
+        # sm(z) = z * P(z^3)
+        self.packed = tuple(float(a) for a in self.s_coeffs[1::3])
         namespace = {}
-        exec(horner_source("horner_pq", p=self.packed[0], q=self.packed[1]), namespace)
-        self._horner = namespace["horner_pq"]
-        s_rev, c_rev = self.packed[0][::-1], self.packed[1][::-1]
-        # Q has as many coefficients as P or one more; without one more, a
-        # zero top coefficient starts cm's loop from zero
-        extra = len(c_rev) - len(s_rev)
-        self._horner_steps = (c_rev[0] if extra else 0.0), tuple(zip(s_rev, c_rev[extra:], strict=True))
+        exec(horner_source("horner_p", p=self.packed), namespace)
+        self._horner = namespace["horner_p"]
 
 
 truncation = functools.cache(Truncation)
 
 
 def tail_bound(packed, r):
-    """Bound on the terms of sm and cm that a truncation drops, at radius r,
-    from its ``packed`` (P, Q) coefficients.
+    """Bound on the terms of sm's series that a truncation drops, at radius
+    r, from its ``packed`` P coefficients.
 
-    Each series' last kept term times the geometric sum x + x^2 + ... of the
-    decay per power of z**3 between its last two kept terms, with a 2x guard.
+    The last kept term times the geometric sum x + x^2 + ... of the decay
+    per power of z**3 between the last two kept terms, with a 2x guard.
     None of the coefficients is zero; a series with one kept term has no
     decay to fit, and no bound.
     """
-    bound = 0.0
-    for coeffs, offset in zip(packed, (1, 0)):
-        last = len(coeffs) - 1
-        if last < 1:
-            return math.inf
-        x = abs(coeffs[last] / coeffs[last - 1]) * r ** 3
-        assert x < 1.0
-        bound = max(bound, 2.0 * abs(coeffs[last]) * r ** (3 * last + offset) * x / (1.0 - x))
-    return bound
+    last = len(packed) - 1
+    if last < 1:
+        return math.inf
+    x = abs(packed[last] / packed[last - 1]) * r ** 3
+    assert x < 1.0
+    return 2.0 * abs(packed[last]) * r ** (3 * last + 1) * x / (1.0 - x)
 
 
 @contextlib.contextmanager

@@ -11,7 +11,7 @@ import pytest
 import dixonian
 from dixonian import Region, cli, dixon_constants, render, sm_inverse
 from dixonian.cli import main, parse_complex
-from conftest import GAMMA, LOWEST_USABLE_ORDER, K, kernel_calls, kernel_pixels, kernel_with, truncation
+from conftest import GAMMA, LOWEST_USABLE_ORDER, K, Truncation, kernel_calls, kernel_pixels, kernel_with
 
 
 def run_cli(capsys, *argv):
@@ -380,21 +380,29 @@ def test_order_flag(tmp_path, capsys):
 
 def test_small_order_usable(tmp_path, capsys):
     # the CLI evaluates through the kernel's one series: with the smallest
-    # usable truncation swapped in, eval agrees with the default within
-    # 1e-13. No subcommand takes that order as a flag, and grid makes no
-    # --out file when refused
+    # usable truncation swapped in, eval sums that truncation's series and
+    # gives the default's bits (it keeps the same terms of sm). No
+    # subcommand takes that order as a flag, and grid makes no --out file
+    # when refused
     _, ref, _ = run_cli(capsys, "eval", "--fn", "sm", "--z", "0.45")
-    with kernel_with(truncation(LOWEST_USABLE_ORDER)):
+    pair, calls = Truncation(LOWEST_USABLE_ORDER), []
+    horner = pair._horner
+
+    def recording(u):
+        calls.append(u)
+        return horner(u)
+
+    pair._horner = recording
+    with kernel_with(pair):
         code, out, _ = run_cli(capsys, "eval", "--fn", "sm", "--z", "0.45")
-    assert code == 0 and out != ref
-    assert abs(json.loads(out)["re"] - json.loads(ref)["re"]) <= 1e-13
+    assert code == 0 and out == ref and len(calls) == 1
     for argv in ORDER_ARGV:
         if argv[0] == "grid":
             argv = [*argv, "--out", str(tmp_path / "wp.ppm")]
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--order", str(LOWEST_USABLE_ORDER)])
         assert exc.value.code == 2, argv
-        assert "unrecognized arguments: --order 27" in capsys.readouterr().err
+        assert f"unrecognized arguments: --order {LOWEST_USABLE_ORDER}" in capsys.readouterr().err
     assert not (tmp_path / "wp.ppm").exists()
 
 

@@ -18,6 +18,7 @@ from dixonian import (
     Region,
     ValueGrid,
     WeierstrassValue,
+    constants,
     evaluator,
     cm,
     reduce_to_fundamental,
@@ -60,6 +61,25 @@ def test_reduce_roundtrip_random():
         a = (red.z_reduced.real - b * W2.real) / W1.real
         assert abs(a) <= 0.5 + 1e-9
         assert abs(b) <= 0.5 + 1e-9
+
+
+def test_reduce_reads_any_constants_record_alike():
+    # the reduction reads the library's record's periods from parts taken at
+    # import; a fresh record, read at the call, gives the same bits, signed
+    # zeros included: those of z - (m*w1 + n*w2), for complex, float and int
+    # arguments
+    rng = random.Random(12)
+    zs = [complex(rng.uniform(-40, 40), rng.uniform(-40, 40)) for _ in range(300)]
+    zs += [cmath.rect(10.0 ** rng.uniform(-300, 13), rng.uniform(0, 2 * math.pi)) for _ in range(300)]
+    zs += [complex(a, b) for a in (0.0, -0.0, 1.5, -1.5, 2.0 ** 45) for b in (0.0, -0.0, 2.5, -2.5, -2.0 ** 45)]
+    zs += [W1, -W2, W1 + W2, 2.0 * W2 - 3.0 * W1, 0.5 * (W1 + W2)]
+    fresh = constants.dixon_constants.__wrapped__(48)
+    for z in zs + [0.3, -0.0, 7, -2]:
+        for consts in (None, CONSTS, fresh):
+            red = reduce_to_fundamental(z, consts)
+            want = complex(z) - (red.m * W1 + red.n * W2)
+            assert repr(red.z_reduced) == repr(want), (z, consts)
+            assert type(red.z_reduced) is complex
 
 
 def test_reduce_nonfinite():

@@ -24,12 +24,12 @@ _W1, _W2 = complex(3.0 * _K, 0.0), 3.0 * _K * _GAMMA
 _POLES = (complex(-_K, 0.0), -_K * _GAMMA, -_K * _GAMMA.conjugate())
 
 GOLDEN = {
-    "sm_cm": "2ad203b504aeee9d4efa68b017b4150a563ac542c7de855de0b285d6710b39d0",
-    "wp": "e29288de0d1bcd705cfda8e8194d2653242032063c53fefba460b20d60462ffb",
-    "sm_inverse": "0a696c7e1916f88fb9fb72ad977bb0eed134621a4d048cf8341a53f3c3c48340",
+"sm_cm": "2a14a33e89d83148a4c311cd2df84a99752adb20be6f4afd7a47dfe0b194144c",
+    "wp": "3f7a1228ed6a0211284879a76a19d41448089329c63954ede0607d0234cfb661",
+    "sm_inverse": "248778415e4033cc30a4e9cfb7053bfb98379ac7d3472533e3da0cc93d0c3282",
     "ppm": "b5ac17f2876090738da14b64f0d1878900ce55de345bdbc25fc92fbdf8bf22dd",
-    "csv": "7c7fd2187cb204f04fbf8a3ad94c28bd85cf2e8a13d4241f49f7d44c23893468",
-    "selftest": "eae97a4a496374147ef2d421e26e13f336fcf7d7dc559a2b60d437d9cfdf0ce5",
+    "csv": "51e6443c105089ccacb401b811709455ee9f451b8c185c422f2e13e491932f9d",
+    "selftest": "c87f98cb7f65a132266cdec9bdd0f4c869d068a7c940caf27d2cbb242c149321",
 }
 
 

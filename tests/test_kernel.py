@@ -1,5 +1,5 @@
 """The sm/cm kernel: bit-identity with the identity layer, every truncation
-from order 27 usable in place of the one series, one constants record, no
+from order 46 usable in place of the one series, one constants record, no
 entry point that takes a series order, the package's public names, what a
 cold start imports, and the library names the benchmark calls and wraps."""
 
@@ -70,9 +70,10 @@ def _halvings(zr):
 
 def _identity_duplication(zr):
     """(sm, cm) at a reduced argument away from the poles, from eval_series
-    on the 0.5 disc and one duplication per halving."""
+    on the series disc (at zr itself inside it) and one duplication per
+    halving."""
     k = _halvings(zr)
-    p = FunctionPair(*eval_series(_CTX.pair, zr / (1 << k)))
+    p = FunctionPair(*eval_series(_CTX.pair, zr / (1 << k) if k else zr))
     for _ in range(k):
         p = _duplicate_formula(p)
     return p.s, p.c
@@ -109,7 +110,7 @@ def _kernel_points():
     pts += [z + 7 * W1 - 3 * W2 for z in pts[:50]]
     # signed zeros, the origin, the series-disc edge, cardinal points
     pts += [0j, complex(-0.0, -0.0), complex(-0.3, -0.0), complex(-0.0, 0.3), complex(-1.8, -0.0),
-            0.5, -0.5, 0.5j, -K / 2.0, K / 2.0, complex(-2.0 * K, 0.0), complex(-2.0 * K, -0.0)]
+            0.5, -0.5, 0.5j, 0.8, -0.8j, math.nextafter(0.8, 1.0), -K / 2.0, K / 2.0, complex(-2.0 * K, 0.0), complex(-2.0 * K, -0.0)]
     return pts
 
 
@@ -161,7 +162,7 @@ def test_duplicate_values_is_duplicate():
 def _always_framed(z):
     """The kernel's (sm, cm) at z with the nearest pole framed at every
     reduced argument, (None, j) on pole j: the reference for the kernel,
-    which frames only from ``_FRAME_RADIUS`` out."""
+    which frames only from ``_FRAME_INNER`` to ``_FRAME_OUTER``."""
     zr = reduce_to_fundamental(z, CONSTS).z_reduced
     j, w = _nearest_pole_frame(_CTX, zr)
     if abs(w) <= POLE_TOL:
@@ -169,13 +170,15 @@ def _always_framed(z):
     if abs(w) <= NEAR_TOL:
         return tuple(evaluator._near_pole_pair(_CTX, j, w))
     k = _halvings(zr)
+    if not k:
+        return eval_series(_CTX.pair, zr)
     return duplicate_values(*eval_series(_CTX.pair, zr / (1 << k)), k)
 
 
 def _frame_edge_points():
     rng = random.Random(405)
     radii = []
-    for r in (K - NEAR_TOL, evaluator._FRAME_RADIUS):
+    for r in (K - NEAR_TOL, evaluator._FRAME_INNER, K + NEAR_TOL, evaluator._FRAME_OUTER):
         radii += [r - 1e-9, r + 1e-9, math.nextafter(r, 0.0), r, math.nextafter(r, 4.0)]
     pts = []
     for rep in CONSTS.pole_reps:
@@ -193,10 +196,12 @@ def _frame_edge_points():
 
 
 def test_frame_skipped_only_where_no_pole_is_near(monkeypatch):
-    # every pole is K from 0, so below _FRAME_RADIUS (K - NEAR_TOL - 1e-6)
-    # the frame could find no pole within NEAR_TOL; the kernel skips it there
-    # and gives the always-framing kernel's bits on both sides of that
-    # radius, of NEAR_TOL's circle and of POLE_TOL's
+    # every pole is K from 0, so outside the annulus from _FRAME_INNER
+    # (K - NEAR_TOL - 1e-6) to _FRAME_OUTER (K + NEAR_TOL + 1e-6) the frame
+    # could find no pole within NEAR_TOL; the kernel skips it there and
+    # gives the always-framing kernel's bits on both sides of either edge,
+    # of the circles |z| = K -+ NEAR_TOL, of NEAR_TOL's circle about each
+    # pole and of POLE_TOL's
     framed = []
     frame = evaluator._nearest_pole_frame
 
@@ -205,17 +210,22 @@ def test_frame_skipped_only_where_no_pole_is_near(monkeypatch):
         return frame(ctx, zr)
 
     monkeypatch.setattr(evaluator, "_nearest_pole_frame", recording)
-    assert evaluator._FRAME_RADIUS == K - NEAR_TOL - 1e-6
+    assert evaluator._FRAME_INNER == K - NEAR_TOL - 1e-6
+    assert evaluator._FRAME_OUTER == K + NEAR_TOL + 1e-6
     paths = set()
     for z in _frame_edge_points():
         framed.clear()
         got, want = evaluator._pair(_CTX, z), _always_framed(z)
         assert repr(tuple(got)) == repr(want), z
         zr = reduce_to_fundamental(z, CONSTS).z_reduced
-        assert framed == ([zr] if abs(zr) >= evaluator._FRAME_RADIUS else []), z
+        assert framed == ([zr] if evaluator._FRAME_INNER <= abs(zr) <= evaluator._FRAME_OUTER else []), z
         d = min(abs(zr - rep) for rep in CONSTS.pole_reps)
-        paths.add((bool(framed), "pole" if d <= POLE_TOL else "near" if d <= NEAR_TOL else "series"))
-    assert paths == {(False, "series"), (True, "series"), (True, "near"), (True, "pole")}
+        side = "inside" if abs(zr) < K else "outside"
+        paths.add((side, bool(framed), "pole" if d <= POLE_TOL else "near" if d <= NEAR_TOL else "series"))
+    # unframed and framed points on both sides of |z| = K, and the near-pole
+    # rescue on both sides of it too
+    assert paths == {(side, framed, path) for side in ("inside", "outside")
+                     for framed, path in ((False, "series"), (True, "series"), (True, "near"), (True, "pole"))}
 
 
 def test_reduction_beyond_cell_raises():

@@ -235,10 +235,12 @@ KERNEL_REGIONS = {
     # lattice reduction's error
     "long band": (Region(complex(30.0, 21.207048989069378), 12.0 * K, 0.5, 256, 3), None, True),
     # the benchmark's off-origin framing at 64x48. STEP_LATTICE_GAP: its wp
-    # sums read 7.8e-11 off the kernel without the gap
+    # sums read 7.0e-14 off the kernel without the gap (7.8e-11 with the
+    # form sm / (3 (1 - cm)), which cancels there)
     "wide 64x48": (Region(complex(30.0, 20.0), 12.0 * K, 9.0 * K, 64, 48), None, True),
-    # rows through the lattice point 0, where wp = sm / (3 (1 - cm)) cancels:
-    # wp reads 4.3e-12 summed within STEP_LATTICE_GAP of cm = 1
+    # rows through the lattice point 0: summed within STEP_LATTICE_GAP of
+    # cm = 1, wp reads 1.2e-15 off the kernel (4.3e-12 with the form
+    # sm / (3 (1 - cm)), which cancels there)
     "lattice band": (Region(complex(0.0, 0.05), 1.0, 0.3, 101, 7), None, True),
 }
 

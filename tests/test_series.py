@@ -71,7 +71,7 @@ def test_all_rational():
 
 def test_deterministic():
     assert SeriesPair() == generate_series()
-    assert SeriesPair()._horner_steps == generate_series()._horner_steps
+    assert SeriesPair()._horner is generate_series()._horner is _tables.horner_p
 
 
 def test_pair_compared_by_value_and_unhashable():
@@ -113,10 +113,9 @@ def test_order_bounds():
 # --- the binary64 table -------------------------------------------------------
 
 def _rounded_recurrence():
-    """P's and Q's coefficients through DEFAULT_ORDER, each exact coefficient
+    """P's coefficients through DEFAULT_ORDER, each exact coefficient of sm
     rounded to the nearest double."""
-    pair = generate_series()
-    return tuple(float(a) for a in pair.s_coeffs[1::3]), tuple(float(a) for a in pair.c_coeffs[0::3])
+    return tuple(float(a) for a in generate_series().s_coeffs[1::3])
 
 
 #: a_0 .. a_64: the terms of the inverse's series seed that ``_tables.py``
@@ -140,26 +139,25 @@ def _rounded_inverse():
 
 
 def table_text():
-    """The table's three tuples, K and the two Horner functions, as
+    """The table's two tuples, K and the two Horner functions, as
     ``_tables.py`` writes them."""
-    p, q = _rounded_recurrence()
+    p = _rounded_recurrence()
     inv = _rounded_inverse()
-    names = ("P_COEFFS", "Q_COEFFS", "INVERSE_COEFFS")
     blocks = [
         "\n".join((f"{name} = (", *(f"    {v!r}," for v in values), ")"))
-        for name, values in zip(names, (p, q, inv))
+        for name, values in (("P_COEFFS", p), ("INVERSE_COEFFS", inv))
     ]
     blocks.append(f'K = float.fromhex("{compute_K_root().hex()}")')
-    functions = (horner_source("horner_pq", p=p, q=q), horner_source("horner_seed", a=inv))
+    functions = (horner_source("horner_p", p=p), horner_source("horner_seed", a=inv))
     return "\n\n".join(blocks) + "\n\n\n" + "\n\n".join(functions)
 
 
 def test_table_is_the_rounded_recurrence():
-    p, q = _rounded_recurrence()
-    assert (len(p), len(q)) == (16, 17)
+    p = _rounded_recurrence()
+    assert len(p) == 16
     inv = _rounded_inverse()
     assert len(inv) == INVERSE_TERMS
-    for table, want in ((_tables.P_COEFFS, p), (_tables.Q_COEFFS, q), (_tables.INVERSE_COEFFS, inv)):
+    for table, want in ((_tables.P_COEFFS, p), (_tables.INVERSE_COEFFS, inv)):
         assert all(type(a) is float for a in table)
         assert [a.hex() for a in table] == [a.hex() for a in want]
     assert type(_tables.K) is float
@@ -199,7 +197,7 @@ def test_finite_difference_matches_ode():
 
 def test_radius_violation():
     with pytest.raises(ValueError):
-        eval_series(generate_series(), 0.51)
+        eval_series(generate_series(), 0.81)
     # a non-finite argument has no modulus inside the disc
     for z in (complex(math.nan, 0.0), complex(0.0, math.nan), complex(math.inf, math.nan)):
         with pytest.raises(ValueError, match="exceeds the series evaluation radius"):
@@ -230,33 +228,32 @@ def test_packed_prefix_is_the_orders_rounded_coefficients(order):
     # prefix: the table is the truncation at DEFAULT_ORDER
     pair = truncation(order)
     assert pair.s_coeffs == series._recurrence(order)[0]
-    for packed, exact, table in zip(pair.packed, (pair.s_coeffs[1::3], pair.c_coeffs[0::3]),
-                                    (_tables.P_COEFFS, _tables.Q_COEFFS)):
-        assert [a.hex() for a in packed] == [float(a).hex() for a in exact]
-        n = min(len(packed), len(table))
-        assert [a.hex() for a in packed[:n]] == [a.hex() for a in table[:n]]
+    assert [a.hex() for a in pair.packed] == [float(a).hex() for a in pair.s_coeffs[1::3]]
+    n = min(len(pair.packed), len(_tables.P_COEFFS))
+    assert [a.hex() for a in pair.packed[:n]] == [a.hex() for a in _tables.P_COEFFS[:n]]
     if order == DEFAULT_ORDER:
-        assert pair._horner_steps == generate_series()._horner_steps
+        assert pair.packed == _tables.P_COEFFS
 
 
 @pytest.mark.parametrize("order", range(1, MAX_TRUNCATION + 1))
 def test_tail_bound_met_inside_eval_radius(order):
     # the certificate behind eval_series, which checks only |z|: the dropped
-    # tail stays within SERIES_TOL on the whole disc (the bound grows with
-    # the radius, so its rim decides), at the one order and at every order
-    # that could stand in for it
+    # tail of sm's series stays within SERIES_TOL on the whole disc (the
+    # bound grows with the radius, so its rim decides), at the one order and
+    # at every order that could stand in for it
     if order < LOWEST_USABLE_ORDER:
         return _refused(order)
-    bounds = [tail_bound(truncation(order).packed, SERIES_EVAL_RADIUS * i / 8) for i in range(9)]
+    r = SERIES_EVAL_RADIUS
+    bounds = [tail_bound(truncation(order).packed, r * i / 8) for i in range(9)]
     assert bounds == sorted(bounds) and bounds[-1] <= SERIES_TOL
     # the bound covers the dropped terms that the exact coefficients through
     # EXACT_ORDER give at the rim
-    for coeffs in _exact_past_order():
-        dropped = sum(abs(a) / 2 ** n for n, a in enumerate(coeffs) if n > order)
-        assert 0.0 < dropped <= bounds[-1]
+    s_exact = _exact_past_order()[0]
+    dropped = sum(abs(a) * Fraction(r) ** n for n, a in enumerate(s_exact) if n > order)
+    assert 0.0 < dropped <= bounds[-1]
 
 
-TAIL_RADII = (0.0, 1e-5, 6.26e-5, 1e-3, 0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.45, 0.5)
+TAIL_RADII = (0.0, 1e-5, 6.26e-5, 1e-3, 0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.75, 0.8)
 
 
 def _horner(coeffs, z):
@@ -268,8 +265,9 @@ def _horner(coeffs, z):
 
 def test_tail_bound_holds_against_longer_series():
     # at every radius of the disc the bound meets SERIES_TOL, and the values
-    # eval_series gives honour it against the series through EXACT_ORDER,
-    # its coefficients rounded to doubles and summed by Horner
+    # eval_series gives honour it against both series through EXACT_ORDER,
+    # their coefficients rounded to doubles and summed by Horner: sm's, and
+    # cm's, which the curve gives within |sm/cm|^2 <= 0.55 times sm's error
     s_exact, c_exact = _exact_past_order()
     pair = generate_series()
     for r in TAIL_RADII:
@@ -284,12 +282,13 @@ def test_tail_bound_holds_against_longer_series():
 @pytest.mark.parametrize("order", range(1, MAX_TRUNCATION + 1))
 def test_cached_tail_bound_matches_per_call_fit(order):
     # the certificate is fitted on a fresh truncation; eval_series reads the
-    # library's cached pair, which carries the same steps at DEFAULT_ORDER.
-    # At every radius of the disc each usable order's bound meets
-    # SERIES_TOL, and its values honour it against the longest truncation
+    # library's cached pair, which sums the same coefficients at
+    # DEFAULT_ORDER. At every radius of the disc each usable order's bound
+    # meets SERIES_TOL, and its values honour it against the longest
+    # truncation
     if order < LOWEST_USABLE_ORDER:
         return _refused(order)
-    assert generate_series()._horner_steps == SeriesPair()._horner_steps == truncation(DEFAULT_ORDER)._horner_steps
+    assert truncation(DEFAULT_ORDER).packed == _tables.P_COEFFS
     pair = generate_series() if order == DEFAULT_ORDER else truncation(order)
     full = truncation(MAX_TRUNCATION)
     for r in TAIL_RADII:
@@ -312,8 +311,17 @@ def test_eval_radius_is_largest_that_meets_tol(order):
     eval_series(truncation(order), cmath.rect(r, 0.7))
     if order == DEFAULT_ORDER:
         eval_series(generate_series(), cmath.rect(r, 0.7))
-    # the cell needs four halvings
-    assert 4.6 / 2 ** 4 <= r < 4.6 / 2 ** 3
+        # the rule: the largest radius of one decimal digit on which the
+        # one order's tail meets SERIES_TOL; the exact edge lies at 0.812
+        packed = truncation(order).packed
+        assert tail_bound(packed, 0.812) <= SERIES_TOL < tail_bound(packed, 0.813)
+        assert r == 0.8 and tail_bound(packed, 0.9) > SERIES_TOL
+        # on the disc |sm^3| < 1, so the principal cube root of 1 - sm^3 is cm
+        rim = [z for z in (cmath.rect(r, math.pi * i / 360) for i in range(720)) if abs(z) <= r]
+        assert len(rim) > 360
+        assert max(abs(eval_series(generate_series(), z)[0]) ** 3 for z in rim) <= 0.68
+    # the cell needs three halvings
+    assert 4.6 / 2 ** 3 <= r < 4.6 / 2 ** 2
 
 
 @pytest.mark.parametrize("order", [1, 4, 20, 27, 48, 64])
@@ -321,7 +329,7 @@ def test_eval_series_checks_outside_shortcut(order):
     # eval_series checks only that |z| lies in the disc, whatever the pair
     pair = generate_series() if order == DEFAULT_ORDER else truncation(order)
     eval_series(pair, SERIES_EVAL_RADIUS)
-    for z in (math.nextafter(SERIES_EVAL_RADIUS, 1.0), 0.51j, -0.6, complex(math.nan, 0.0)):
+    for z in (math.nextafter(SERIES_EVAL_RADIUS, 1.0), 0.81j, -0.9, complex(math.nan, 0.0)):
         with pytest.raises(ValueError, match="exceeds the series evaluation radius"):
             eval_series(pair, z)
 
@@ -343,15 +351,16 @@ def test_small_order_ok_near_zero():
 def test_min_order_is_derived():
     # LOWEST_USABLE_ORDER is the smallest order from which every truncation
     # root-finds the tabulated K to the bit and meets SERIES_TOL on the disc;
-    # DEFAULT_ORDER is among them
+    # DEFAULT_ORDER is among them, and sums the same terms of sm as the
+    # lowest: sm has no terms of z**47 or z**48
     k = _tables.K.hex()
     assert k == "0x1.c4426fe852836p+0" == compute_K_root().hex()
     assert all(truncation_usable(order) for order in range(LOWEST_USABLE_ORDER, MAX_TRUNCATION + 1))
     assert LOWEST_USABLE_ORDER <= DEFAULT_ORDER <= MAX_TRUNCATION
-    # the order below still meets the disc, but its K is one ulp off
+    assert truncation(LOWEST_USABLE_ORDER).packed == _tables.P_COEFFS
+    # the order below drops the term of z**46, 5.6e-16 at the rim
     below = LOWEST_USABLE_ORDER - 1
-    assert tail_bound(truncation(below).packed, SERIES_EVAL_RADIUS) <= SERIES_TOL
-    assert truncation_k(below) == "0x1.c4426fe852837p+0"
+    assert 5e-16 < tail_bound(truncation(below).packed, SERIES_EVAL_RADIUS)
     assert not truncation_usable(below)
 
 
@@ -397,33 +406,33 @@ def test_generated_seed_is_the_loop():
 
 def test_generated_horner_is_the_loop_over_its_steps():
     # every pair's _horner, the library's and each truncation's, is the loop
-    # over its _horner_steps written out, to the bit, on the disc, on its
+    # over its P coefficients written out, to the bit, on the disc, on its
     # rim and at the signed zeros
-    def loop(steps, u):
-        c_top, pairs = steps
-        s = 0j
-        c = 0j * u + c_top
-        for a, b in pairs:
-            s = s * u + a
-            c = c * u + b
-        return s, c
+    def loop(coeffs, u):
+        acc = 0j
+        for a in reversed(coeffs):
+            acc = acc * u + a
+        return acc
 
     rng = random.Random(11)
     r = SERIES_EVAL_RADIUS
     zs = [cmath.rect(rng.uniform(0, r), rng.uniform(0, 2 * math.pi)) for _ in range(300)]
     zs += [cmath.rect(r, 2 * math.pi * i / 24) for i in range(24)]
     zs += [complex(-r, -0.0), complex(-0.0, r / 3), *(complex(a, b) for a in (0.0, -0.0) for b in (0.0, -0.0))]
-    assert generate_series()._horner is _tables.horner_pq
-    for pair in (generate_series(), *(truncation(order) for order in range(1, MAX_TRUNCATION + 1))):
+    assert generate_series()._horner is _tables.horner_p
+    pairs = [(generate_series(), _tables.P_COEFFS)]
+    pairs += [(truncation(order), truncation(order).packed) for order in range(1, MAX_TRUNCATION + 1)]
+    for pair, coeffs in pairs:
         for z in zs:
             u = z * z * z
-            assert repr(pair._horner(u)) == repr(loop(pair._horner_steps, u)), (pair.order, z)
+            assert repr(pair._horner(u)) == repr(loop(coeffs, u)), (pair.order, z)
 
 
 def test_default_order_keeps_half_disc(monkeypatch):
-    # the kernel duplicates as often as it halved: twice over the K
-    # root-finder's bracket (1.5, 2.0), never inside the disc, where it makes
-    # no call and returns the series' values, and once just past its rim
+    # the kernel duplicates as often as it halved: once at the K
+    # root-finder's bracket end 1.5 and twice at 2.0, never inside the 0.8
+    # disc, where it makes no call and returns the series' values, and once
+    # just past its rim
     times = []
     duplicate_values = identities.duplicate_values
 
@@ -432,7 +441,7 @@ def test_default_order_keeps_half_disc(monkeypatch):
         return duplicate_values(s, c, k)
 
     monkeypatch.setattr(identities, "duplicate_values", counting)
-    for z, want in ((1.5, [2]), (2.0, [2]), (0.5, []), (0.0, []), (math.nextafter(0.5, 1.0), [1])):
+    for z, want in ((1.5, [1]), (2.0, [2]), (0.8, []), (0.0, []), (math.nextafter(0.8, 1.0), [1])):
         times.clear()
         s, c = sm_cm(z)
         assert times == want, z
@@ -445,7 +454,9 @@ def test_generated_once_per_order():
 
 
 def test_fused_horner_matches_separate_recurrences():
-    # each recurrence keeps its own operation order, from a complex zero start
+    # sm is P's Horner loop from a complex zero start, to the bit; cm, read
+    # off the curve, is within 2 ulp of 1 of Q's loop over cm's own
+    # coefficients rounded to doubles (|cm| lies in [0.84, 1.2] on the disc)
     def horner(coeffs, u):
         acc = complex(0.0)
         for a in reversed(coeffs):
@@ -454,13 +465,15 @@ def test_fused_horner_matches_separate_recurrences():
 
     rng = random.Random(9)
     pair = generate_series()
+    q = [float(a) for a in pair.c_coeffs[0::3]]
     r = SERIES_EVAL_RADIUS
-    pts = [cmath.rect(rng.uniform(0, r), rng.uniform(0, 2 * math.pi)) for _ in range(350)]
-    pts += [complex(-r / 2, -0.0), complex(-0.0, r / 3), complex(-0.0, -0.0), 0j]
+    pts = [cmath.rect(rng.uniform(0, r), rng.uniform(0, 2 * math.pi)) for _ in range(2000)]
+    pts += [complex(-r / 2, -0.0), complex(-0.0, r / 3), complex(-0.0, -0.0), 0j, complex(r, 0.0), complex(-r, 0.0)]
     for z in pts:
         u = z * z * z
-        want = (horner(_tables.P_COEFFS, u) * z, horner(_tables.Q_COEFFS, u))
-        assert repr(eval_series(pair, z)) == repr(want)
+        s, c = eval_series(pair, z)
+        assert repr(s) == repr(horner(_tables.P_COEFFS, u) * z), z
+        assert abs(c - horner(q, u)) <= 2 * math.ulp(1.0), z
 
 
 def test_sparse_recurrence_matches_dense():
